@@ -11,7 +11,6 @@ from .modular import (
     INF,
     MoebiusMap,
     IDENTITY,
-    T,
     L,
     R,
     NotHyperbolicError,
@@ -45,7 +44,6 @@ from .geodesics import (
     enumerate_geodesics_combinatorial,
     systole_combinatorial,
     systole_matrix_group,
-    word_trace,
     verify_density_length,
     polygon_diameter_proxy,
 )

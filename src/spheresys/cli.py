@@ -21,7 +21,7 @@ from .enumeration import (EnumerationQuery, ResourceLimitError,
                           enumerate_triangulations, max_min_density,
                           verify_proposition)
 from .geodesics import (polygon_diameter_proxy, systole_combinatorial,
-                        systole_matrix_group, word_trace)
+                        systole_matrix_group)
 from .modular import MoebiusMap, schmutz_bound, trace_to_length
 from .triangulation import (Triangulation, icosahedron, octahedron,
                             tetrahedron)
@@ -71,54 +71,63 @@ NAMED_GENERATOR_SETS = {
 }
 
 
-def load_triangulation(spec: str) -> Triangulation:
-    if spec.startswith("fixture:"):
-        name = spec.split(":", 1)[1]
-        if name not in NAMED_GRAPHS:
-            raise InputError(f"unknown graph fixture {name!r}; "
-                             f"choices: {', '.join(sorted(NAMED_GRAPHS))}")
-        return NAMED_GRAPHS[name]()
+def fixture_diameter(dev_name: str) -> float:
+    """Certified search diameter from a named published development."""
+    g, tree, seed = fixtures.named_development(dev_name)
+    return polygon_diameter_proxy(develop(g, tree, seed=seed))
+
+
+def parse_input(text: str):
+    """A Triangulation from rotation text, or (generators, diameter|None)
+    from generator JSON; malformed input raises InputError."""
     try:
-        with open(spec) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(str(exc))
-    try:
-        return Triangulation.from_text(text)
+        if not text.lstrip().startswith("{"):
+            return Triangulation.from_text(text)
+        data = json.loads(text)
+        quads = data.get("generators") if isinstance(data, dict) else None
+        if not isinstance(quads, dict):
+            raise ValueError('expected {"generators": {label: [a, b, c, d]}}')
+        gens = {}
+        for lab, quad in quads.items():
+            if not isinstance(quad, list) or len(quad) != 4:
+                raise ValueError(f"generator {lab!r}: expected four entries")
+            try:
+                gens[lab] = MoebiusMap.from_json(quad)
+            except (TypeError, ZeroDivisionError, OverflowError) as exc:
+                raise ValueError(f"generator {lab!r}: {exc}")
     except ValueError as exc:
-        raise InputError(f"{spec}: {exc}")
+        raise InputError(exc)
+    return gens, data.get("diameter")
 
 
-def load_systole_input(spec: str):
-    """Either ("graph", Triangulation) or ("gens", dict, diameter|None)."""
+def load_input(spec: str):
+    """Load a fixture:NAME or a file; see parse_input for the result."""
     if spec.startswith("fixture:"):
         name = spec.split(":", 1)[1]
         if name in NAMED_GRAPHS:
-            return ("graph", NAMED_GRAPHS[name]())
+            return NAMED_GRAPHS[name]()
         if name in NAMED_GENERATOR_SETS:
             dev_name, getter = NAMED_GENERATOR_SETS[name]
-            g, tree, seed = fixtures.named_development(dev_name)
-            diam = polygon_diameter_proxy(develop(g, tree, seed=seed))
-            return ("gens", getter(), diam)
-        raise InputError(f"unknown fixture {name!r}")
+            return getter(), fixture_diameter(dev_name)
+        names = sorted(NAMED_GRAPHS) + sorted(NAMED_GENERATOR_SETS)
+        raise InputError(f"unknown fixture {name!r}; "
+                         f"choices: {', '.join(names)}")
     try:
         with open(spec) as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(str(exc))
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-            gens = {lab: MoebiusMap.from_json(quad)
-                    for lab, quad in data["generators"].items()}
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{spec}: bad generator JSON ({exc})")
-        return ("gens", gens, data.get("diameter"))
     try:
-        return ("graph", Triangulation.from_text(text))
-    except ValueError as exc:
+        return parse_input(text)
+    except InputError as exc:
         raise InputError(f"{spec}: {exc}")
+
+
+def load_triangulation(spec: str) -> Triangulation:
+    loaded = load_input(spec)
+    if not isinstance(loaded, Triangulation):
+        raise InputError(f"{spec}: a generator set, not a triangulation")
+    return loaded
 
 
 def parse_tree(g: Triangulation, spec: str) -> SpanningTree:
@@ -234,9 +243,9 @@ def cmd_render(args, out):
 
 
 def cmd_systole(args, out):
-    loaded = load_systole_input(args.input)
-    if loaded[0] == "graph":
-        _, g = loaded
+    loaded = load_input(args.input)
+    if isinstance(loaded, Triangulation):
+        g = loaded
         if not g.validate().ok:
             raise InputError("triangulation is invalid")
         length, witnesses = systole_combinatorial(g, args.trace_bound)
@@ -251,7 +260,7 @@ def cmd_systole(args, out):
                     f"length {fmt_float(w.length)}")
         return EXIT_OK
 
-    _, gens, diameter = loaded
+    gens, diameter = loaded
     bound = Q(args.trace_bound) if args.trace_bound is not None else Q(18)
     report = systole_matrix_group(gens, bound, diameter=diameter)
     if args.json:
@@ -344,7 +353,8 @@ def _claim_gamma5_correction():
 
 def _claim_word_traces(gens_getter, words, expected_abs):
     def run():
-        traces = [abs(word_trace(gens_getter(), w)) for w in words]
+        gens = gens_getter()
+        traces = [abs(fixtures.word_matrix(gens, w).trace) for w in words]
         ok = all(t == expected_abs for t in traces)
         return ok, f"{len(words)} words, |trace| {fmt_trace(expected_abs)}"
     return run
@@ -352,19 +362,18 @@ def _claim_word_traces(gens_getter, words, expected_abs):
 
 def _claim_seven_perturbed():
     def run():
-        got = sorted(f"{float(abs(word_trace(fixtures.B7, w))):.4f}"
-                     for w in fixtures.SEVEN_CUSP_TRACE14_WORDS)
+        traces = [abs(fixtures.word_matrix(fixtures.B7, w).trace)
+                  for w in fixtures.SEVEN_CUSP_TRACE14_WORDS]
+        got = sorted(f"{float(t):.4f}" for t in traces)
         want = sorted(fixtures.SEVEN_CUSP_PERTURBED_TRACES)
-        ok = got == want and all(
-            abs(word_trace(fixtures.B7, w)) > 14
-            for w in fixtures.SEVEN_CUSP_TRACE14_WORDS)
+        ok = got == want and all(t > 14 for t in traces)
         return ok, "perturbed traces round to " + ", ".join(want)
     return run
 
 
 def _claim_ten_perturbed():
     def run():
-        traces = {abs(word_trace(fixtures.ALPHA10, w))
+        traces = {abs(fixtures.word_matrix(fixtures.ALPHA10, w).trace)
                   for w in fixtures.TEN_CUSP_SYSTOLE_WORDS}
         ok = (len(traces) == 1
               and f"{-float(next(iter(traces))):.4f}" == "-18.1596")
@@ -374,7 +383,7 @@ def _claim_ten_perturbed():
 
 def _claim_eleven_perturbed():
     def run():
-        traces = [abs(word_trace(fixtures.ALPHA11, w))
+        traces = [abs(fixtures.word_matrix(fixtures.ALPHA11, w).trace)
                   for w in fixtures.ELEVEN_CUSP_SYSTOLE_WORDS]
         ok = (sorted(set(traces)) == [Q(36361, 2020), Q(454, 25)]
               and all(t > 18 for t in traces))
@@ -385,8 +394,7 @@ def _claim_eleven_perturbed():
 def _claim_certified_absence(gens_name):
     def run():
         dev_name, getter = NAMED_GENERATOR_SETS[gens_name]
-        g, tree, seed = fixtures.named_development(dev_name)
-        diam = polygon_diameter_proxy(develop(g, tree, seed=seed))
+        diam = fixture_diameter(dev_name)
         report = systole_matrix_group(getter(), 18, diameter=diam)
         ok = report.frontier_exhausted and not report.witnesses
         return ok, (f"bound 18, diameter {fmt_float(diam)}, "
@@ -398,8 +406,7 @@ def _claim_certified_absence(gens_name):
 
 def _claim_eleven_arithmetic_classes():
     def run():
-        g, tree, seed = fixtures.named_development("eleven")
-        diam = polygon_diameter_proxy(develop(g, tree, seed=seed))
+        diam = fixture_diameter("eleven")
         report = systole_matrix_group(fixtures.GAMMA11, 18, diameter=diam)
         ok = (report.frontier_exhausted and len(report.witnesses) == 6
               and all(abs(w.trace) == 18 for w in report.witnesses))
@@ -512,8 +519,6 @@ def build_parser():
         description="Cusped hyperbolic spheres from planar triangulations")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker hint for internal parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a triangulation file")
@@ -541,8 +546,6 @@ def build_parser():
     p = sub.add_parser("enumerate", help="stream triangulation classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--min-degree", type=int, default=3)
-    p.add_argument("--simple", action="store_true", default=True,
-                   help="simple triangulations (always on)")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(fn=cmd_enumerate)
 
@@ -563,9 +566,6 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     lines = []
     try:
         code = args.fn(args, lines.append)

@@ -316,7 +316,7 @@ def check_cusp_parabolics(dev: Development) -> bool:
     """Verify the vertex-cycle composites are the expected cusp parabolics.
 
     Walking the rotation at a vertex and composing the side pairings met
-    at tree edges must produce, up to inversion, the conjugate of T^d
+    at tree edges must produce, up to inversion, the conjugate of L^d
     fixing the vertex's first label, where d is the vertex degree.
     """
     g = dev.g

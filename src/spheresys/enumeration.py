@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .triangulation import Triangulation, tetrahedron
+from .triangulation import (Triangulation, canonical_traversal,
+                            neighbor_darts, tetrahedron)
 
 __all__ = [
     "EnumerationQuery",
     "ResourceLimitError",
     "enumerate_triangulations",
-    "enumeration_counts",
     "naive_enumerate_count",
     "max_min_density",
     "verify_proposition",
@@ -38,8 +38,6 @@ class ResourceLimitError(RuntimeError):
 class EnumerationQuery:
     n: int
     min_degree: int = 3
-    allow_loops: bool = False
-    allow_duplicates: bool = False
 
     def __post_init__(self):
         if self.n < 4:
@@ -48,55 +46,7 @@ class EnumerationQuery:
             raise ValueError("min_degree must be >= 1")
 
 
-# -- rotation-list plumbing ---------------------------------------------
-
-def _rot_to_darts(rot):
-    index = {}
-    origin = []
-    pos = 0
-    starts = []
-    for v, nbrs in enumerate(rot):
-        starts.append(pos)
-        for w in nbrs:
-            index[(v, w)] = pos
-            origin.append(v)
-            pos += 1
-    n = pos
-    sigma = [0] * n
-    alpha = [0] * n
-    for v, nbrs in enumerate(rot):
-        k = len(nbrs)
-        base = starts[v]
-        for t in range(k):
-            sigma[base + t] = base + (t + 1) % k
-            alpha[base + t] = index[(nbrs[t], v)]
-    return sigma, alpha, origin
-
-
-def _canonical_code(rot):
-    """Minimal rooted traversal code over both orientations.
-
-    Equal codes characterize map isomorphism up to reflection; the same
-    scheme is used by Triangulation.canonical_code, specialized here to
-    neighbour lists for speed.
-    """
-    sigma, alpha, origin = _rot_to_darts(rot)
-    n = len(sigma)
-    deg = [len(nbrs) for nbrs in rot]
-    key = [(deg[origin[d]], deg[origin[alpha[d]]]) for d in range(n)]
-    best_key = min(key)
-    roots = [d for d in range(n) if key[d] == best_key]
-    sigma_inv = [0] * n
-    for d in range(n):
-        sigma_inv[sigma[d]] = d
-    best = None
-    for perm in (sigma, sigma_inv):
-        for root in roots:
-            code = Triangulation._root_code(perm, alpha, root, best)
-            if code is not None and (best is None or code < best):
-                best = code
-    return tuple(best)
-
+# -- vertex splitting ------------------------------------------------------
 
 def _split_vertex(rot, v, i, j):
     """Split vertex v between rotation positions i < j; returns new lists.
@@ -137,7 +87,8 @@ _CLASS_CACHE: Dict[int, Dict[Tuple, List[Tuple]]] = {}
 def _classes(n: int) -> Dict[Tuple, List[Tuple]]:
     """All simple triangulation classes with n vertices, keyed by code."""
     if 4 not in _CLASS_CACHE:
-        _CLASS_CACHE[4] = {_canonical_code(_k4_rotations()): _k4_rotations()}
+        k4 = _k4_rotations()
+        _CLASS_CACHE[4] = {canonical_traversal(*neighbor_darts(k4))[0]: k4}
     size = max(s for s in _CLASS_CACHE if s <= n)
     while size < n:
         nxt: Dict[Tuple, List[Tuple]] = {}
@@ -147,7 +98,7 @@ def _classes(n: int) -> Dict[Tuple, List[Tuple]]:
                 for i in range(k):
                     for j in range(i + 1, k):
                         child = _split_vertex(rot, v, i, j)
-                        code = _canonical_code(child)
+                        code = canonical_traversal(*neighbor_darts(child))[0]
                         if code not in nxt:
                             nxt[code] = child
         size += 1
@@ -157,10 +108,6 @@ def _classes(n: int) -> Dict[Tuple, List[Tuple]]:
 
 def enumerate_triangulations(q: EnumerationQuery) -> Iterator[Triangulation]:
     """One representative per isomorphism class, deterministically ordered."""
-    if q.allow_loops or q.allow_duplicates:
-        raise ValueError(
-            "exhaustive generation covers simple triangulations only; "
-            "degenerate configurations are handled by pattern certificates")
     if q.n > MAX_VERTICES:
         raise ResourceLimitError(
             f"simple triangulations enumerated up to {MAX_VERTICES} vertices")
@@ -172,11 +119,6 @@ def enumerate_triangulations(q: EnumerationQuery) -> Iterator[Triangulation]:
         t = Triangulation.from_simple_rotations(rot)
         assert t.validate().ok
         yield t
-
-
-def enumeration_counts(n_max: int) -> Dict[int, int]:
-    return {n: sum(1 for _ in enumerate_triangulations(EnumerationQuery(n)))
-            for n in range(4, n_max + 1)}
 
 
 # -- independent oracle --------------------------------------------------

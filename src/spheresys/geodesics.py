@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from numbers import Real
+from typing import Dict, List, Optional, Tuple
 
 from .modular import (MoebiusMap, NotHyperbolicError, lr_word_value,
                       trace_to_length)
@@ -26,7 +27,6 @@ __all__ = [
     "enumerate_geodesics_combinatorial",
     "systole_combinatorial",
     "systole_matrix_group",
-    "word_trace",
     "verify_density_length",
     "polygon_diameter_proxy",
 ]
@@ -65,18 +65,18 @@ def _mul(m, t):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _canonical_cycle_key(darts: Sequence[int], alpha: Sequence[int]):
-    """Minimal rotation over the dart cycle and its reversed-inverse."""
-    seq = tuple(darts)
-    rev = tuple(alpha[d] for d in reversed(seq))
-    k = len(seq)
-    best = None
-    for s in (seq, rev):
-        for i in range(k):
-            rot = s[i:] + s[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
+def _cyclic_key(seq: Tuple, rev: Tuple) -> Tuple:
+    """Least rotation of a cyclic sequence or of its reversed inverse.
+
+    ``rev`` is ``seq`` read backwards with each element inverted (the
+    twin of each dart, the inverse of each generator letter), so the key
+    is the same for every rotation of the cycle and of its inverse.  A
+    least rotation starts at an occurrence of the least element, so only
+    those starts are compared.
+    """
+    low = min(min(seq), min(rev))
+    return min(s[i:] + s[:i] for s in (seq, rev)
+               for i, x in enumerate(s) if x == low)
 
 
 def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
@@ -88,10 +88,15 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
     Turning around the origin vertex (d -> sigma[d]) is the L turn; the
     opposite turn is R.  Pure one-letter cycles are peripheral (they
     wind around a single vertex, trace 2) and are excluded.  Termination
-    is certified by two facts about nonnegative turn products: appending
+    is certified by three facts about nonnegative turn products: appending
     a turn never decreases any entry, so a prefix with a + d above the
-    bound cannot recover; and a run R L^m R forces trace at least m + 2,
-    so runs are capped at trace_bound - 2 once both letters occurred.
+    bound cannot recover; a run R L^m R forces trace at least m + 2, so
+    runs are capped at run_cap = max(trace_bound - 2, max degree); and
+    once both letters have occurred, b and c are positive, so every
+    further turn (L adds c to the trace, R adds b) raises the trace by at
+    least 1.  A pushed prefix is an opening run of at most run_cap
+    letters followed by at most trace_bound - 2 trace-raising turns, so
+    it has at most run_cap + trace_bound - 2 <= 2 * run_cap letters.
     """
     report = g.validate()
     if not report.ok:
@@ -139,15 +144,15 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
                 if nxt == d0:
                     tr = nm[0] + nm[3]
                     if 2 < tr <= trace_bound:
-                        key = _canonical_cycle_key(ndarts, alpha)
+                        key = _cyclic_key(ndarts, tuple(
+                            alpha[x] for x in reversed(ndarts)))
                         if key not in found:
                             mat = MoebiusMap(Q(nm[0]), Q(nm[1]),
                                              Q(nm[2]), Q(nm[3]))
                             found[key] = GeodesicWitness(
                                 tuple(nword), mat, Q(tr),
                                 trace_to_length(tr))
-                if len(nword) < run_cap * 12:
-                    stack.append((nxt, nm, nword, ndarts, letter, new_run))
+                stack.append((nxt, nm, nword, ndarts, letter, new_run))
 
     order = sorted(found.values(),
                    key=lambda w: (abs(w.trace), len(w.word), w.word))
@@ -242,21 +247,6 @@ def _cyclic_reduce(word):
     return tuple(out)
 
 
-def _conjugacy_key(word):
-    """Minimal rotation of the cyclic word, inverses identified."""
-    w = _cyclic_reduce(word)
-    if not w:
-        return ()
-    inv = tuple((lab, -exp) for lab, exp in reversed(w))
-    best = None
-    for s in (w, inv):
-        for i in range(len(s)):
-            rot = s[i:] + s[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
 def _state_norm(s):
     a, b, c, d, p = s
     return Q(a * a + b * b + c * c + d * d, p * p)
@@ -276,11 +266,14 @@ def _conjugacy_classes(candidates: Dict, gen_states: Dict, norm_cap,
     the conjugates of a class form a connected tube around its axis, so
     the closure visits every class member, including ones whose
     connecting conjugates lie just outside the searched ball.  Inverse
-    classes are merged afterwards.
+    classes are merged afterwards.  Returns the classes and whether
+    every closure ran to the end; one cut short at node_cap may leave a
+    class split, so its caller must not certify the partition.
     """
     inv_states = {tok: _state_inverse(ts) for tok, ts in gen_states.items()}
     assigned: Dict[Tuple, int] = {}
     label = 0
+    closed = True
     for start in candidates:
         if start in assigned:
             continue
@@ -297,6 +290,7 @@ def _conjugacy_classes(candidates: Dict, gen_states: Dict, norm_cap,
                 queue.append(u)
                 if u in candidates:
                     assigned[u] = label
+        closed = closed and not queue
         label += 1
 
     # merge a class with its inverse class and with any externally
@@ -324,20 +318,7 @@ def _conjugacy_classes(candidates: Dict, gen_states: Dict, norm_cap,
         while lab in merged:
             lab = merged[lab]
         groups.setdefault(lab, []).append(s)
-    return list(groups.values())
-
-
-def word_trace(gens: Dict, word: Iterable[Tuple]) -> Q:
-    """Exact trace of a left-to-right product of labeled generators."""
-    m = None
-    for lab, exp in word:
-        if lab not in gens:
-            raise KeyError(f"unknown generator label {lab!r}")
-        g = gens[lab] if exp == 1 else gens[lab] ** exp
-        m = g if m is None else m * g
-    if m is None:
-        return Q(2)
-    return m.trace
+    return list(groups.values()), closed
 
 
 def systole_matrix_group(gens: Dict, trace_bound,
@@ -352,11 +333,17 @@ def systole_matrix_group(gens: Dict, trace_bound,
     the bound has an axis passing within the covering radius of the base
     point's orbit, hence a representative inside the horizon.  Without a
     diameter the search is a labeled non-exhaustive sweep to the same
-    horizon with diameter 0 plus one unit of slack.
+    horizon with diameter 0 plus one unit of slack.  A diameter must be
+    a finite real >= 0; a class closure cut short by its node cap clears
+    the certificate.
     """
     trace_bound = Q(trace_bound)
     if trace_bound <= 2:
         raise ValueError("trace bound must exceed 2")
+    if diameter is not None and (
+            isinstance(diameter, bool) or not isinstance(diameter, Real)
+            or not math.isfinite(diameter) or diameter < 0):
+        raise ValueError(f"diameter must be a finite real >= 0, not {diameter!r}")
     gen_states = {}
     for lab, m in gens.items():
         if m.a * m.d - m.b * m.c != 1:
@@ -420,15 +407,17 @@ def systole_matrix_group(gens: Dict, trace_bound,
                 rs = _state_mul(rs, gen_states[tok])
             if rs != s:
                 extra_pairs.append((s, rs))
-        key = _conjugacy_key(word)
+        key = _cyclic_key(reduced, tuple(
+            (lab, -exp) for lab, exp in reversed(reduced)))
         if key in by_key:
             extra_pairs.append((s, by_key[key]))
         else:
             by_key[key] = s
 
     closure_cap = 2.0 * math.cosh(horizon + 3.0)
-    for group in _conjugacy_classes(candidates, gen_states, closure_cap,
-                                    extra_pairs):
+    groups, closed = _conjugacy_classes(candidates, gen_states, closure_cap,
+                                        extra_pairs)
+    for group in groups:
         s = min(group, key=lambda x: (len(candidates[x]), str(candidates[x])))
         a, b, c, d, p = s
         mat = MoebiusMap(Q(a, p), Q(b, p), Q(c, p), Q(d, p))
@@ -438,7 +427,7 @@ def systole_matrix_group(gens: Dict, trace_bound,
     witnesses.sort(key=lambda w: (abs(w.trace), len(w.word), str(w.word)))
     return MatrixSearchReport(
         witnesses=witnesses,
-        frontier_exhausted=exhausted and certified,
+        frontier_exhausted=exhausted and closed and certified,
         trace_bound=trace_bound,
         diameter=diameter,
         horizon=horizon,

@@ -20,7 +20,6 @@ __all__ = [
     "INF",
     "MoebiusMap",
     "IDENTITY",
-    "T",
     "L",
     "R",
     "NotHyperbolicError",
@@ -218,9 +217,6 @@ class MoebiusMap:
             n >>= 1
         return result
 
-    def conjugate_by(self, g: "MoebiusMap") -> "MoebiusMap":
-        return g * self * g.inverse()
-
     def __call__(self, x: Frac) -> Frac:
         """Apply the map projectively to an extended rational."""
         x = Frac.from_rational(x) if not isinstance(x, Frac) else x
@@ -254,7 +250,6 @@ class MoebiusMap:
 
 
 IDENTITY = MoebiusMap(Q(1), Q(0), Q(0), Q(1))
-T = MoebiusMap(Q(1), Q(1), Q(0), Q(1))
 L = MoebiusMap(Q(1), Q(1), Q(0), Q(1))
 R = MoebiusMap(Q(1), Q(0), Q(1), Q(1))
 
@@ -335,7 +330,7 @@ def _extended_gcd(a: int, b: int):
 
 
 def cusp_parabolic(cusp: Frac, width: int) -> MoebiusMap:
-    """The conjugate of T**width fixing the given cusp.
+    """The conjugate of L**width fixing the given cusp.
 
     For cusp p/q the result is I + width * (-pq, p^2; -q^2, pq); its
     lower-left entry is width * q^2 up to sign.  Callers comparing
@@ -344,7 +339,7 @@ def cusp_parabolic(cusp: Frac, width: int) -> MoebiusMap:
     if width < 1:
         raise ValueError("cusp width must be positive")
     m = _integer_map_to(cusp)
-    result = m * (T ** width) * m.inverse()
+    result = m * (L ** width) * m.inverse()
     assert result.is_parabolic
     assert result(cusp) == cusp
     return result

@@ -26,6 +26,8 @@ __all__ = [
     "bipyramid_with_duplicates",
     "example_duplicate_edges",
     "example_loop",
+    "neighbor_darts",
+    "canonical_traversal",
 ]
 
 
@@ -77,15 +79,25 @@ class Triangulation:
     def from_rotation_lists(cls, rotations: Sequence[Sequence[int]],
                             twins: Sequence[Tuple[int, int]]) -> "Triangulation":
         """Build from per-vertex dart rotation lists and twin pairs."""
+        if not rotations or not all(rotations):
+            raise ValueError("every vertex needs at least one dart")
         n = sum(len(r) for r in rotations)
+
+        def check(d):
+            if not 0 <= d < n:
+                raise ValueError(f"dart {d} out of range: {n} darts are listed")
+
         sigma = [0] * n
         origin = [0] * n
         for v, rot in enumerate(rotations):
             for i, d in enumerate(rot):
+                check(d)
                 sigma[d] = rot[(i + 1) % len(rot)]
                 origin[d] = v
         alpha = [0] * n
         for a, b in twins:
+            check(a)
+            check(b)
             alpha[a] = b
             alpha[b] = a
         return cls(sigma, alpha, origin)
@@ -93,25 +105,7 @@ class Triangulation:
     @classmethod
     def from_simple_rotations(cls, neighbors: Sequence[Sequence[int]]) -> "Triangulation":
         """Build from per-vertex cyclic neighbour lists (simple graphs only)."""
-        dart_of = {}
-        darts = []
-        for v, nbrs in enumerate(neighbors):
-            if len(set(nbrs)) != len(nbrs):
-                raise ValueError("from_simple_rotations requires a simple graph")
-            for w in nbrs:
-                dart_of[(v, w)] = len(darts)
-                darts.append((v, w))
-        sigma = [0] * len(darts)
-        alpha = [0] * len(darts)
-        origin = [0] * len(darts)
-        for v, nbrs in enumerate(neighbors):
-            k = len(nbrs)
-            for i, w in enumerate(nbrs):
-                d = dart_of[(v, w)]
-                sigma[d] = dart_of[(v, nbrs[(i + 1) % k])]
-                origin[d] = v
-                alpha[d] = dart_of[(w, v)]
-        return cls(sigma, alpha, origin)
+        return cls(*neighbor_darts(neighbors))
 
     @classmethod
     def from_oriented_faces(cls, faces: Sequence[Tuple[int, int, int]]) -> "Triangulation":
@@ -367,12 +361,12 @@ class Triangulation:
         if sorted(self.edge_endpoints(e1)) != sorted(self.edge_endpoints(e2)):
             raise ValueError("edges are not duplicates of each other")
         blocked = {e1, e2}
-        side = self._face_side(self.faces.index, blocked, start_face=self.face_of_dart[self.edges[e1][0]])
+        side = self._face_side(blocked, self.face_of_dart[self.edges[e1][0]])
         c1 = len(side)
         c2 = self.n_faces - c1
         return tuple(sorted((c1, c2)))
 
-    def _face_side(self, _unused, blocked_edges: Set[int], start_face: int) -> Set[int]:
+    def _face_side(self, blocked_edges: Set[int], start_face: int) -> Set[int]:
         """Faces reachable from start_face without crossing blocked edges."""
         seen = {start_face}
         stack = [start_face]
@@ -406,9 +400,6 @@ class Triangulation:
 
     def _opposite_corner(self, f: int, e: int) -> Optional[int]:
         """Vertex of face f whose corner is not an endpoint of a dart of e."""
-        for d in self.faces[f]:
-            if self.edge_of_dart[d] != e and self.edge_of_dart[self.face_next_inverse(d)] != e:
-                pass
         # corner at origin of dart d lies between alpha[prev] and d; the
         # corner opposite to edge e is the origin of the dart whose edge
         # and whose predecessor's edge are both != e
@@ -418,11 +409,6 @@ class Triangulation:
             if self.edge_of_dart[d] != e and self.edge_of_dart[prev] != e:
                 return self.origin[d]
         return None
-
-    def face_next_inverse(self, d: int) -> int:
-        # predecessor in the face orbit
-        cycle = self.faces[self.face_of_dart[d]]
-        return cycle[cycle.index(d) - 1]
 
     def _adjacent_degree2_certificates(self) -> List[PatternCertificate]:
         certs = []
@@ -452,8 +438,8 @@ class Triangulation:
 
     def _loop_sides(self, e: int):
         d1, d2 = self.edges[e]
-        side1 = self._face_side(None, {e}, self.face_of_dart[d1])
-        side2 = self._face_side(None, {e}, self.face_of_dart[d2])
+        side1 = self._face_side({e}, self.face_of_dart[d1])
+        side2 = self._face_side({e}, self.face_of_dart[d2])
         return d1, d2, side1, side2
 
     def _loop_certificates(self) -> List[PatternCertificate]:
@@ -518,95 +504,27 @@ class Triangulation:
         Two maps have equal codes iff they are isomorphic as maps up to
         orientation-preserving or -reversing homeomorphism.
         """
-        sigma = self.sigma
-        alpha = self.alpha
-        n = self.n_darts
-        sigma_inv = [0] * n
-        for d in range(n):
-            sigma_inv[sigma[d]] = d
-        deg = self.degree
-        origin = self.origin
-        # candidate roots: darts minimizing (deg(origin), deg(head))
-        key = [(deg[origin[d]], deg[origin[alpha[d]]]) for d in range(n)]
-        best_key = min(key)
-        roots = [d for d in range(n) if key[d] == best_key]
-        best = None
-        for rot in (sigma, sigma_inv):
-            for root in roots:
-                code = self._root_code(rot, alpha, root, best)
-                if code is not None and (best is None or code < best):
-                    best = code
-        return tuple(best)
-
-    @staticmethod
-    def _root_code(sigma, alpha, root, best):
-        """Traversal code for one rooted, oriented map; None if > best."""
-        label = {root: 0}
-        order = [root]
-        code = []
-        i = 0
-        pos = 0
-        while i < len(order):
-            d = order[i]
-            i += 1
-            for nxt in (sigma[d], alpha[d]):
-                lab = label.get(nxt)
-                if lab is None:
-                    lab = len(order)
-                    label[nxt] = lab
-                    order.append(nxt)
-                code.append(lab)
-                if best is not None:
-                    if pos >= len(best):
-                        return None
-                    b = best[pos]
-                    if lab > b:
-                        return None
-                    if lab < b:
-                        best = None  # strictly better; stop comparing
-                pos += 1
-        return code
+        return canonical_traversal(self.sigma, self.alpha, self.origin)[0]
 
     def canonical_form(self) -> "Triangulation":
         """Relabel darts into the canonical traversal order."""
-        code = self.canonical_code()
-        # recover the winning root/orientation by recomputing
-        sigma = self.sigma
-        alpha = self.alpha
+        _, rot, order = canonical_traversal(self.sigma, self.alpha, self.origin)
         n = self.n_darts
-        sigma_inv = [0] * n
+        label = [0] * n
+        for i, d in enumerate(order):
+            label[d] = i
+        # relabelled vertices by first-seen dart order
+        vmap = {}
+        for d in order:
+            vmap.setdefault(self.origin[d], len(vmap))
+        new_sigma = [0] * n
+        new_alpha = [0] * n
+        new_origin = [0] * n
         for d in range(n):
-            sigma_inv[sigma[d]] = d
-        for rot in (sigma, sigma_inv):
-            for root in range(n):
-                c = self._root_code(rot, alpha, root, None)
-                if tuple(c) == code:
-                    label = {}
-                    order = [root]
-                    label[root] = 0
-                    i = 0
-                    while i < len(order):
-                        d = order[i]
-                        i += 1
-                        for nxt in (rot[d], alpha[d]):
-                            if nxt not in label:
-                                label[nxt] = len(order)
-                                order.append(nxt)
-                    new_sigma = [0] * n
-                    new_alpha = [0] * n
-                    new_origin = [0] * n
-                    # relabelled vertices by first-seen dart order
-                    vmap = {}
-                    for d in order:
-                        v = self.origin[d]
-                        if v not in vmap:
-                            vmap[v] = len(vmap)
-                    for d in range(n):
-                        new_sigma[label[d]] = label[rot[d]]
-                        new_alpha[label[d]] = label[alpha[d]]
-                        new_origin[label[d]] = vmap[self.origin[d]]
-                    return Triangulation(new_sigma, new_alpha, new_origin)
-        raise AssertionError("canonical root not found")
+            new_sigma[label[d]] = label[rot[d]]
+            new_alpha[label[d]] = label[self.alpha[d]]
+            new_origin[label[d]] = vmap[self.origin[d]]
+        return Triangulation(new_sigma, new_alpha, new_origin)
 
     def is_isomorphic(self, other: "Triangulation") -> bool:
         if (self.n_darts != other.n_darts
@@ -660,6 +578,90 @@ class Triangulation:
     def from_json_obj(cls, data) -> "Triangulation":
         return cls.from_rotation_lists(data["rotations"],
                                        [tuple(t) for t in data["twins"]])
+
+
+# -- dart arrays and the canonical code ----------------------------------
+
+
+def neighbor_darts(neighbors: Sequence[Sequence[int]]):
+    """(sigma, alpha, origin) of a simple map given by cyclic neighbour lists.
+
+    Darts are numbered vertex by vertex, each vertex's darts in the order
+    of its list.
+    """
+    index = {}
+    origin = []
+    for v, nbrs in enumerate(neighbors):
+        for w in nbrs:
+            index[(v, w)] = len(origin)
+            origin.append(v)
+    if len(index) != len(origin):
+        raise ValueError("neighbour lists repeat a neighbour; the graph is not simple")
+    sigma = [0] * len(origin)
+    alpha = [0] * len(origin)
+    base = 0
+    for v, nbrs in enumerate(neighbors):
+        k = len(nbrs)
+        for t, w in enumerate(nbrs):
+            sigma[base + t] = base + (t + 1) % k
+            alpha[base + t] = index[(w, v)]
+        base += k
+    return sigma, alpha, origin
+
+
+def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
+                        origin: Sequence[int]):
+    """Minimal rooted traversal code of a connected map, with its witness.
+
+    Roots are the darts minimizing (degree of origin, degree of head),
+    read with sigma and with its inverse (the mirror image).  Returns
+    ``(code, rotation, order)``: the least code as a tuple, the rotation
+    (sigma or its inverse) that attains it, and the darts in the
+    traversal order of the attaining root, so that ``order[i]`` is the
+    dart labelled i.
+    """
+    n = len(sigma)
+    deg = [0] * (max(origin) + 1)
+    for v in origin:
+        deg[v] += 1
+    key = [(deg[origin[d]], deg[origin[alpha[d]]]) for d in range(n)]
+    best_key = min(key)
+    roots = [d for d in range(n) if key[d] == best_key]
+    sigma_inv = [0] * n
+    for d in range(n):
+        sigma_inv[sigma[d]] = d
+    best = rotation = order = None
+    for rot in (sigma, sigma_inv):
+        for root in roots:
+            found = _root_code(rot, alpha, root, best)
+            if found is not None and (best is None or found[0] < best):
+                best, order = found
+                rotation = rot
+    return tuple(best), rotation, order
+
+
+def _root_code(sigma, alpha, root, best):
+    """(code, dart order) for one rooted, oriented map; None if > best."""
+    label = [-1] * len(sigma)
+    label[root] = 0
+    order = [root]
+    code = []
+    for d in order:  # order grows while it is read
+        for nxt in (sigma[d], alpha[d]):
+            lab = label[nxt]
+            if lab < 0:
+                lab = label[nxt] = len(order)
+                order.append(nxt)
+            if best is not None:
+                if len(code) >= len(best):
+                    return None
+                b = best[len(code)]
+                if lab > b:
+                    return None
+                if lab < b:
+                    best = None  # strictly better; stop comparing
+            code.append(lab)
+    return code, order
 
 
 # -- fixed small builders -----------------------------------------------

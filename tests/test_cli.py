@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spheresys import cli, fixtures
-from spheresys.triangulation import tetrahedron
+from spheresys.modular import MoebiusMap
+from spheresys.triangulation import Triangulation, tetrahedron
 
 
 @pytest.fixture
@@ -204,13 +206,67 @@ class TestRender:
         assert "</svg>" in target.read_text()
 
 
-class TestFlags:
-    def test_threads_validation(self, capsys):
-        code, _ = run(capsys, "--threads", "0", "systole",
-                      "fixture:tetrahedron")
-        assert code == 2
+GENS_14 = {"1": ["1", "0", "4", "1"], "2": ["5", "-4", "4", "-3"]}
 
-    def test_threads_accepted(self, capsys):
-        code, _ = run(capsys, "--threads", "2", "systole",
-                      "fixture:tetrahedron")
-        assert code == 0
+
+class TestBadInput:
+    @pytest.mark.parametrize("content", [
+        "rotation 0: 5 1 2\nrotation 1: 3 4\ntwin 0 3\n",
+        "twin 0 9\n",
+        json.dumps({"generators": [["1", "0", "4", "1"]]}),
+        json.dumps({"generators": GENS_14, "diameter": float("nan")}),
+    ])
+    def test_one_line_error(self, capsys, tmp_path, content):
+        path = tmp_path / "input"
+        path.write_text(content)
+        code = cli.main(["systole", str(path), "--trace-bound", "14"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+_entry = (st.integers(-3, 3).map(str) | st.integers(-3, 3) | st.floats()
+          | st.sampled_from(["1/0", "1/2", "x"]) | _json)
+_generator_docs = st.fixed_dictionaries(
+    {"generators": st.dictionaries(
+        st.text(max_size=2),
+        st.lists(_entry, min_size=4, max_size=4) | st.lists(_entry) | _json,
+        max_size=3) | _json},
+    optional={"diameter": _json}).map(json.dumps)
+_text_lines = st.lists(
+    st.builds("rotation {}: {}".format, st.integers(-1, 3),
+              st.lists(st.integers(-1, 9), max_size=5).map(
+                  lambda ds: " ".join(map(str, ds))))
+    | st.builds("twin {} {}".format, st.integers(-1, 9), st.integers(-1, 9))
+    | st.text(max_size=12),
+    max_size=8).map("\n".join)
+
+
+class TestParseInput:
+    @settings(max_examples=300, deadline=None)
+    @given(_text_lines | _generator_docs | _json.map(json.dumps))
+    def test_value_or_input_error(self, text):
+        """Rotation text and generator JSON: a value or InputError, never
+        another exception."""
+        try:
+            loaded = cli.parse_input(text)
+        except cli.InputError:
+            return
+        if not isinstance(loaded, Triangulation):
+            gens, _ = loaded
+            assert all(isinstance(m, MoebiusMap) for m in gens.values())
+
+    def test_both_branches_parse(self):
+        assert isinstance(cli.parse_input(tetrahedron().to_text()),
+                          Triangulation)
+        gens, diameter = cli.parse_input(json.dumps(
+            {"generators": GENS_14, "diameter": 1.5}))
+        assert set(gens) == {"1", "2"} and diameter == 1.5

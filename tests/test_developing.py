@@ -10,7 +10,7 @@ from spheresys.developing import (
     render_polygon,
 )
 from spheresys.enumeration import EnumerationQuery, enumerate_triangulations
-from spheresys.modular import Frac, INF, MoebiusMap, T, cusp_parabolic
+from spheresys.modular import Frac, INF, L, MoebiusMap, cusp_parabolic
 from spheresys.triangulation import (
     Triangulation,
     bipyramid_with_duplicates,
@@ -77,7 +77,7 @@ class TestDevelopTetrahedron:
         for m in generators(dev):
             gens.add(m)
             gens.add(m.inverse())
-        assert T ** 3 in gens
+        assert L ** 3 in gens
         assert cusp_parabolic(Frac(1), 3) in gens or \
             cusp_parabolic(Frac(1), 3).inverse() in gens
         assert cusp_parabolic(Frac(2), 3) in gens or \
@@ -123,14 +123,14 @@ class TestDevelopTenCusp:
         for m in dev.side_pairings.values():
             gens.add(m)
             gens.add(m.inverse())
-        # sides ending at a cusp of degree d are paired by conjugates of T^d
+        # sides ending at a cusp of degree d are paired by conjugates of L^d
         for fix in (Frac(2), Frac(3), Frac(4)):
             p = cusp_parabolic(fix, 5)
             assert p in gens or p.inverse() in gens
         for fix in (Frac(1), Frac(7, 2)):
             p = cusp_parabolic(fix, 4)
             assert p in gens or p.inverse() in gens
-        assert T ** 5 in gens
+        assert L ** 5 in gens
 
     def test_long_tree_cusp_generators(self):
         g, tree, seed = fixtures.named_development("ten-long")
@@ -246,7 +246,7 @@ class TestInvariants:
         dev = develop(g, tree, seed=seed)
         e = sorted(dev.side_pairings)[0]
         d1, d2 = g.edges[e]
-        dev.side_pairings[e] = dev.side_pairings[e] * (T ** 2)
+        dev.side_pairings[e] = dev.side_pairings[e] * (L ** 2)
         dev.pairing_of_dart[d1] = dev.side_pairings[e]
         dev.pairing_of_dart[d2] = dev.side_pairings[e].inverse()
         assert not check_cusp_parabolics(dev)

@@ -58,12 +58,6 @@ class TestStreamProperties:
         with pytest.raises(ResourceLimitError):
             list(enumerate_triangulations(EnumerationQuery(13)))
 
-    def test_degenerate_queries_rejected(self):
-        with pytest.raises(ValueError):
-            list(enumerate_triangulations(EnumerationQuery(6, allow_loops=True)))
-        with pytest.raises(ValueError):
-            list(enumerate_triangulations(EnumerationQuery(6, allow_duplicates=True)))
-
     @pytest.mark.parametrize("n", (7, 8, 9))
     def test_low_degree_vertex_has_low_degree_neighbor(self, n):
         # the prose case analyses exclude a degree-3 vertex whose

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction as Q
 
@@ -6,13 +7,14 @@ from hypothesis import given, strategies as st
 
 from spheresys import fixtures
 from spheresys.developing import SpanningTree, develop, generators
-from spheresys.geodesics import (GeodesicWitness,
+from spheresys import geodesics
+from spheresys.geodesics import (GeodesicWitness, _as_integer_state,
+                                 _conjugacy_classes, _cyclic_key,
                                  enumerate_geodesics_combinatorial,
                                  polygon_diameter_proxy,
                                  systole_combinatorial,
                                  systole_matrix_group,
-                                 verify_density_length,
-                                 word_trace)
+                                 verify_density_length)
 from spheresys.modular import (NotHyperbolicError, lr_word_value,
                                schmutz_bound, trace_to_length)
 from spheresys.triangulation import (Triangulation, bipyramid_with_duplicates,
@@ -182,6 +184,31 @@ class TestMatrixGroup:
                                    max_states=100)
         assert not rep.frontier_exhausted
 
+    def test_class_closure_cap_reported(self, monkeypatch):
+        gens = {2: fixtures.A7[2], 3: fixtures.A7[3]}
+        gen_states = {(lab, e): _as_integer_state(m ** e)
+                      for lab, m in gens.items() for e in (1, -1)}
+        word = ((2, 1), (3, 1))
+        start = _as_integer_state(fixtures.word_matrix(gens, word))
+        groups, closed = _conjugacy_classes({start: word}, gen_states, 1000)
+        assert closed and groups == [[start]]
+        _, closed = _conjugacy_classes({start: word}, gen_states, 1000,
+                                       node_cap=2)
+        assert not closed
+        # a sweep whose class closure is cut short certifies nothing
+        assert systole_matrix_group(gens, 14, diameter=1.0).frontier_exhausted
+        monkeypatch.setattr(geodesics, "_conjugacy_classes", functools.partial(
+            _conjugacy_classes, node_cap=2))
+        assert not systole_matrix_group(
+            gens, 14, diameter=1.0).frontier_exhausted
+
+    @pytest.mark.parametrize("diameter", [math.nan, math.inf, -5, "abc",
+                                          True])
+    def test_diameter_must_be_finite_nonnegative(self, diameter):
+        gens = {1: fixtures.A7[2], 2: fixtures.A7[3]}
+        with pytest.raises(ValueError):
+            systole_matrix_group(gens, 14, diameter=diameter)
+
     def test_witness_words_reproduce_matrices(self, gamma11_search):
         for w in gamma11_search.witnesses:
             assert fixtures.word_matrix(fixtures.GAMMA11, w.word) in (
@@ -202,19 +229,60 @@ class TestMatrixGroup:
 class TestWordTrace:
     def test_pair_product(self):
         # the product is (-25 16; -11 7) up to the canonical sign
-        assert abs(word_trace(fixtures.GAMMA11, [(4, 1), (3, 1)])) == 18
         m = fixtures.word_matrix(fixtures.GAMMA11, [(4, 1), (3, 1)])
+        assert abs(m.trace) == 18
         assert (abs(m.a), abs(m.b), abs(m.c), abs(m.d)) == (25, 16, 11, 7)
 
     def test_parabolic_quotient(self):
-        assert abs(word_trace(fixtures.GAMMA10, [(2, 1), (1, -1)])) == 18
+        m = fixtures.word_matrix(fixtures.GAMMA10, [(2, 1), (1, -1)])
+        assert abs(m.trace) == 18
 
     def test_empty_word(self):
-        assert word_trace(fixtures.GAMMA10, []) == 2
+        assert fixtures.word_matrix(fixtures.GAMMA10, []).trace == 2
 
     def test_unknown_label(self):
         with pytest.raises(KeyError):
-            word_trace(fixtures.GAMMA10, [(42, 1)])
+            fixtures.word_matrix(fixtures.GAMMA10, [(42, 1)])
+
+
+def brute_cyclic_key(seq, rev):
+    return min(s[i:] + s[:i] for s in (seq, rev) for i in range(len(s)))
+
+
+class TestCyclicKey:
+    @given(st.lists(st.integers(0, 7), min_size=1, max_size=12),
+           st.integers(0, 11), st.booleans())
+    def test_dart_cycles(self, darts, shift, invert):
+        alpha = [d ^ 1 for d in range(8)]          # twins 0-1, 2-3, ...
+
+        def key(seq):
+            return _cyclic_key(seq, tuple(alpha[d] for d in reversed(seq)))
+
+        seq = tuple(darts)
+        other = seq[shift % len(seq):] + seq[:shift % len(seq)]
+        if invert:
+            other = tuple(alpha[d] for d in reversed(other))
+        assert key(other) == key(seq)
+        assert key(seq) == brute_cyclic_key(
+            seq, tuple(alpha[d] for d in reversed(seq)))
+
+    @given(st.lists(st.tuples(st.sampled_from([1, 2, 3]),
+                              st.sampled_from([1, -1])),
+                    min_size=1, max_size=10),
+           st.integers(0, 9), st.booleans())
+    def test_generator_words(self, word, shift, invert):
+        def inverse(w):
+            return tuple((lab, -exp) for lab, exp in reversed(w))
+
+        def key(w):
+            return _cyclic_key(w, inverse(w))
+
+        w = tuple(word)
+        other = w[shift % len(w):] + w[:shift % len(w)]
+        if invert:
+            other = inverse(other)
+        assert key(other) == key(w)
+        assert key(w) == brute_cyclic_key(w, inverse(w))
 
 
 class TestVerifyDensityLength:

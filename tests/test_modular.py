@@ -10,8 +10,8 @@ from spheresys.modular import (
     INF,
     IDENTITY,
     MoebiusMap,
+    L,
     NotHyperbolicError,
-    T,
     cusp_parabolic,
     farey_adjacent,
     lr_word_value,
@@ -143,7 +143,7 @@ class TestLRWords:
 
 class TestCuspParabolic:
     def test_infinity(self):
-        assert cusp_parabolic(INF, 3) == T ** 3
+        assert cusp_parabolic(INF, 3) == L ** 3
 
     def test_zero_width_four(self):
         m = cusp_parabolic(Frac(0), 4)
@@ -156,7 +156,7 @@ class TestCuspParabolic:
         # conjugation route: (1 2; 0 1) (0 -1; 1 0) sends infinity to 2
         g = MoebiusMap(1, 2, 0, 1) * MoebiusMap(0, -1, 1, 0)
         assert g(INF) == Frac(2)
-        conj = g * (T ** 5) * g.inverse()
+        conj = g * (L ** 5) * g.inverse()
         assert conj in (m, m.inverse())
 
     @given(
@@ -192,8 +192,8 @@ class TestMoebiusMap:
             MoebiusMap(1, 0, 0, 2)
 
     def test_classification(self):
-        assert T.is_parabolic
-        assert not T.is_hyperbolic
+        assert L.is_parabolic
+        assert not L.is_hyperbolic
         assert MoebiusMap(2, 1, 1, 1).is_hyperbolic
         assert MoebiusMap(0, -1, 1, 0).is_elliptic
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spheresys.enumeration import EnumerationQuery, enumerate_triangulations
 from spheresys.triangulation import (
     Triangulation,
     bipyramid_with_duplicates,
@@ -21,6 +22,34 @@ def relabel(t, perm):
     for v, nbrs in enumerate(lists):
         new[perm[v]] = [perm[w] for w in nbrs]
     return Triangulation.from_simple_rotations(new)
+
+
+def relabel_darts(t, rnd, reflect=False):
+    """Shuffle dart and vertex ids; optionally read the map in a mirror."""
+    n = t.n_darts
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    vperm = list(range(t.n_vertices))
+    rnd.shuffle(vperm)
+    sigma = [0] * n
+    alpha = [0] * n
+    origin = [0] * n
+    for d in range(n):
+        nxt = t.sigma[d]
+        if reflect:
+            sigma[perm[nxt]] = perm[d]
+        else:
+            sigma[perm[d]] = perm[nxt]
+        alpha[perm[d]] = perm[t.alpha[d]]
+        origin[perm[d]] = vperm[t.origin[d]]
+    return Triangulation(sigma, alpha, origin)
+
+
+# every simple class with at most 8 vertices (the octahedron among them),
+# plus the two degenerate examples
+SMALL_MAPS = [t for n in range(4, 9)
+              for t in enumerate_triangulations(EnumerationQuery(n))]
+SMALL_MAPS += [example_loop(), example_duplicate_edges()]
 
 
 def mirror(t):
@@ -100,6 +129,8 @@ class TestDegenerateExamples:
             Triangulation([0, 1], [0, 1], [0, 0])  # alpha has fixed points
         with pytest.raises(ValueError):
             Triangulation([0, 0], [1, 0], [0, 0])  # sigma not a permutation
+        with pytest.raises(ValueError):
+            Triangulation.from_simple_rotations([[1, 1], [0, 0]])
 
     def test_euler_failure_reported(self):
         # a map on the torus: one vertex, two loops, one square face
@@ -172,13 +203,16 @@ class TestSurgery:
 
 
 class TestCanonical:
-    @settings(max_examples=50, deadline=None)
-    @given(st.randoms(use_true_random=False))
-    def test_relabel_invariance(self, rnd):
-        base = octahedron()
-        perm = list(range(6))
-        rnd.shuffle(perm)
-        assert base.is_isomorphic(relabel(base, perm))
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(SMALL_MAPS), st.randoms(use_true_random=False),
+           st.booleans())
+    def test_relabel_invariance(self, base, rnd, reflect):
+        other = relabel_darts(base, rnd, reflect)
+        assert base.is_isomorphic(other)
+        assert other.canonical_code() == base.canonical_code()
+        form = other.canonical_form()
+        assert form.to_text() == base.canonical_form().to_text()
+        assert form.canonical_form().to_text() == form.to_text()
 
     def test_mirror_identified(self):
         for t in (tetrahedron(), octahedron(), icosahedron()):
@@ -214,10 +248,15 @@ class TestSerialization:
         assert back.is_isomorphic(t) and back.to_text() == t.to_text()
 
     def test_malformed_text(self):
-        with pytest.raises(ValueError):
-            Triangulation.from_text("rotation 0: 0 1\nfrob 1 2\n")
-        with pytest.raises(ValueError):
-            Triangulation.from_text("rotation 0: x y\n")
+        for text in ("rotation 0: 0 1\nfrob 1 2\n",
+                     "rotation 0: x y\n",
+                     "rotation 0: 5 1 2\nrotation 1: 3 4\ntwin 0 3\n",
+                     "rotation 0: 0 1 2\nrotation 1: 3\ntwin 0 9\n",
+                     "rotation 0: -1 1\ntwin 0 1\n",
+                     "rotation 0:\nrotation 1: 0 1\ntwin 0 1\n",
+                     ""):
+            with pytest.raises(ValueError):
+                Triangulation.from_text(text)
 
     def test_canonical_text_stable_across_relabeling(self):
         o = octahedron()
