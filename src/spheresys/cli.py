@@ -77,6 +77,22 @@ def fixture_diameter(dev_name: str) -> float:
     return polygon_diameter_proxy(develop(g, tree, seed=seed))
 
 
+# A generator entry longer than this, or with a decimal exponent beyond
+# it, is refused before Fraction builds its exact value: "1e3000000"
+# would be a 3-million-digit integer.
+MAX_ENTRY_SIZE = 1000
+
+
+def _oversized(entry) -> bool:
+    text = str(entry)
+    if len(text) > MAX_ENTRY_SIZE:
+        return True
+    try:
+        return abs(int(text.lower().partition("e")[2] or 0)) > MAX_ENTRY_SIZE
+    except ValueError:
+        return False             # not a decimal exponent; Fraction decides
+
+
 def parse_input(text: str):
     """A Triangulation from rotation text, or (generators, diameter|None)
     from generator JSON; malformed input raises InputError."""
@@ -91,6 +107,10 @@ def parse_input(text: str):
         for lab, quad in quads.items():
             if not isinstance(quad, list) or len(quad) != 4:
                 raise ValueError(f"generator {lab!r}: expected four entries")
+            if any(_oversized(entry) for entry in quad):
+                raise ValueError(
+                    f"generator {lab!r}: an entry is longer than "
+                    f"{MAX_ENTRY_SIZE} characters or has a larger exponent")
             try:
                 gens[lab] = MoebiusMap.from_json(quad)
             except (TypeError, ZeroDivisionError, OverflowError) as exc:

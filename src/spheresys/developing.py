@@ -10,10 +10,10 @@ finite-index subgroup of the modular group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .modular import (Frac, INF, MoebiusMap, cusp_parabolic, farey_adjacent)
+from .modular import (Frac, INF, MoebiusMap, cusp_parabolic, farey_adjacent,
+                      mat_mul)
 from .triangulation import Triangulation
 
 __all__ = [
@@ -175,12 +175,7 @@ def _pairing_from_pairs(src: Tuple[Frac, Frac], dst: Tuple[Frac, Frac]) -> Moebi
         det_b = -det_b
     # m = B * A^{-1} with A = (a0 a1; a2 a3)
     inv = (det_a * a[3], -det_a * a[1], -det_a * a[2], det_a * a[0])
-    m = MoebiusMap(
-        Q(b[0] * inv[0] + b[1] * inv[2]),
-        Q(b[0] * inv[1] + b[1] * inv[3]),
-        Q(b[2] * inv[0] + b[3] * inv[2]),
-        Q(b[2] * inv[1] + b[3] * inv[3]),
-    )
+    m = MoebiusMap(*mat_mul(b, inv))
     assert m(x1) == x2 and m(y1) == y2
     return m
 

@@ -212,23 +212,19 @@ def verify_proposition(n: int) -> dict:
     # (from a low-density edge between distinct cusps, or from a
     # structural pattern certificate) must undercut value - 2, the
     # trace implied by the regular-class density bound.
-    def best_trace(t):
-        report = t.density()
-        density_traces = [report.densities[e] - 2 for e in range(t.n_edges)
-                          if not t.is_loop(e) and report.densities[e] >= 5]
-        cert_traces = [c.trace_bound for c in t.pattern_certificates()]
-        return min(density_traces + cert_traces)
-
     checks = []
-    b = bipyramid_with_duplicates(n - 2)
-    checks.append(("bipyramid", best_trace(b), best_trace(b) <= value - 2))
+
+    def check(name, t):
+        best = t.a_priori_trace_bound()
+        checks.append((name, best, best is not None and best <= value - 2))
+
+    check("bipyramid", bipyramid_with_duplicates(n - 2))
     if n == 4:
         t = example_loop()
-        checks.append(("loop-with-pendant", best_trace(t), best_trace(t) <= value - 2))
+        check("loop-with-pendant", t)
         inner = [f for f in range(t.n_faces)
                  if sorted(t.face_vertices(f)) == [0, 0, 1]]
-        s = t.stellate(inner)
-        checks.append(("stellated-loop", best_trace(s), best_trace(s) <= value - 2))
+        check("stellated-loop", t.stellate(inner))
     report["degenerate_checks"] = checks
     report["degenerate_ok"] = all(ok for _, _, ok in checks)
     report["ok"] = report["regular_ok"] and report["degenerate_ok"]

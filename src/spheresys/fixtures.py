@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Dict, List, Tuple
 
-from .modular import MoebiusMap
+from .modular import IDENTITY, MoebiusMap
 from .triangulation import Triangulation
 from .developing import SpanningTree
 
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-def _m(a, b, c, d):
-    return MoebiusMap(Q(a), Q(b), Q(c), Q(d))
+_m = MoebiusMap       # entries are ints or Fractions
 
 
 # -- graphs and trees ----------------------------------------------------
@@ -278,6 +277,4 @@ def word_matrix(gens: Dict[int, MoebiusMap], word) -> MoebiusMap:
             raise KeyError(f"unknown generator index {idx}")
         m = gens[idx] if exp == 1 else gens[idx] ** exp
         result = m if result is None else result * m
-    if result is None:
-        return _m(1, 0, 0, 1)
-    return result
+    return IDENTITY if result is None else result

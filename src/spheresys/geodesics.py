@@ -17,8 +17,8 @@ from fractions import Fraction as Q
 from numbers import Real
 from typing import Dict, List, Optional, Tuple
 
-from .modular import (MoebiusMap, NotHyperbolicError, lr_word_value,
-                      trace_to_length)
+from .modular import (IDENTITY, TURNS, MoebiusMap, NotHyperbolicError,
+                      lr_word_value, mat_mul, trace_to_length)
 from .triangulation import Triangulation
 
 __all__ = [
@@ -52,18 +52,6 @@ class GeodesicWitness:
 
 
 # -- combinatorial engine ------------------------------------------------
-
-# Turn matrices; which letter is which only affects the word spelling,
-# not traces (swapping L and R transposes the cyclic product).
-_L = (1, 1, 0, 1)
-_R = (1, 0, 1, 1)
-
-
-def _mul(m, t):
-    a, b, c, d = m
-    e, f, g, h = t
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
 
 def _cyclic_key(seq: Tuple, rev: Tuple) -> Tuple:
     """Least rotation of a cyclic sequence or of its reversed inverse.
@@ -116,6 +104,9 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
     def turn_R(d):
         return alpha[sigma_inv[alpha[d]]]
 
+    # which turn is L only affects the spelling: swapping L and R
+    # transposes the cyclic product
+    steps = (("L", turn_L, TURNS["L"]), ("R", turn_R, TURNS["R"]))
     max_deg = max(g.degree)
     run_cap = max(trace_bound - 2, max_deg)
 
@@ -126,7 +117,7 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
         stack = [(d0, (1, 0, 0, 1), "", (), None, 0)]
         while stack:
             d, m, word, darts, run_letter, run_len = stack.pop()
-            for letter, turn, tm in (("L", turn_L, _L), ("R", turn_R, _R)):
+            for letter, turn, tm in steps:
                 if letter == run_letter:
                     if run_len >= run_cap:
                         continue
@@ -134,7 +125,7 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
                 else:
                     new_run = 1
                 nxt = turn(d)
-                nm = _mul(m, tm)
+                nm = mat_mul(m, tm)
                 if nm[0] + nm[3] > trace_bound:
                     # any completion multiplies by an entrywise >= identity
                     # factor, so the closing trace cannot drop back down
@@ -147,27 +138,15 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
                         key = _cyclic_key(ndarts, tuple(
                             alpha[x] for x in reversed(ndarts)))
                         if key not in found:
-                            mat = MoebiusMap(Q(nm[0]), Q(nm[1]),
-                                             Q(nm[2]), Q(nm[3]))
+                            mat = MoebiusMap(*nm)
                             found[key] = GeodesicWitness(
-                                tuple(nword), mat, Q(tr),
+                                tuple(nword), mat, mat.trace,
                                 trace_to_length(tr))
                 stack.append((nxt, nm, nword, ndarts, letter, new_run))
 
     order = sorted(found.values(),
                    key=lambda w: (abs(w.trace), len(w.word), w.word))
     return order
-
-
-def _initial_trace_bound(g: Triangulation) -> int:
-    candidates = []
-    density = g.density()
-    for e in range(g.n_edges):
-        if not g.is_loop(e) and density.densities[e] >= 5:
-            candidates.append(density.densities[e] - 2)
-    for cert in g.pattern_certificates():
-        candidates.append(cert.trace_bound)
-    return min(candidates) if candidates else 30
 
 
 def systole_combinatorial(g: Triangulation,
@@ -180,7 +159,7 @@ def systole_combinatorial(g: Triangulation,
     by a dual walk, so the enumeration always sees the systole class.
     """
     if trace_bound is None:
-        trace_bound = _initial_trace_bound(g)
+        trace_bound = g.a_priori_trace_bound() or 30
     witnesses = enumerate_geodesics_combinatorial(g, trace_bound)
     if not witnesses:
         raise RuntimeError("no hyperbolic class at or below the bound; "
@@ -203,37 +182,6 @@ class MatrixSearchReport:
     min_trace_above_bound: Optional[Q]
 
 
-def _as_integer_state(m: MoebiusMap):
-    """(a, b, c, d, den) with integer entries, det = den^2, gcd-reduced."""
-    den = 1
-    for x in (m.a, m.b, m.c, m.d):
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    quad = [int(x * den) for x in (m.a, m.b, m.c, m.d)]
-    return _reduce_state(quad, den)
-
-
-def _reduce_state(quad, den):
-    g = den
-    for x in quad:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        quad = [x // g for x in quad]
-        den //= g
-    for x in quad:
-        if x != 0:
-            if x < 0:
-                quad = [-y for y in quad]
-            break
-    return (quad[0], quad[1], quad[2], quad[3], den)
-
-
-def _state_mul(s, t):
-    a, b, c, d, p = s
-    e, f, g, h, q = t
-    return _reduce_state(
-        [a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h], p * q)
-
-
 def _cyclic_reduce(word):
     w = list(word)
     out = []
@@ -247,31 +195,33 @@ def _cyclic_reduce(word):
     return tuple(out)
 
 
-def _state_norm(s):
-    a, b, c, d, p = s
-    return Q(a * a + b * b + c * c + d * d, p * p)
+def _within(quad, den, cap) -> bool:
+    """Whether (a^2 + b^2 + c^2 + d^2) / den^2 <= M / K for cap = (M, K).
+
+    For W = quad / den this bounds 2 cosh d(i, W i); the test is exact
+    integer arithmetic and unchanged by scaling quad and den together.
+    """
+    a, b, c, d = quad
+    return (a * a + b * b + c * c + d * d) * cap[1] <= den * den * cap[0]
 
 
-def _state_inverse(s):
-    a, b, c, d, p = s
-    return _reduce_state([d, -b, -c, a], p)
-
-
-def _conjugacy_classes(candidates: Dict, gen_states: Dict, norm_cap,
+def _conjugacy_classes(candidates: Dict, steps: Dict, norm_cap,
                        extra_pairs=(), node_cap: int = 200_000):
     """Partition candidate elements into conjugacy classes.
 
     From each candidate, close under single-generator conjugation (which
-    preserves the trace) within a slightly enlarged displacement cap;
-    the conjugates of a class form a connected tube around its axis, so
-    the closure visits every class member, including ones whose
-    connecting conjugates lie just outside the searched ball.  Inverse
-    classes are merged afterwards.  Returns the classes and whether
-    every closure ran to the end; one cut short at node_cap may leave a
-    class split, so its caller must not certify the partition.
+    preserves the trace) within the slightly enlarged displacement cap
+    norm_cap on (a^2 + b^2 + c^2 + d^2); the conjugates of a class form
+    a connected tube around its axis, so the closure visits every class
+    member, including ones whose connecting conjugates lie just outside
+    the searched ball.  Inverse classes are merged afterwards.  Returns
+    the classes and whether every closure ran to the end; one cut short
+    at node_cap may leave a class split, so its caller must not certify
+    the partition.
     """
-    inv_states = {tok: _state_inverse(ts) for tok, ts in gen_states.items()}
-    assigned: Dict[Tuple, int] = {}
+    cap = norm_cap.as_integer_ratio()
+    conjugators = [(t, t.inverse()) for t in steps.values()]
+    assigned: Dict[MoebiusMap, int] = {}
     label = 0
     closed = True
     for start in candidates:
@@ -282,9 +232,9 @@ def _conjugacy_classes(candidates: Dict, gen_states: Dict, norm_cap,
         visited = {start}
         while queue and len(visited) < node_cap:
             s = queue.pop()
-            for tok, ts in gen_states.items():
-                u = _state_mul(_state_mul(ts, s), inv_states[tok])
-                if u in visited or _state_norm(u) > norm_cap:
+            for t, t_inv in conjugators:
+                u = t * s * t_inv
+                if u in visited or not _within(u.quad, u.den, cap):
                     continue
                 visited.add(u)
                 queue.append(u)
@@ -307,7 +257,7 @@ def _conjugacy_classes(candidates: Dict, gen_states: Dict, norm_cap,
             merged[b] = a
 
     for s, lab in assigned.items():
-        inv = _state_inverse(s)
+        inv = s.inverse()
         if inv in assigned:
             merge(lab, assigned[inv])
     for s, t in extra_pairs:
@@ -321,7 +271,7 @@ def _conjugacy_classes(candidates: Dict, gen_states: Dict, norm_cap,
     return list(groups.values()), closed
 
 
-def systole_matrix_group(gens: Dict, trace_bound,
+def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
                          diameter: Optional[float] = None,
                          max_states: int = 2_000_000) -> MatrixSearchReport:
     """Sweep all conjugacy classes with |trace| <= trace_bound.
@@ -334,39 +284,42 @@ def systole_matrix_group(gens: Dict, trace_bound,
     point's orbit, hence a representative inside the horizon.  Without a
     diameter the search is a labeled non-exhaustive sweep to the same
     horizon with diameter 0 plus one unit of slack.  A diameter must be
-    a finite real >= 0; a class closure cut short by its node cap clears
-    the certificate.
+    a finite real >= 0, and a horizon too large for a float is refused;
+    a class closure cut short by its node cap clears the certificate.
     """
     trace_bound = Q(trace_bound)
     if trace_bound <= 2:
         raise ValueError("trace bound must exceed 2")
-    if diameter is not None and (
-            isinstance(diameter, bool) or not isinstance(diameter, Real)
-            or not math.isfinite(diameter) or diameter < 0):
-        raise ValueError(f"diameter must be a finite real >= 0, not {diameter!r}")
-    gen_states = {}
-    for lab, m in gens.items():
-        if m.a * m.d - m.b * m.c != 1:
-            raise ValueError(f"generator {lab!r} is not unimodular")
-        gen_states[(lab, 1)] = _as_integer_state(m)
-        gen_states[(lab, -1)] = _as_integer_state(m.inverse())
-
     certified = diameter is not None
-    diam = diameter if diameter is not None else 1.0
-    horizon = 2.0 * math.acosh(float(trace_bound) / 2.0) + 2.0 * diam
-    # displacement test: cosh d(i, Wi) = (a^2+b^2+c^2+d^2) / (2 den^2)
-    cosh_horizon = math.cosh(horizon)
+    bad_diameter = f"diameter must be a finite real >= 0, not {diameter!r}"
+    if certified and (isinstance(diameter, bool)
+                      or not isinstance(diameter, Real)):
+        raise ValueError(bad_diameter)
+    try:
+        diam = float(diameter) if certified else 1.0
+        if not math.isfinite(diam) or diam < 0:
+            raise ValueError(bad_diameter)
+        horizon = 2.0 * math.acosh(float(trace_bound) / 2.0) + 2.0 * diam
+        # displacement test: 2 cosh d(i, Wi) = (a^2+b^2+c^2+d^2) / den^2
+        cap = (2.0 * math.cosh(horizon)).as_integer_ratio()
+        closure_cap = 2.0 * math.cosh(horizon + 3.0)
+    except OverflowError:
+        raise ValueError(f"trace bound {trace_bound} and diameter {diameter!r} "
+                         "give a search horizon too large for a float")
+    steps = {}
+    for lab, m in gens.items():
+        steps[(lab, 1)] = m
+        steps[(lab, -1)] = m.inverse()
+    bound_num, bound_den = trace_bound.numerator, trace_bound.denominator
+    # (token, the token that would cancel it, its integer entries)
+    moves = [(tok, (tok[0], -tok[1]), t.quad, t.den)
+             for tok, t in steps.items()]
 
-    def inside(s):
-        a, b, c, d, p = s
-        return a * a + b * b + c * c + d * d <= 2 * p * p * cosh_horizon
-
-    identity = (1, 0, 0, 1, 1)
-    seen = {identity: ()}
-    frontier = [identity]
+    seen = {IDENTITY: ()}
+    frontier = [IDENTITY]
     exhausted = True
-    candidates: Dict[Tuple, Tuple] = {}
-    min_above: Optional[Q] = None
+    candidates: Dict[MoebiusMap, Tuple] = {}
+    min_above = None        # least |trace| above the bound, as (num, den)
 
     while frontier:
         if len(seen) > max_states:
@@ -375,22 +328,28 @@ def systole_matrix_group(gens: Dict, trace_bound,
         nxt = []
         for s in frontier:
             word = seen[s]
-            for tok, ts in gen_states.items():
-                if word and word[-1] == (tok[0], -tok[1]):
+            last = word[-1] if word else None
+            quad, den = s.quad, s.den
+            for tok, undo, t_quad, t_den in moves:
+                if last == undo:
                     continue
-                ns = _state_mul(s, ts)
-                if ns in seen or not inside(ns):
+                # test the raw product; most are rejected before the gcd
+                prod, prod_den = mat_mul(quad, t_quad), den * t_den
+                if not _within(prod, prod_den, cap):
+                    continue
+                ns = MoebiusMap(*prod, prod_den)
+                if ns in seen:
                     continue
                 nword = word + (tok,)
                 seen[ns] = nword
                 nxt.append(ns)
-                a, b, c, d, p = ns
-                tr = Q(a + d, p)
-                if abs(tr) > 2:
-                    if abs(tr) <= trace_bound:
+                tr = abs(ns.na + ns.nd)
+                if tr > 2 * ns.den:
+                    if tr * bound_den <= bound_num * ns.den:
                         candidates[ns] = nword
-                    elif min_above is None or abs(tr) < min_above:
-                        min_above = abs(tr)
+                    elif (min_above is None
+                          or tr * min_above[1] < min_above[0] * ns.den):
+                        min_above = (tr, ns.den)
         frontier = nxt
 
     witnesses = []
@@ -398,13 +357,13 @@ def systole_matrix_group(gens: Dict, trace_bound,
     # word is a conjugate of the original, and two candidates whose
     # cyclic words agree up to rotation and inversion are conjugate
     extra_pairs = []
-    by_key: Dict[Tuple, Tuple] = {}
+    by_key: Dict[Tuple, MoebiusMap] = {}
     for s, word in candidates.items():
         reduced = _cyclic_reduce(word)
         if reduced != word:
-            rs = (1, 0, 0, 1, 1)
+            rs = IDENTITY
             for tok in reduced:
-                rs = _state_mul(rs, gen_states[tok])
+                rs = rs * steps[tok]
             if rs != s:
                 extra_pairs.append((s, rs))
         key = _cyclic_key(reduced, tuple(
@@ -414,16 +373,12 @@ def systole_matrix_group(gens: Dict, trace_bound,
         else:
             by_key[key] = s
 
-    closure_cap = 2.0 * math.cosh(horizon + 3.0)
-    groups, closed = _conjugacy_classes(candidates, gen_states, closure_cap,
+    groups, closed = _conjugacy_classes(candidates, steps, closure_cap,
                                         extra_pairs)
     for group in groups:
         s = min(group, key=lambda x: (len(candidates[x]), str(candidates[x])))
-        a, b, c, d, p = s
-        mat = MoebiusMap(Q(a, p), Q(b, p), Q(c, p), Q(d, p))
-        tr = Q(a + d, p)
-        witnesses.append(GeodesicWitness(candidates[s], mat, tr,
-                                         trace_to_length(abs(tr))))
+        witnesses.append(GeodesicWitness(candidates[s], s, s.trace,
+                                         trace_to_length(abs(s.trace))))
     witnesses.sort(key=lambda w: (abs(w.trace), len(w.word), str(w.word)))
     return MatrixSearchReport(
         witnesses=witnesses,
@@ -432,7 +387,7 @@ def systole_matrix_group(gens: Dict, trace_bound,
         diameter=diameter,
         horizon=horizon,
         states_explored=len(seen),
-        min_trace_above_bound=min_above,
+        min_trace_above_bound=None if min_above is None else Q(*min_above),
     )
 
 

@@ -2,8 +2,13 @@
 
 Fractions are extended rationals p/q with a single point at infinity
 (1/0).  Moebius maps are 2x2 unimodular matrices over exact rationals,
-considered projectively (M and -M are the same map).  All group
-arithmetic is exact; floating point enters only in the final
+considered projectively (M and -M are the same map).  ``MoebiusMap`` is
+the one exact matrix type: it stores four integers over a common
+positive denominator in a canonical form, so products, inverses,
+powers and comparisons are integer arithmetic.  ``mat_mul`` is the one
+2x2 product formula; the matrix-group search and the dual walk use it
+on raw integer entries before (or instead of) building a map.  All
+group arithmetic is exact; floating point enters only in the final
 trace-to-length conversion.
 """
 
@@ -13,12 +18,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 __all__ = [
     "Frac",
     "INF",
     "MoebiusMap",
+    "mat_mul",
+    "TURNS",
     "IDENTITY",
     "L",
     "R",
@@ -129,46 +136,66 @@ def farey_adjacent(x: Frac, y: Frac) -> bool:
     return abs(x.p * y.q - y.p * x.q) == 1
 
 
-def _canonical_quad(a: Q, b: Q, c: Q, d: Q):
-    for entry in (a, b, c, d):
-        if entry != 0:
-            if entry < 0:
-                return (-a, -b, -c, -d)
-            break
-    return (a, b, c, d)
+def mat_mul(x: Sequence[int], y: Sequence[int]) -> Tuple[int, int, int, int]:
+    """Product of two 2x2 matrices given row by row as (a, b, c, d)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-@dataclass(frozen=True)
+# Turn matrices of the dual walk, by letter.
+TURNS = {"L": (1, 1, 0, 1), "R": (1, 0, 1, 1)}
+
+
+@dataclass(frozen=True, slots=True)
 class MoebiusMap:
     """A determinant-one 2x2 matrix over exact rationals, up to sign.
 
-    The stored representative is canonical: the first nonzero entry of
-    (a, b, c, d) is positive.  Equality and hashing are therefore
-    projective.
+    Stored as integers over a common denominator: the entries are
+    na/den, nb/den, nc/den, nd/den with den > 0, gcd(na, nb, nc, nd,
+    den) = 1, the first nonzero numerator positive and
+    na*nd - nb*nc = den^2.  The representative is thus canonical, and
+    equality and hashing are projective.  The constructor also takes
+    rational entries (with den left at 1) and brings them to this form.
     """
 
-    a: Q
-    b: Q
-    c: Q
-    d: Q
+    na: int
+    nb: int
+    nc: int
+    nd: int
+    den: int = 1
 
     def __post_init__(self):
-        a = Q(self.a)
-        b = Q(self.b)
-        c = Q(self.c)
-        d = Q(self.d)
-        if a * d - b * c != 1:
-            raise ValueError(f"matrix ({a}, {b}; {c}, {d}) has determinant != 1")
-        a, b, c, d = _canonical_quad(a, b, c, d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        a, b, c, d, den = self.na, self.nb, self.nc, self.nd, self.den
+        if not (type(a) is type(b) is type(c) is type(d) is int):
+            a, b, c, d = (Q(x) for x in (a, b, c, d))
+            scale = math.lcm(a.denominator, b.denominator,
+                             c.denominator, d.denominator)
+            a, b, c, d = (int(x * scale) for x in (a, b, c, d))
+            den *= scale
+        if den <= 0:
+            raise ValueError(f"denominator {den} is not positive")
+        g = gcd(a, b, c, d, den)
+        if g > 1:
+            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+        if a * d - b * c != den * den:
+            raise ValueError(f"matrix ({Q(a, den)}, {Q(b, den)}; {Q(c, den)}, "
+                             f"{Q(d, den)}) has determinant != 1")
+        # a = 0 forces b != 0, so the first nonzero entry is a or b
+        if a < 0 or (a == 0 and b < 0):
+            a, b, c, d = -a, -b, -c, -d
+        for name, value in zip(self.__slots__, (a, b, c, d, den)):
+            object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Union[int, Q]]]) -> "MoebiusMap":
-        (a, b), (c, d) = rows
-        return cls(Q(a), Q(b), Q(c), Q(d))
+    @property
+    def quad(self) -> Tuple[int, int, int, int]:
+        return (self.na, self.nb, self.nc, self.nd)
+
+    # the entries as Fractions
+    a = property(lambda self: Q(self.na, self.den))
+    b = property(lambda self: Q(self.nb, self.den))
+    c = property(lambda self: Q(self.nc, self.den))
+    d = property(lambda self: Q(self.nd, self.den))
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -176,34 +203,30 @@ class MoebiusMap:
     @property
     def trace(self) -> Q:
         """Trace of the canonical representative; use abs() for PSL2 data."""
-        return self.a + self.d
+        return Q(self.na + self.nd, self.den)
 
     @property
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for e in self.entries())
+        return self.den == 1
 
     @property
     def is_parabolic(self) -> bool:
-        return abs(self.trace) == 2 and self != IDENTITY
+        return abs(self.na + self.nd) == 2 * self.den and self != IDENTITY
 
     @property
     def is_hyperbolic(self) -> bool:
-        return abs(self.trace) > 2
+        return abs(self.na + self.nd) > 2 * self.den
 
     @property
     def is_elliptic(self) -> bool:
-        return abs(self.trace) < 2
+        return abs(self.na + self.nd) < 2 * self.den
 
     def __mul__(self, other: "MoebiusMap") -> "MoebiusMap":
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return MoebiusMap(*mat_mul(self.quad, other.quad),
+                          self.den * other.den)
 
     def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
+        return MoebiusMap(self.nd, -self.nb, -self.nc, self.na, self.den)
 
     def __pow__(self, n: int) -> "MoebiusMap":
         if n < 0:
@@ -219,39 +242,33 @@ class MoebiusMap:
 
     def __call__(self, x: Frac) -> Frac:
         """Apply the map projectively to an extended rational."""
-        x = Frac.from_rational(x) if not isinstance(x, Frac) else x
-        num = self.a * x.p + self.b * x.q
-        den = self.c * x.p + self.d * x.q
-        if den == 0:
-            return INF
-        # clear the common denominator of the two rationals
-        scale = num.denominator * den.denominator
-        return Frac(int(num * scale), int(den * scale))
+        x = Frac.from_rational(x)
+        return Frac(self.na * x.p + self.nb * x.q, self.nc * x.p + self.nd * x.q)
 
     def fixed_rational_point(self) -> Frac:
         """The fixed point of a parabolic map, as an extended rational."""
         if not self.is_parabolic:
             raise ValueError("only parabolic maps have a single rational fixed point")
-        if self.c == 0:
+        if self.nc == 0:
             return INF
         # c x^2 + (d - a) x - b = 0 with zero discriminant
-        x = (self.a - self.d) / (2 * self.c)
-        return Frac(x.numerator, x.denominator)
+        return Frac(self.na - self.nd, 2 * self.nc)
 
     def to_json(self):
         return [str(e) for e in self.entries()]
 
     @classmethod
     def from_json(cls, data: Iterable[str]) -> "MoebiusMap":
-        return cls(*(Q(s) for s in data))
+        a, b, c, d = data
+        return cls(a, b, c, d)
 
     def __str__(self):
         return f"[{self.a} {self.b}; {self.c} {self.d}]"
 
 
-IDENTITY = MoebiusMap(Q(1), Q(0), Q(0), Q(1))
-L = MoebiusMap(Q(1), Q(1), Q(0), Q(1))
-R = MoebiusMap(Q(1), Q(0), Q(1), Q(1))
+IDENTITY = MoebiusMap(1, 0, 0, 1)
+L = MoebiusMap(*TURNS["L"])
+R = MoebiusMap(*TURNS["R"])
 
 
 def trace_to_length(t: Union[int, Q]) -> float:
@@ -278,8 +295,8 @@ def parabolic_product_trace(m1: int, m2: int) -> int:
     if m1 < 1 or m2 < 1:
         raise ValueError("cusp widths must be positive")
     closed_form = abs(m1 * m2 - 2)
-    p1 = MoebiusMap(Q(1), Q(m1), Q(0), Q(1))
-    p2 = MoebiusMap(Q(1), Q(0), Q(m2), Q(1))
+    p1 = MoebiusMap(1, m1, 0, 1)
+    p2 = MoebiusMap(1, 0, m2, 1)
     by_matrix = abs((p1 * p2.inverse()).trace)
     assert by_matrix == closed_form, (m1, m2, by_matrix, closed_form)
     return closed_form
@@ -287,21 +304,14 @@ def parabolic_product_trace(m1: int, m2: int) -> int:
 
 def lr_word_value(word: Union[str, Sequence[str]]) -> MoebiusMap:
     """Left-to-right product of the turn matrices L = (1 1; 0 1), R = (1 0; 1 1)."""
-    letters = list(word)
-    if not letters:
+    if not word:
         raise ValueError("empty L/R word")
-    # accumulate on integer entries, wrap at the end
-    a, b, c, d = 1, 0, 0, 1
-    for letter in letters:
-        if letter == "L":
-            b += a
-            d += c
-        elif letter == "R":
-            a += b
-            c += d
-        else:
+    m = (1, 0, 0, 1)
+    for letter in word:
+        if letter not in TURNS:
             raise ValueError(f"unknown turn letter {letter!r}")
-    return MoebiusMap(Q(a), Q(b), Q(c), Q(d))
+        m = mat_mul(m, TURNS[letter])
+    return MoebiusMap(*m)
 
 
 def _integer_map_to(cusp: Frac) -> MoebiusMap:
@@ -312,7 +322,7 @@ def _integer_map_to(cusp: Frac) -> MoebiusMap:
     # p s - r q = 1
     g, s, r = _extended_gcd(p, q)
     assert g == 1
-    return MoebiusMap(Q(p), Q(-r), Q(q), Q(s))
+    return MoebiusMap(p, -r, q, s)
 
 
 def _extended_gcd(a: int, b: int):

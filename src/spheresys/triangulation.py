@@ -270,6 +270,19 @@ class Triangulation:
         witness = min(range(self.n_edges), key=lambda e: densities[e])
         return DensityReport(densities, densities[witness], witness)
 
+    def a_priori_trace_bound(self) -> Optional[int]:
+        """Least |trace| certified without a search, or None if none is.
+
+        A non-loop edge of density D >= 5 is crossed by a dual walk of
+        trace D - 2 (``geodesics.verify_density_length``), and each
+        pattern certificate names a walk of its trace bound.
+        """
+        density = self.density()
+        bounds = [density.densities[e] - 2 for e in range(self.n_edges)
+                  if not self.is_loop(e) and density.densities[e] >= 5]
+        bounds += [cert.trace_bound for cert in self.pattern_certificates()]
+        return min(bounds, default=None)
+
     # -- surgery --------------------------------------------------------
 
     def stellate(self, face_ids: Sequence[int]) -> "Triangulation":
@@ -340,17 +353,7 @@ class Triangulation:
         rot_b = rotations[b]
         rot_b.insert(rot_b.index(self.alpha[r]) + 1, dd)
         twins = [(x, self.alpha[x]) for x in range(self.n_darts) if x < self.alpha[x]]
-        origin = list(self.origin)
-        sigma = [0] * self.n_darts
-        for vertex, rot in enumerate(rotations):
-            for i, x in enumerate(rot):
-                sigma[x] = rot[(i + 1) % len(rot)]
-                origin[x] = vertex
-        alpha = [0] * self.n_darts
-        for x, y in twins:
-            alpha[x] = y
-            alpha[y] = x
-        return Triangulation(sigma, alpha, origin)
+        return Triangulation.from_rotation_lists(rotations, twins)
 
     def duplicate_edge_split(self, e1: int, e2: int) -> Tuple[int, int]:
         """Triangle counts of the two components separated by a bigon."""

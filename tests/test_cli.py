@@ -207,6 +207,8 @@ class TestRender:
 
 
 GENS_14 = {"1": ["1", "0", "4", "1"], "2": ["5", "-4", "4", "-3"]}
+# a diagonal generator with 401-digit entries, as exponents
+GENS_HUGE = {"1": ["1e400", "0", "0", "1e-400"], "2": ["1", "0", "4", "1"]}
 
 
 class TestBadInput:
@@ -215,16 +217,31 @@ class TestBadInput:
         "twin 0 9\n",
         json.dumps({"generators": [["1", "0", "4", "1"]]}),
         json.dumps({"generators": GENS_14, "diameter": float("nan")}),
+        json.dumps({"generators": GENS_14, "diameter": 400}),
+        json.dumps({"generators": {"1": ["1e3000000", "0", "0", "1"]}}),
     ])
-    def test_one_line_error(self, capsys, tmp_path, content):
+    def test_one_line_error(self, capsys, tmp_path, content, bound="14"):
         path = tmp_path / "input"
         path.write_text(content)
-        code = cli.main(["systole", str(path), "--trace-bound", "14"])
+        code = cli.main(["systole", str(path), "--trace-bound", bound])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+    def test_trace_bound_overflow(self, capsys, tmp_path):
+        self.test_one_line_error(capsys, tmp_path,
+                                 json.dumps({"generators": GENS_14}),
+                                 bound="1" + "0" * 400)
+
+    def test_huge_entries_run(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"generators": GENS_HUGE}))
+        code = cli.main(["systole", str(path), "--trace-bound", "14"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert "certified False" in captured.out
 
 
 _json = st.recursive(
@@ -234,7 +251,8 @@ _json = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=12)
 _entry = (st.integers(-3, 3).map(str) | st.integers(-3, 3) | st.floats()
-          | st.sampled_from(["1/0", "1/2", "x"]) | _json)
+          | st.sampled_from(["1/0", "1/2", "x", "1e400", "1e-400",
+                             "1e3000000"]) | _json)
 _generator_docs = st.fixed_dictionaries(
     {"generators": st.dictionaries(
         st.text(max_size=2),
@@ -263,6 +281,14 @@ class TestParseInput:
         if not isinstance(loaded, Triangulation):
             gens, _ = loaded
             assert all(isinstance(m, MoebiusMap) for m in gens.values())
+
+    def test_entry_size_bounded(self):
+        gens, _ = cli.parse_input(json.dumps({"generators": GENS_HUGE}))
+        assert gens["1"].den == 10 ** 400
+        for entries in (["1e3000000", "0", "0", "1e-3000000"],
+                        ["1" + "0" * 1000, "0", "0", "1/1" + "0" * 1000]):
+            with pytest.raises(cli.InputError, match="longer than"):
+                cli.parse_input(json.dumps({"generators": {"1": entries}}))
 
     def test_both_branches_parse(self):
         assert isinstance(cli.parse_input(tetrahedron().to_text()),

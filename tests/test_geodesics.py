@@ -8,14 +8,14 @@ from hypothesis import given, strategies as st
 from spheresys import fixtures
 from spheresys.developing import SpanningTree, develop, generators
 from spheresys import geodesics
-from spheresys.geodesics import (GeodesicWitness, _as_integer_state,
-                                 _conjugacy_classes, _cyclic_key,
+from spheresys.geodesics import (GeodesicWitness, _conjugacy_classes,
+                                 _cyclic_key,
                                  enumerate_geodesics_combinatorial,
                                  polygon_diameter_proxy,
                                  systole_combinatorial,
                                  systole_matrix_group,
                                  verify_density_length)
-from spheresys.modular import (NotHyperbolicError, lr_word_value,
+from spheresys.modular import (MoebiusMap, NotHyperbolicError, lr_word_value,
                                schmutz_bound, trace_to_length)
 from spheresys.triangulation import (Triangulation, bipyramid_with_duplicates,
                                      example_duplicate_edges, example_loop,
@@ -186,13 +186,12 @@ class TestMatrixGroup:
 
     def test_class_closure_cap_reported(self, monkeypatch):
         gens = {2: fixtures.A7[2], 3: fixtures.A7[3]}
-        gen_states = {(lab, e): _as_integer_state(m ** e)
-                      for lab, m in gens.items() for e in (1, -1)}
+        steps = {(lab, e): m ** e for lab, m in gens.items() for e in (1, -1)}
         word = ((2, 1), (3, 1))
-        start = _as_integer_state(fixtures.word_matrix(gens, word))
-        groups, closed = _conjugacy_classes({start: word}, gen_states, 1000)
+        start = fixtures.word_matrix(gens, word)
+        groups, closed = _conjugacy_classes({start: word}, steps, 1000)
         assert closed and groups == [[start]]
-        _, closed = _conjugacy_classes({start: word}, gen_states, 1000,
+        _, closed = _conjugacy_classes({start: word}, steps, 1000,
                                        node_cap=2)
         assert not closed
         # a sweep whose class closure is cut short certifies nothing
@@ -216,10 +215,17 @@ class TestMatrixGroup:
             assert abs(w.trace) > 2
 
     def test_non_unimodular_generator(self):
-        from types import SimpleNamespace
-        bad = {1: SimpleNamespace(a=Q(2), b=Q(0), c=Q(0), d=Q(1))}
+        # generators reach the engine as MoebiusMaps, and the constructor
+        # refuses a rational matrix whose determinant is not 1
+        assert MoebiusMap(Q(2, 3), Q(1, 5), 0, Q(3, 2)).den == 30
         with pytest.raises(ValueError):
-            systole_matrix_group(bad, 18)
+            MoebiusMap(Q(2, 3), Q(1, 5), 0, Q(5, 2))
+
+    @pytest.mark.parametrize("bound,diameter", [(10 ** 400, 1.0), (18, 400),
+                                                (18, 10 ** 400)])
+    def test_horizon_overflow_refused(self, bound, diameter):
+        with pytest.raises(ValueError):
+            systole_matrix_group(fixtures.A7, bound, diameter=diameter)
 
     def test_bound_too_small(self):
         with pytest.raises(ValueError):

@@ -220,3 +220,66 @@ class TestMoebiusMap:
             for ch in word:
                 back = back * (MoebiusMap(1, 1, 0, 1) if ch == "L" else MoebiusMap(1, 0, 1, 1))
             assert back == m
+
+
+def _ref_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _ref_canonical(x):
+    """Fraction entries with the first nonzero one made positive."""
+    first = next(e for e in x if e != 0)
+    return tuple(-e for e in x) if first < 0 else tuple(x)
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@st.composite
+def _unimodular(draw):
+    """Rational entries (a, b, c, d) with ad - bc = 1, as plain Fractions.
+
+    One draw in about two has a = 0, where the sign rests on b.
+    """
+    nonzero = _rationals.filter(lambda x: x != 0)
+    a, b = draw(st.just(Q(0)) | nonzero), draw(nonzero)
+    if a == 0:
+        return (a, b, -1 / b, draw(_rationals))
+    c = draw(_rationals)
+    return (a, b, c, (1 + b * c) / a)
+
+
+class TestMoebiusMapAgainstFractions:
+    """MoebiusMap's integer arithmetic against a plain-Fraction 2x2 reference."""
+
+    @given(_unimodular(), _unimodular(), st.booleans())
+    def test_product_inverse_trace(self, x, y, flip):
+        if flip:
+            x = tuple(-e for e in x)
+        m, n = MoebiusMap(*x), MoebiusMap(*y)
+        assert m.entries() == _ref_canonical(x)
+        assert (m * n).entries() == _ref_canonical(_ref_mul(x, y))
+        a, b, c, d = x
+        assert m.inverse().entries() == _ref_canonical((d, -b, -c, a))
+        assert m.trace == sum(_ref_canonical(x)[::3])
+        assert m.den > 0 and math.gcd(m.na, m.nb, m.nc, m.nd, m.den) == 1
+
+    @given(_unimodular(), st.integers(-40, 40), st.integers(0, 40))
+    def test_apply(self, x, p, q):
+        if p == 0 and q == 0:
+            return
+        a, b, c, d = x
+        num, den = a * p + b * q, c * p + d * q
+        want = INF if den == 0 else Frac((num / den).numerator,
+                                         (num / den).denominator)
+        assert MoebiusMap(*x)(Frac(p, q)) == want
+
+    @given(_unimodular())
+    def test_equality_under_negation(self, x):
+        m = MoebiusMap(*x)
+        neg = MoebiusMap(*(-e for e in x))
+        assert m == neg and hash(m) == hash(neg)
+        assert MoebiusMap(*m.entries()) == m
+        assert MoebiusMap.from_json(m.to_json()) == m
