@@ -1,10 +1,16 @@
 """Isomorphism-free generation of simple sphere triangulations.
 
-Generation walks the vertex-splitting tree rooted at the tetrahedron:
-every simple sphere triangulation (minimum degree 3) arises from the
-tetrahedron by repeated vertex splits, and duplicates are rejected by a
-minimal-traversal-code canonical form.  A slow flip-closure generator
-doubles as an independent correctness oracle for small vertex counts.
+Generation walks the vertex-splitting tree rooted at the tetrahedron
+along McKay's canonical construction path: every simple sphere
+triangulation other than K4 has a contractible edge (Steinitz-
+Rademacher), so it arises from one with a vertex fewer by a vertex
+split, and a split is kept only if contracting its new edge is the
+canonical way to undo it.  Contraction of an edge in the canonical
+orbit determines the parent class, so no class is reached from two
+parents, and a per-parent set of codes removes the remaining duplicates
+(``_classes`` gives the argument in full).  Only the kept classes get a
+minimal-traversal canonical code.  A slow flip-closure generator doubles
+as an independent correctness oracle for small vertex counts.
 """
 
 from __future__ import annotations
@@ -81,28 +87,139 @@ def _k4_rotations():
     return [tuple(r) for r in tetrahedron().simple_neighbor_lists()]
 
 
-_CLASS_CACHE: Dict[int, Dict[Tuple, List[Tuple]]] = {}
+def _ranked_split(rot, degrees, v, i, j):
+    """Split v at (i, j) if no contractible edge ranks below the new edge.
+
+    Edges are ranked by the sorted degrees of their ends, then the
+    sorted degrees of their two apexes.  ``degrees`` are the parent's.
+    Returns None, without building the child when the degrees already
+    decide, as soon as a contractible edge ranks strictly lower than the
+    new edge {v, v2}.  Otherwise returns (child, ties), where ties are
+    the child's other contractible edges of equal rank as (a, b) pairs.
+    """
+    nbrs = rot[v]
+    k = len(nbrs)
+    v2 = len(rot)
+    deg = degrees + [k - j + i + 2]
+    deg[v] = j - i + 2
+    deg[nbrs[i]] += 1
+    deg[nbrs[j]] += 1
+    lo, hi = sorted((deg[v], deg[v2]))
+    if lo > min(deg):
+        return None  # every vertex has a contractible edge (see _classes)
+    new_key = (lo, hi, *sorted((deg[nbrs[i]], deg[nbrs[j]])))
+    new_edge = (v, v2)
+    child = _split_vertex(rot, v, i, j)
+    ties = []
+    for a, around in enumerate(child):
+        if deg[a] != lo:
+            continue
+        for t, b in enumerate(around):
+            if (deg[b] > hi or (deg[b] == lo and b < a)
+                    or (a in new_edge and b in new_edge)):
+                continue
+            apexes = (around[t - 1], around[(t + 1) % lo])
+            key = (lo, deg[b], *sorted((deg[apexes[0]], deg[apexes[1]])))
+            if key > new_key or len(set(around).intersection(child[b])) != 2:
+                continue
+            if key < new_key:
+                return None
+            ties.append((a, b))
+    return child, ties
 
 
-def _classes(n: int) -> Dict[Tuple, List[Tuple]]:
-    """All simple triangulation classes with n vertices, keyed by code."""
+def _edge_code(child, darts, edges):
+    """Least traversal code rooted at a dart of one of the given edges.
+
+    The roots are the edges' darts leaving a lower-degree end, read with
+    sigma and with its inverse, so the code is the same for edges that
+    an isomorphism or a reflection maps onto each other.
+    """
+    origin = darts[2]
+    roots = []
+    for a, b in edges:
+        if len(child[a]) <= len(child[b]):
+            roots.append(origin.index(a) + child[a].index(b))
+        if len(child[b]) <= len(child[a]):
+            roots.append(origin.index(b) + child[b].index(a))
+    return canonical_traversal(*darts, roots)[0]
+
+
+_COUNT_KEYS = ("children", "rejected_by_rank", "edge_codes",
+               "sibling_duplicates", "classes")
+
+# Per vertex count: (classes keyed by canonical code, generation counts)
+_CLASS_CACHE: Dict[int, Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]] = {}
+
+
+def _classes(n: int) -> Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]:
+    """All simple triangulation classes with n vertices, keyed by code.
+
+    Canonical construction path (McKay 1998): a child of a vertex split
+    is kept only if contracting its new edge {v, v2} is the canonical
+    way to undo it.  With at least 5 vertices, an edge ab is
+    contractible (its contraction is again a simple triangulation) iff a
+    and b have exactly 2 common neighbours, the apexes of its two faces.
+    The argument:
+
+    - Every simple triangulation other than K4 has a contractible edge
+      (Steinitz-Rademacher), and contracting one undoes a split of the
+      contracted vertex, so every class with n vertices is a child of a
+      class with n - 1 vertices.  In fact every vertex u has a
+      contractible edge: ux is contractible unless x ends a chord of u's
+      link cycle (an edge between two non-consecutive neighbours of u),
+      and chords do not cross, so at least two link vertices end none.
+      So the least rank starts with the minimum degree.
+    - The canonical edges of a child are its contractible edges of least
+      rank (see _ranked_split) and, among those, of least edge code (see
+      _edge_code).  Both depend only on the isomorphism class, so the
+      canonical edges form one orbit under automorphisms and reflection,
+      and contracting any of them gives the same parent class.  A class
+      is therefore accepted only from that parent's representative.
+    - Two splits of one parent can still give isomorphic children, each
+      with its new edge canonical.  The new edge's code is then a
+      complete invariant of the child, so a per-parent set of codes
+      drops those duplicates.
+
+    Returns the classes and the level's counts: children tried,
+    children rejected by rank, children that reached an edge code (the
+    rest of those lose on code), sibling duplicates and classes.
+    """
     if 4 not in _CLASS_CACHE:
         k4 = _k4_rotations()
-        _CLASS_CACHE[4] = {canonical_traversal(*neighbor_darts(k4))[0]: k4}
+        _CLASS_CACHE[4] = ({canonical_traversal(*neighbor_darts(k4))[0]: k4},
+                           dict.fromkeys(_COUNT_KEYS, 0) | {"classes": 1})
     size = max(s for s in _CLASS_CACHE if s <= n)
     while size < n:
         nxt: Dict[Tuple, List[Tuple]] = {}
-        for rot in _CLASS_CACHE[size].values():
+        counts = dict.fromkeys(_COUNT_KEYS, 0)
+        for rot in _CLASS_CACHE[size][0].values():
+            degrees = [len(r) for r in rot]
+            siblings = set()
             for v in range(size):
-                k = len(rot[v])
+                k = degrees[v]
                 for i in range(k):
                     for j in range(i + 1, k):
-                        child = _split_vertex(rot, v, i, j)
-                        code = canonical_traversal(*neighbor_darts(child))[0]
-                        if code not in nxt:
-                            nxt[code] = child
+                        counts["children"] += 1
+                        ranked = _ranked_split(rot, degrees, v, i, j)
+                        if ranked is None:
+                            counts["rejected_by_rank"] += 1
+                            continue
+                        counts["edge_codes"] += 1
+                        child, ties = ranked
+                        darts = neighbor_darts(child)
+                        # the split adds vertex number `size`
+                        code = _edge_code(child, darts, [(v, size)])
+                        if ties and _edge_code(child, darts, ties) < code:
+                            continue
+                        if code in siblings:
+                            counts["sibling_duplicates"] += 1
+                            continue
+                        siblings.add(code)
+                        nxt[canonical_traversal(*darts)[0]] = child
         size += 1
-        _CLASS_CACHE[size] = nxt
+        counts["classes"] = len(nxt)
+        _CLASS_CACHE[size] = (nxt, counts)
     return _CLASS_CACHE[n]
 
 
@@ -111,7 +228,7 @@ def enumerate_triangulations(q: EnumerationQuery) -> Iterator[Triangulation]:
     if q.n > MAX_VERTICES:
         raise ResourceLimitError(
             f"simple triangulations enumerated up to {MAX_VERTICES} vertices")
-    classes = _classes(q.n)
+    classes = _classes(q.n)[0]
     for code in sorted(classes):
         rot = classes[code]
         if min(len(r) for r in rot) < q.min_degree:
@@ -192,7 +309,9 @@ def verify_proposition(n: int) -> dict:
     """Exhaustive check of the extremal-density statement for n cusps.
 
     Covers the regular case by enumeration and the degenerate cases by
-    pattern certificates on constructed low-degree families.
+    pattern certificates on constructed low-degree families.  The
+    report's "generation" entry holds the enumeration's counts for
+    level n (see ``_classes``).
     """
     from .triangulation import (bipyramid_with_duplicates, example_loop)
 
@@ -205,6 +324,7 @@ def verify_proposition(n: int) -> dict:
         "expected": EXPECTED_MAX_MIN[n],
         "regular_ok": value == EXPECTED_MAX_MIN[n],
         "extremal_count": len(extremal),
+        "generation": dict(_classes(n)[1]),
         "degenerate_ok": True,
         "degenerate_checks": [],
     }

@@ -238,6 +238,9 @@ class Triangulation:
         for f, cycle in enumerate(self.faces):
             if len(cycle) != 3:
                 diagnostics.append(f"non-triangular face {f} with {len(cycle)} sides")
+        components = self._component_count()
+        if components != 1:
+            diagnostics.append(f"{components} connected components; a sphere has 1")
         euler = self.n_vertices - self.n_edges + self.n_faces
         if euler != 2:
             diagnostics.append(f"euler characteristic {euler} != 2")
@@ -259,6 +262,23 @@ class Triangulation:
             has_duplicate_edges=has_dups,
             regular=(not diagnostics and min_deg >= 3 and not has_loops and not has_dups),
         )
+
+    def _component_count(self) -> int:
+        seen = [False] * self.n_darts
+        count = 0
+        for start in range(self.n_darts):
+            if seen[start]:
+                continue
+            count += 1
+            seen[start] = True
+            stack = [start]
+            while stack:
+                d = stack.pop()
+                for x in (self.sigma[d], self.alpha[d]):
+                    if not seen[x]:
+                        seen[x] = True
+                        stack.append(x)
+        return count
 
     # -- densities ------------------------------------------------------
 
@@ -558,6 +578,8 @@ class Triangulation:
                 if line.startswith("rotation"):
                     head, darts = line.split(":", 1)
                     v = int(head.split()[1])
+                    if v in rotations:
+                        raise ValueError(f"vertex {v} listed twice")
                     rotations[v] = [int(x) for x in darts.split()]
                 elif line.startswith("twin"):
                     _, a, b = line.split()
@@ -613,23 +635,27 @@ def neighbor_darts(neighbors: Sequence[Sequence[int]]):
 
 
 def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
-                        origin: Sequence[int]):
+                        origin: Sequence[int],
+                        roots: Optional[Sequence[int]] = None):
     """Minimal rooted traversal code of a connected map, with its witness.
 
-    Roots are the darts minimizing (degree of origin, degree of head),
-    read with sigma and with its inverse (the mirror image).  Returns
-    ``(code, rotation, order)``: the least code as a tuple, the rotation
-    (sigma or its inverse) that attains it, and the darts in the
-    traversal order of the attaining root, so that ``order[i]`` is the
-    dart labelled i.
+    Roots are the given darts, by default the darts minimizing (degree
+    of origin, degree of head), read with sigma and with its inverse
+    (the mirror image).  Returns ``(code, rotation, order)``: the least
+    code as a tuple, the rotation (sigma or its inverse) that attains
+    it, and the darts in the traversal order of the attaining root, so
+    that ``order[i]`` is the dart labelled i.  The code describes the
+    whole map only if the traversal reaches every dart, so a map with
+    more than one component raises ValueError.
     """
     n = len(sigma)
-    deg = [0] * (max(origin) + 1)
-    for v in origin:
-        deg[v] += 1
-    key = [(deg[origin[d]], deg[origin[alpha[d]]]) for d in range(n)]
-    best_key = min(key)
-    roots = [d for d in range(n) if key[d] == best_key]
+    if roots is None:
+        deg = [0] * (max(origin) + 1)
+        for v in origin:
+            deg[v] += 1
+        key = [(deg[origin[d]], deg[origin[alpha[d]]]) for d in range(n)]
+        best_key = min(key)
+        roots = [d for d in range(n) if key[d] == best_key]
     sigma_inv = [0] * n
     for d in range(n):
         sigma_inv[sigma[d]] = d
@@ -640,6 +666,9 @@ def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
             if found is not None and (best is None or found[0] < best):
                 best, order = found
                 rotation = rot
+    if len(order) != n:
+        raise ValueError("map is not connected: the traversal reaches "
+                         f"{len(order)} of {n} darts")
     return tuple(best), rotation, order
 
 

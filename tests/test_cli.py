@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from spheresys import cli, fixtures
 from spheresys.modular import MoebiusMap
 from spheresys.triangulation import Triangulation, tetrahedron
+from test_triangulation import tetrahedron_and_torus
 
 
 @pytest.fixture
@@ -234,6 +235,10 @@ class TestBadInput:
         self.test_one_line_error(capsys, tmp_path,
                                  json.dumps({"generators": GENS_14}),
                                  bound="1" + "0" * 400)
+
+    def test_disconnected_map(self, capsys, tmp_path):
+        self.test_one_line_error(capsys, tmp_path,
+                                 tetrahedron_and_torus().to_text())
 
     def test_huge_entries_run(self, capsys, tmp_path):
         path = tmp_path / "huge.json"

@@ -4,26 +4,54 @@ from spheresys.enumeration import (
     EnumerationQuery,
     KNOWN_COUNTS,
     ResourceLimitError,
+    _split_vertex,
     enumerate_triangulations,
     max_min_density,
     naive_enumerate_count,
     verify_proposition,
 )
-from spheresys.triangulation import icosahedron, octahedron, tetrahedron
+from spheresys.triangulation import (Triangulation, icosahedron, octahedron,
+                                     tetrahedron)
 
 
 def classes(n, **kw):
     return list(enumerate_triangulations(EnumerationQuery(n, **kw)))
 
 
+def split_closure_codes(n_max):
+    """Codes per level from canonicalising every vertex-split child.
+
+    The reference keeps the first child per canonical code, so it needs
+    no argument about which splits to skip.
+    """
+    level = {tetrahedron().canonical_code(): tetrahedron().simple_neighbor_lists()}
+    codes = {4: set(level)}
+    for n in range(5, n_max + 1):
+        nxt = {}
+        for rot in level.values():
+            for v, nbrs in enumerate(rot):
+                for i in range(len(nbrs)):
+                    for j in range(i + 1, len(nbrs)):
+                        child = _split_vertex(rot, v, i, j)
+                        code = Triangulation.from_simple_rotations(child).canonical_code()
+                        nxt.setdefault(code, child)
+        level = nxt
+        codes[n] = set(level)
+    return codes
+
+
 class TestCounts:
-    @pytest.mark.parametrize("n", range(4, 11))
+    @pytest.mark.parametrize("n", range(4, 12))
     def test_reference_counts(self, n):
         assert len(classes(n)) == KNOWN_COUNTS[n]
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_independent_oracle(self, n):
         assert len(classes(n)) == naive_enumerate_count(n)
+
+    def test_same_classes_as_every_child_canonicalised(self):
+        for n, codes in split_closure_codes(10).items():
+            assert {t.canonical_code() for t in classes(n)} == codes
 
     def test_unique_known_small_cases(self):
         (only4,) = classes(4)
@@ -97,6 +125,21 @@ class TestVerifyProposition:
         report = verify_proposition(n)
         assert report["ok"]
         assert report["regular_ok"] and report["degenerate_ok"]
+        counts = report["generation"]
+        assert counts["classes"] == KNOWN_COUNTS[n]
+        assert counts["children"] == counts["rejected_by_rank"] + counts["edge_codes"]
+        if n > 4:  # K4 is the root, not a child
+            splits = sum(d * (d - 1) // 2 for t in classes(n - 1)
+                         for d in t.degree)
+            assert counts["children"] == splits
+            assert counts["edge_codes"] >= counts["sibling_duplicates"] + counts["classes"]
+
+    def test_generation_counts(self):
+        # a split that ranks or codes its new edge wrongly either loses a
+        # class or lets duplicates reach the final code; the counts show both
+        assert verify_proposition(10)["generation"] == {
+            "children": 4259, "rejected_by_rank": 3750, "edge_codes": 509,
+            "sibling_duplicates": 233, "classes": 233}
 
     def test_range_check(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,15 @@ from spheresys.triangulation import (
 )
 
 
+def tetrahedron_and_torus():
+    """The tetrahedron beside a disjoint 7-vertex torus: Euler sum 2."""
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+    for i in range(7):
+        a, b, c, d = (4 + (i + s) % 7 for s in (0, 1, 2, 3))
+        faces += [(a, b, d), (a, d, c)]
+    return Triangulation.from_oriented_faces(faces)
+
+
 def relabel(t, perm):
     lists = t.simple_neighbor_lists()
     new = [None] * len(lists)
@@ -133,11 +142,14 @@ class TestDegenerateExamples:
             Triangulation.from_simple_rotations([[1, 1], [0, 0]])
 
     def test_euler_failure_reported(self):
-        # a map on the torus: one vertex, two loops, one square face
-        t = Triangulation.from_rotation_lists([[0, 2, 1, 3]], [(0, 1), (2, 3)])
-        report = t.validate()
-        assert not report.ok
-        assert any("euler" in d for d in report.diagnostics)
+        # a map on the torus: one vertex, two loops, one square face, and
+        # two components whose Euler characteristics sum to 2
+        torus = Triangulation.from_rotation_lists([[0, 2, 1, 3]], [(0, 1), (2, 3)])
+        for t, diagnostic in ((torus, "euler"),
+                              (tetrahedron_and_torus(), "components")):
+            report = t.validate()
+            assert not report.ok and not report.regular
+            assert any(diagnostic in d for d in report.diagnostics)
 
 
 class TestPatternCertificates:
@@ -224,6 +236,20 @@ class TestCanonical:
         f = o.flip(0)
         assert not o.is_isomorphic(f)
 
+    def test_disconnected_maps_refused(self):
+        # a traversal reaches only its root's component, so equal codes
+        # would not mean isomorphic maps
+        tetra = tetrahedron().simple_neighbor_lists()
+        octa = [[w + 4 for w in r] for r in octahedron().simple_neighbor_lists()]
+        swapped = [list(r) for r in octa]
+        swapped[0][:2] = swapped[0][1::-1]
+        a = Triangulation.from_simple_rotations(tetra + octa)
+        b = Triangulation.from_simple_rotations(tetra + swapped)
+        with pytest.raises(ValueError, match="not connected"):
+            a.is_isomorphic(b)
+        with pytest.raises(ValueError, match="not connected"):
+            tetrahedron_and_torus().canonical_form()
+
     def test_canonical_form_idempotent(self):
         for t in (tetrahedron(), octahedron(), example_loop(),
                   example_duplicate_edges()):
@@ -254,6 +280,7 @@ class TestSerialization:
                      "rotation 0: 0 1 2\nrotation 1: 3\ntwin 0 9\n",
                      "rotation 0: -1 1\ntwin 0 1\n",
                      "rotation 0:\nrotation 1: 0 1\ntwin 0 1\n",
+                     "rotation 0: 7 8 9\n" + tetrahedron().to_text(),
                      ""):
             with pytest.raises(ValueError):
                 Triangulation.from_text(text)
