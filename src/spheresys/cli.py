@@ -18,8 +18,7 @@ from . import fixtures
 from .developing import SpanningTree, develop, generators, \
     check_cusp_parabolics, render_polygon
 from .enumeration import (EnumerationQuery, ResourceLimitError,
-                          enumerate_triangulations, max_min_density,
-                          verify_proposition)
+                          enumerate_triangulations, verify_proposition)
 from .geodesics import (polygon_diameter_proxy, systole_combinatorial,
                         systole_matrix_group)
 from .modular import MoebiusMap, schmutz_bound, trace_to_length
@@ -62,12 +61,12 @@ NAMED_GRAPHS = {
 # generator fixtures with the development whose polygon supplies the
 # certified search diameter
 NAMED_GENERATOR_SETS = {
-    "a7": ("seven", lambda: fixtures.A7),
-    "b7": ("seven", lambda: fixtures.B7),
-    "gamma10": ("ten-long", lambda: fixtures.GAMMA10),
-    "alpha10": ("ten-long", lambda: fixtures.ALPHA10),
-    "gamma11": ("eleven", lambda: fixtures.GAMMA11),
-    "alpha11": ("eleven", lambda: fixtures.ALPHA11),
+    "a7": ("seven", fixtures.A7),
+    "b7": ("seven", fixtures.B7),
+    "gamma10": ("ten-long", fixtures.GAMMA10),
+    "alpha10": ("ten-long", fixtures.ALPHA10),
+    "gamma11": ("eleven", fixtures.GAMMA11),
+    "alpha11": ("eleven", fixtures.ALPHA11),
 }
 
 
@@ -120,15 +119,20 @@ def parse_input(text: str):
     return gens, data.get("diameter")
 
 
-def load_input(spec: str):
-    """Load a fixture:NAME or a file; see parse_input for the result."""
+def load_input(spec: str, check: bool = True):
+    """Load a fixture:NAME or a file; see parse_input for the result.
+
+    A triangulation file that is not a valid sphere triangulation raises
+    InputError naming its diagnostics, unless ``check`` is False (the
+    validate command reports them itself).
+    """
     if spec.startswith("fixture:"):
         name = spec.split(":", 1)[1]
         if name in NAMED_GRAPHS:
             return NAMED_GRAPHS[name]()
         if name in NAMED_GENERATOR_SETS:
-            dev_name, getter = NAMED_GENERATOR_SETS[name]
-            return getter(), fixture_diameter(dev_name)
+            dev_name, gens = NAMED_GENERATOR_SETS[name]
+            return gens, fixture_diameter(dev_name)
         names = sorted(NAMED_GRAPHS) + sorted(NAMED_GENERATOR_SETS)
         raise InputError(f"unknown fixture {name!r}; "
                          f"choices: {', '.join(names)}")
@@ -138,13 +142,19 @@ def load_input(spec: str):
     except OSError as exc:
         raise InputError(str(exc))
     try:
-        return parse_input(text)
+        loaded = parse_input(text)
     except InputError as exc:
         raise InputError(f"{spec}: {exc}")
+    if check and isinstance(loaded, Triangulation):
+        report = loaded.validate()
+        if not report.ok:
+            raise InputError(f"{spec}: not a valid sphere triangulation: "
+                             + "; ".join(report.diagnostics))
+    return loaded
 
 
-def load_triangulation(spec: str) -> Triangulation:
-    loaded = load_input(spec)
+def load_triangulation(spec: str, check: bool = True) -> Triangulation:
+    loaded = load_input(spec, check)
     if not isinstance(loaded, Triangulation):
         raise InputError(f"{spec}: a generator set, not a triangulation")
     return loaded
@@ -180,7 +190,7 @@ def parse_seed(g: Triangulation, tree: SpanningTree, spec: str):
 # -- subcommands ---------------------------------------------------------
 
 def cmd_validate(args, out):
-    g = load_triangulation(args.input)
+    g = load_triangulation(args.input, check=False)
     report = g.validate()
     if args.json:
         out(json.dumps({
@@ -217,8 +227,6 @@ def cmd_density(args, out):
 
 def _build_development(args):
     g = load_triangulation(args.input)
-    if not g.validate().ok:
-        raise InputError("triangulation is invalid")
     tree = parse_tree(g, args.tree) if args.tree else None
     seed = None
     if args.seed_edge:
@@ -265,10 +273,7 @@ def cmd_render(args, out):
 def cmd_systole(args, out):
     loaded = load_input(args.input)
     if isinstance(loaded, Triangulation):
-        g = loaded
-        if not g.validate().ok:
-            raise InputError("triangulation is invalid")
-        length, witnesses = systole_combinatorial(g, args.trace_bound)
+        length, witnesses = systole_combinatorial(loaded, args.trace_bound)
         if args.json:
             out(json.dumps({
                 "systole": length,
@@ -326,200 +331,148 @@ def cmd_enumerate(args, out):
 
 
 # -- verify-paper --------------------------------------------------------
+#
+# One function per kind of check.  Each takes a PAPER_CLAIMS row's
+# arguments, the paper's published values last, and returns (ok, detail).
 
-def _claim_density(n):
-    def run():
-        report = verify_proposition(n)
-        ok = report["regular_ok"] and report["degenerate_ok"]
-        return ok, (f"max-min density {report['regular_max_min_density']} "
-                    f"(expected {report['expected']}), "
-                    f"{report['extremal_count']} extremal")
-    return run
-
-
-def _claim_systole(name, graph_fn, trace, count, schmutz_n=None):
-    def run():
-        length, witnesses = systole_combinatorial(graph_fn())
-        ok = (abs(length - trace_to_length(trace)) < 1e-12
-              and len(witnesses) == count)
-        detail = f"length {fmt_float(length)}, {len(witnesses)} witnesses"
-        if schmutz_n is not None:
-            ok = ok and abs(length - schmutz_bound(schmutz_n)) < 1e-12
-            detail += f", meets schmutz_bound({schmutz_n})"
-        return ok, detail
-    return run
+def _max_min_density(n, value):
+    report = verify_proposition(n)
+    got = report["regular_max_min_density"]
+    return (got == value and report["degenerate_ok"],
+            f"max-min density {got} (expected {value}), "
+            f"{report['extremal_count']} extremal")
 
 
-def _claim_fixture_dets(gens_name):
-    def run():
-        _, getter = NAMED_GENERATOR_SETS[gens_name]
-        gens = getter()
-        ok = all(m.a * m.d - m.b * m.c == 1 for m in gens.values())
-        return ok, f"{len(gens)} matrices, all determinant 1"
-    return run
+def _systole(graph_fn, trace, count, schmutz_n=None):
+    length, witnesses = systole_combinatorial(graph_fn())
+    ok = (abs(length - trace_to_length(trace)) < 1e-12
+          and len(witnesses) == count)
+    detail = f"length {fmt_float(length)}, {len(witnesses)} witnesses"
+    if schmutz_n is not None:
+        ok = ok and abs(length - schmutz_bound(schmutz_n)) < 1e-12
+        detail += f", meets schmutz_bound({schmutz_n})"
+    return ok, detail
 
 
-def _claim_gamma5_correction():
-    def run():
-        printed = Q(16) * Q(14) - Q(-45) * Q(5)
-        stored = fixtures.GAMMA10[5]
-        ok = (printed == 449
-              and stored.a * stored.d - stored.b * stored.c == 1
-              and stored.d == -14)
-        return ok, ("published entry d=14 has determinant 449; "
-                    "stored d=-14 has determinant 1")
-    return run
+def _determinants(gens_name, det):
+    gens = NAMED_GENERATOR_SETS[gens_name][1]
+    ok = all(m.a * m.d - m.b * m.c == det for m in gens.values())
+    return ok, f"{len(gens)} matrices, all determinant {det}"
 
 
-def _claim_word_traces(gens_getter, words, expected_abs):
-    def run():
-        gens = gens_getter()
-        traces = [abs(fixtures.word_matrix(gens, w).trace) for w in words]
-        ok = all(t == expected_abs for t in traces)
-        return ok, f"{len(words)} words, |trace| {fmt_trace(expected_abs)}"
-    return run
+def _word_traces(gens_name, words, values, above=None):
+    """The |trace| of each word: as a set, equal to the exact values; or,
+    given printed strings, rounded to 4 decimals and equal to them as a
+    multiset.  With ``above``, every |trace| exceeds it."""
+    gens = NAMED_GENERATOR_SETS[gens_name][1]
+    traces = [abs(fixtures.word_matrix(gens, w).trace) for w in words]
+    if isinstance(values[0], str):
+        shown = sorted(f"{float(t):.4f}" for t in traces)
+        ok = shown == sorted(values)
+    else:
+        shown = [fmt_trace(t) for t in sorted(set(traces))]
+        ok = set(traces) == set(values)
+    detail = f"{len(words)} words, |trace| {', '.join(shown)}"
+    if above is not None:
+        ok = ok and all(t > above for t in traces)
+        detail += f", all above {above}"
+    return ok, detail
 
 
-def _claim_seven_perturbed():
-    def run():
-        traces = [abs(fixtures.word_matrix(fixtures.B7, w).trace)
-                  for w in fixtures.SEVEN_CUSP_TRACE14_WORDS]
-        got = sorted(f"{float(t):.4f}" for t in traces)
-        want = sorted(fixtures.SEVEN_CUSP_PERTURBED_TRACES)
-        ok = got == want and all(t > 14 for t in traces)
-        return ok, "perturbed traces round to " + ", ".join(want)
-    return run
+def _certified_sweep(gens_name, bound, classes):
+    """A certified matrix-group sweep finds exactly ``classes`` classes,
+    each of |trace| ``bound``."""
+    dev_name, gens = NAMED_GENERATOR_SETS[gens_name]
+    diam = fixture_diameter(dev_name)
+    report = systole_matrix_group(gens, bound, diameter=diam)
+    found = report.witnesses
+    ok = (report.frontier_exhausted and len(found) == classes
+          and all(abs(w.trace) == bound for w in found))
+    detail = (f"bound {bound}, diameter {fmt_float(diam)}, "
+              f"horizon {fmt_float(report.horizon)}, "
+              f"{report.states_explored} states, "
+              f"{len(found)} classes of |trace| {bound}")
+    if report.min_trace_above_bound is not None:
+        detail += f", minimum above: {fmt_trace(report.min_trace_above_bound)}"
+    return ok, detail
 
 
-def _claim_ten_perturbed():
-    def run():
-        traces = {abs(fixtures.word_matrix(fixtures.ALPHA10, w).trace)
-                  for w in fixtures.TEN_CUSP_SYSTOLE_WORDS}
-        ok = (len(traces) == 1
-              and f"{-float(next(iter(traces))):.4f}" == "-18.1596")
-        return ok, f"shared exact trace {fmt_trace(next(iter(traces)))}"
-    return run
+def _gamma5_correction(printed_d, printed_det):
+    """GAMMA10[5] as printed, with d = printed_d, has determinant
+    printed_det; the stored matrix has d = -printed_d and determinant 1."""
+    m = fixtures.GAMMA10[5]
+    det = m.a * printed_d - m.b * m.c
+    ok = (det == printed_det and m.d == -printed_d
+          and m.a * m.d - m.b * m.c == 1)
+    return ok, (f"published entry d={printed_d} has determinant {det}; "
+                f"stored d={m.d} has determinant 1")
 
 
-def _claim_eleven_perturbed():
-    def run():
-        traces = [abs(fixtures.word_matrix(fixtures.ALPHA11, w).trace)
-                  for w in fixtures.ELEVEN_CUSP_SYSTOLE_WORDS]
-        ok = (sorted(set(traces)) == [Q(36361, 2020), Q(454, 25)]
-              and all(t > 18 for t in traces))
-        return ok, "minima 454/25 and 36361/2020, both above 18"
-    return run
+def _schmutz_equality(n, x, y):
+    lhs, rhs = 4 * math.acosh(x), 2 * math.acosh(y)
+    ok = abs(lhs - schmutz_bound(n)) < 1e-12 and abs(lhs - rhs) < 1e-12
+    return ok, f"4 arccosh({x}) = 2 arccosh({y}) = {fmt_float(lhs)}"
 
 
-def _claim_certified_absence(gens_name):
-    def run():
-        dev_name, getter = NAMED_GENERATOR_SETS[gens_name]
-        diam = fixture_diameter(dev_name)
-        report = systole_matrix_group(getter(), 18, diameter=diam)
-        ok = report.frontier_exhausted and not report.witnesses
-        return ok, (f"bound 18, diameter {fmt_float(diam)}, "
-                    f"horizon {fmt_float(report.horizon)}, "
-                    f"{report.states_explored} states, "
-                    f"minimum above: {fmt_trace(report.min_trace_above_bound)}")
-    return run
+def _polygon(dev_name, vertices):
+    g, tree, seed = fixtures.named_development(dev_name)
+    got = [str(x) for x in develop(g, tree, seed=seed).polygon]
+    return got == vertices, "polygon " + " ".join(got)
 
 
-def _claim_eleven_arithmetic_classes():
-    def run():
-        diam = fixture_diameter("eleven")
-        report = systole_matrix_group(fixtures.GAMMA11, 18, diameter=diam)
-        ok = (report.frontier_exhausted and len(report.witnesses) == 6
-              and all(abs(w.trace) == 18 for w in report.witnesses))
-        return ok, f"{len(report.witnesses)} classes of |trace| 18"
-    return run
-
-
-def _claim_twelve_bound_equality():
-    def run():
-        lhs = 4 * math.acosh(2.5)
-        rhs = 2 * math.acosh(11.5)
-        return (abs(lhs - schmutz_bound(12)) < 1e-12
-                and abs(lhs - rhs) < 1e-12), \
-            f"4 arccosh(5/2) = 2 arccosh(23/2) = {fmt_float(lhs)}"
-    return run
-
-
-def _claim_example_polygon(dev_name, expected):
-    def run():
-        g, tree, seed = fixtures.named_development(dev_name)
-        dev = develop(g, tree, seed=seed)
-        got = [str(x) for x in dev.polygon]
-        return got == expected, "polygon " + " ".join(got)
-    return run
-
-
-def _paper_claims():
-    claims = []
-    for n in range(4, 13):
-        claims.append(({f"n={n}"}, f"density-n{n}", _claim_density(n)))
-    claims.append(({"n=12"}, "schmutz-equality-n12",
-                   _claim_twelve_bound_equality()))
-    claims.append(({"n=4"}, "systole-tetrahedron",
-                   _claim_systole("tetrahedron", tetrahedron, 7, 3,
-                                  schmutz_n=4)))
-    claims.append(({"n=6"}, "systole-octahedron",
-                   _claim_systole("octahedron", octahedron, 14, 12,
-                                  schmutz_n=6)))
-    claims.append(({"n=12"}, "systole-icosahedron",
-                   _claim_systole("icosahedron", icosahedron, 23, 30,
-                                  schmutz_n=12)))
-    claims.append(({"n=10"}, "systole-ten-cusp",
-                   _claim_systole("ten", fixtures.ten_cusp_graph, 18, 8)))
-    claims.append(({"n=11"}, "systole-eleven-cusp",
-                   _claim_systole("eleven", fixtures.eleven_cusp_graph,
-                                  18, 6)))
-    claims.append(({"a7", "n=7"}, "a7-determinants",
-                   _claim_fixture_dets("a7")))
-    claims.append(({"a7", "n=7"}, "a7-word-traces",
-                   _claim_word_traces(lambda: fixtures.A7,
-                                      fixtures.SEVEN_CUSP_TRACE14_WORDS, 14)))
-    claims.append(({"b7", "n=7"}, "b7-perturbed-traces",
-                   _claim_seven_perturbed()))
-    claims.append(({"gamma10", "n=10"}, "gamma10-determinants",
-                   _claim_fixture_dets("gamma10")))
-    claims.append(({"gamma10", "gamma5-n10", "n=10"}, "gamma5-correction",
-                   _claim_gamma5_correction()))
-    claims.append(({"gamma10", "n=10"}, "gamma10-word-traces",
-                   _claim_word_traces(lambda: fixtures.GAMMA10,
-                                      fixtures.TEN_CUSP_SYSTOLE_WORDS, 18)))
-    claims.append(({"alpha10", "n=10"}, "alpha10-perturbed-traces",
-                   _claim_ten_perturbed()))
-    claims.append(({"alpha10", "n=10"}, "alpha10-certified-absence",
-                   _claim_certified_absence("alpha10")))
-    claims.append(({"gamma11", "n=11"}, "gamma11-determinants",
-                   _claim_fixture_dets("gamma11")))
-    claims.append(({"gamma11", "n=11"}, "gamma11-word-traces",
-                   _claim_word_traces(lambda: fixtures.GAMMA11,
-                                      fixtures.ELEVEN_CUSP_SYSTOLE_WORDS, 18)))
-    claims.append(({"gamma11", "n=11"}, "gamma11-systole-classes",
-                   _claim_eleven_arithmetic_classes()))
-    claims.append(({"alpha11", "n=11"}, "alpha11-perturbed-traces",
-                   _claim_eleven_perturbed()))
-    claims.append(({"alpha11", "n=11"}, "alpha11-certified-absence",
-                   _claim_certified_absence("alpha11")))
-    claims.append(({"example2", "n=10"}, "example2-polygon",
-                   _claim_example_polygon("ten-compact", [
-                       "0/1", "1/2", "1/1", "3/2", "2/1", "7/3", "5/2",
-                       "3/1", "10/3", "7/2", "18/5", "29/8", "11/3",
-                       "4/1", "9/2", "14/3", "5/1", "1/0"])))
-    return claims
+# (name, selectors, check, *args); `verify-paper SELECTOR` runs the rows
+# whose selectors contain SELECTOR, in this order.
+PAPER_CLAIMS = [
+    *((f"density-n{n}", {f"n={n}"}, _max_min_density, n, value)
+      for n, value in {4: 9, 5: 12, 6: 16, 7: 16, 8: 18, 9: 20, 10: 20,
+                       11: 20, 12: 25}.items()),
+    ("schmutz-equality-n12", {"n=12"}, _schmutz_equality, 12,
+     Q(5, 2), Q(23, 2)),
+    ("systole-tetrahedron", {"n=4"}, _systole, tetrahedron, 7, 3, 4),
+    ("systole-octahedron", {"n=6"}, _systole, octahedron, 14, 12, 6),
+    ("systole-icosahedron", {"n=12"}, _systole, icosahedron, 23, 30, 12),
+    ("systole-ten-cusp", {"n=10"}, _systole, fixtures.ten_cusp_graph, 18, 8),
+    ("systole-eleven-cusp", {"n=11"}, _systole, fixtures.eleven_cusp_graph,
+     18, 6),
+    ("a7-determinants", {"a7", "n=7"}, _determinants, "a7", 1),
+    ("a7-word-traces", {"a7", "n=7"}, _word_traces, "a7",
+     fixtures.SEVEN_CUSP_TRACE14_WORDS, [14]),
+    ("b7-perturbed-traces", {"b7", "n=7"}, _word_traces, "b7",
+     fixtures.SEVEN_CUSP_TRACE14_WORDS,
+     ["14.0364", "14.0364", "14.0037", "14.0071", "14.0211"], 14),
+    ("gamma10-determinants", {"gamma10", "n=10"}, _determinants, "gamma10", 1),
+    ("gamma5-correction", {"gamma10", "gamma5-n10", "n=10"},
+     _gamma5_correction, 14, 449),
+    ("gamma10-word-traces", {"gamma10", "n=10"}, _word_traces, "gamma10",
+     fixtures.TEN_CUSP_SYSTOLE_WORDS, [18]),
+    ("alpha10-perturbed-traces", {"alpha10", "n=10"}, _word_traces,
+     "alpha10", fixtures.TEN_CUSP_SYSTOLE_WORDS, [Q(45399, 2500)]),
+    ("alpha10-certified-absence", {"alpha10", "n=10"}, _certified_sweep,
+     "alpha10", 18, 0),
+    ("gamma11-determinants", {"gamma11", "n=11"}, _determinants, "gamma11", 1),
+    ("gamma11-word-traces", {"gamma11", "n=11"}, _word_traces, "gamma11",
+     fixtures.ELEVEN_CUSP_SYSTOLE_WORDS, [18]),
+    ("gamma11-systole-classes", {"gamma11", "n=11"}, _certified_sweep,
+     "gamma11", 18, 6),
+    ("alpha11-perturbed-traces", {"alpha11", "n=11"}, _word_traces,
+     "alpha11", fixtures.ELEVEN_CUSP_SYSTOLE_WORDS,
+     [Q(36361, 2020), Q(454, 25)], 18),
+    ("alpha11-certified-absence", {"alpha11", "n=11"}, _certified_sweep,
+     "alpha11", 18, 0),
+    ("example2-polygon", {"example2", "n=10"}, _polygon, "ten-compact", [
+        "0/1", "1/2", "1/1", "3/2", "2/1", "7/3", "5/2", "3/1", "10/3",
+        "7/2", "18/5", "29/8", "11/3", "4/1", "9/2", "14/3", "5/1", "1/0"]),
+]
 
 
 def cmd_verify_paper(args, out):
-    selector = args.selector
-    claims = _paper_claims()
-    if selector != "all":
-        claims = [c for c in claims if selector in c[0]]
-        if not claims:
-            raise InputError(f"unknown selector {selector!r}")
+    rows = [row for row in PAPER_CLAIMS
+            if args.selector == "all" or args.selector in row[1]]
+    if not rows:
+        raise InputError(f"unknown selector {args.selector!r}")
     results = []
-    for _, name, run in claims:
-        ok, detail = run()
+    for name, _, check, *values in rows:
+        ok, detail = check(*values)
         results.append({"claim": name, "ok": ok, "detail": detail})
     if args.json:
         out(json.dumps(results, indent=2))
@@ -587,25 +540,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     lines = []
+    message = None
     try:
         code = args.fn(args, lines.append)
     except (InputError, ValueError) as exc:
-        for line in lines:
-            print(line)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, message = EXIT_INPUT, f"error: {exc}"
     except ClaimFailure as exc:
-        for line in lines:
-            print(line)
-        print(f"failure: {exc}", file=sys.stderr)
-        return EXIT_CLAIM
+        code, message = EXIT_CLAIM, f"failure: {exc}"
     except ResourceLimitError as exc:
-        for line in lines:
-            print(line)
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        code, message = EXIT_RESOURCE, f"resource limit: {exc}"
     for line in lines:
         print(line)
+    if message is not None:
+        print(message, file=sys.stderr)
     return code
 
 

@@ -135,7 +135,6 @@ SEVEN_CUSP_TRACE14_WORDS = [
     [(5, 1), (6, 1)],
     [(6, 1), (1, 1), (2, 1), (1, -1)],
 ]
-SEVEN_CUSP_PERTURBED_TRACES = ["14.0364", "14.0364", "14.0037", "14.0071", "14.0211"]
 
 
 # -- 10-cusp generators --------------------------------------------------

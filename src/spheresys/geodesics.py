@@ -157,10 +157,15 @@ def systole_combinatorial(g: Triangulation,
     The enumeration bound defaults to the best a-priori upper bound (a
     low-density edge or a pattern certificate), which is itself realized
     by a dual walk, so the enumeration always sees the systole class.
+    A given ``trace_bound`` below the systole's |trace| raises ValueError.
     """
-    if trace_bound is None:
+    given = trace_bound is not None
+    if not given:
         trace_bound = g.a_priori_trace_bound() or 30
     witnesses = enumerate_geodesics_combinatorial(g, trace_bound)
+    if not witnesses and given:
+        raise ValueError(f"no hyperbolic class with |trace| <= {trace_bound}; "
+                         f"the systole lies above the trace bound")
     if not witnesses:
         raise RuntimeError("no hyperbolic class at or below the bound; "
                            "the a-priori bound should be attained")

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from spheresys import cli, fixtures
 from spheresys.modular import MoebiusMap
-from spheresys.triangulation import Triangulation, tetrahedron
+from spheresys.triangulation import Triangulation, icosahedron, tetrahedron
 from test_triangulation import tetrahedron_and_torus
 
 
@@ -187,11 +187,72 @@ class TestVerifyPaper:
         assert code == 2
 
     def test_claim_failure_exit(self, capsys, monkeypatch):
-        monkeypatch.setattr(fixtures, "SEVEN_CUSP_PERTURBED_TRACES",
-                            ["1.0000"] * 5)
+        rows = [(*row[:-2], ["1.0000"] * 5, row[-1])
+                if row[0] == "b7-perturbed-traces" else row
+                for row in cli.PAPER_CLAIMS]
+        monkeypatch.setattr(cli, "PAPER_CLAIMS", rows)
         code, out = run(capsys, "verify-paper", "b7")
         assert code == 1
         assert "FAIL" in out
+
+
+# the cusp count each claim is about, in the suite's order
+CLAIM_N = {
+    **{f"density-n{n}": n for n in range(4, 13)},
+    "schmutz-equality-n12": 12, "systole-tetrahedron": 4,
+    "systole-octahedron": 6, "systole-icosahedron": 12,
+    "systole-ten-cusp": 10, "systole-eleven-cusp": 11,
+    "a7-determinants": 7, "a7-word-traces": 7, "b7-perturbed-traces": 7,
+    "gamma10-determinants": 10, "gamma5-correction": 10,
+    "gamma10-word-traces": 10, "alpha10-perturbed-traces": 10,
+    "alpha10-certified-absence": 10, "gamma11-determinants": 11,
+    "gamma11-word-traces": 11, "gamma11-systole-classes": 11,
+    "alpha11-perturbed-traces": 11, "alpha11-certified-absence": 11,
+    "example2-polygon": 10,
+}
+FIXTURE_SELECTORS = {
+    "a7": {"a7-determinants", "a7-word-traces"},
+    "b7": {"b7-perturbed-traces"},
+    "gamma10": {"gamma10-determinants", "gamma5-correction",
+                "gamma10-word-traces"},
+    "gamma5-n10": {"gamma5-correction"},
+    "alpha10": {"alpha10-perturbed-traces", "alpha10-certified-absence"},
+    "gamma11": {"gamma11-determinants", "gamma11-word-traces",
+                "gamma11-systole-classes"},
+    "alpha11": {"alpha11-perturbed-traces", "alpha11-certified-absence"},
+    "example2": {"example2-polygon"},
+}
+# the three certified sweeps and the n >= 11 enumerations take seconds each
+SLOW_CLAIMS = {"density-n11", "density-n12", "alpha10-certified-absence",
+               "gamma11-systole-classes", "alpha11-certified-absence"}
+
+
+def perturbed(value):
+    if isinstance(value, list):
+        return value[:-1] + [perturbed(value[-1])]
+    if isinstance(value, str):
+        return value + "1"
+    return value + 1
+
+
+class TestClaimTable:
+    @pytest.mark.parametrize(
+        "row", [row for row in cli.PAPER_CLAIMS if row[0] not in SLOW_CLAIMS],
+        ids=lambda row: row[0])
+    def test_row(self, row):
+        name, selectors, check, *values = row
+        assert f"n={CLAIM_N[name]}" in selectors
+        assert check(*values)[0]
+        assert not check(*values[:-1], perturbed(values[-1]))[0]
+
+    def test_names_and_selectors(self):
+        assert [row[0] for row in cli.PAPER_CLAIMS] == list(CLAIM_N)
+        expected = {f"n={n}": {name for name, k in CLAIM_N.items() if k == n}
+                    for n in range(4, 13)}
+        expected.update(FIXTURE_SELECTORS)
+        for selector, names in expected.items():
+            assert {row[0] for row in cli.PAPER_CLAIMS
+                    if selector in row[1]} == names, selector
 
 
 class TestRender:
@@ -212,6 +273,20 @@ GENS_14 = {"1": ["1", "0", "4", "1"], "2": ["5", "-4", "4", "-3"]}
 GENS_HUGE = {"1": ["1e400", "0", "0", "1e-400"], "2": ["1", "0", "4", "1"]}
 
 
+def one_line_error(capsys, tmp_path, content, *argv):
+    """Run `argv[0] FILE argv[1:]` on a file holding content; return the
+    one `error:` line, checking exit 2 and nothing on stdout."""
+    path = tmp_path / "input"
+    path.write_text(content)
+    code = cli.main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    return captured.err
+
+
 class TestBadInput:
     @pytest.mark.parametrize("content", [
         "rotation 0: 5 1 2\nrotation 1: 3 4\ntwin 0 3\n",
@@ -220,25 +295,22 @@ class TestBadInput:
         json.dumps({"generators": GENS_14, "diameter": float("nan")}),
         json.dumps({"generators": GENS_14, "diameter": 400}),
         json.dumps({"generators": {"1": ["1e3000000", "0", "0", "1"]}}),
+        # the icosahedron's systole has |trace| 23, above the bound
+        pytest.param(icosahedron().to_text(), id="bound-below-systole"),
     ])
-    def test_one_line_error(self, capsys, tmp_path, content, bound="14"):
-        path = tmp_path / "input"
-        path.write_text(content)
-        code = cli.main(["systole", str(path), "--trace-bound", bound])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: ")
+    def test_one_line_error(self, capsys, tmp_path, content):
+        one_line_error(capsys, tmp_path, content,
+                       "systole", "--trace-bound", "14")
 
     def test_trace_bound_overflow(self, capsys, tmp_path):
-        self.test_one_line_error(capsys, tmp_path,
-                                 json.dumps({"generators": GENS_14}),
-                                 bound="1" + "0" * 400)
+        one_line_error(capsys, tmp_path, json.dumps({"generators": GENS_14}),
+                       "systole", "--trace-bound", "1" + "0" * 400)
 
     def test_disconnected_map(self, capsys, tmp_path):
-        self.test_one_line_error(capsys, tmp_path,
-                                 tetrahedron_and_torus().to_text())
+        for command in ("density", "develop", "render", "systole"):
+            err = one_line_error(capsys, tmp_path,
+                                 tetrahedron_and_torus().to_text(), command)
+            assert "2 connected components" in err, command
 
     def test_huge_entries_run(self, capsys, tmp_path):
         path = tmp_path / "huge.json"

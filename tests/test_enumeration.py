@@ -69,13 +69,14 @@ class TestCounts:
 
 class TestStreamProperties:
     def test_all_valid_and_distinct(self):
-        emitted = classes(8)
-        codes = set()
-        for t in emitted:
-            report = t.validate()
-            assert report.ok and report.regular
-            codes.add(t.canonical_code())
-        assert len(codes) == len(emitted)
+        for n in range(4, 11):
+            emitted = classes(n)
+            codes = set()
+            for t in emitted:
+                report = t.validate()
+                assert report.ok and report.regular
+                codes.add(t.canonical_code())
+            assert len(codes) == len(emitted)
 
     def test_deterministic_order(self):
         first = [t.canonical_form().to_text() for t in classes(7)]
@@ -123,8 +124,9 @@ class TestVerifyProposition:
     @pytest.mark.parametrize("n", range(4, 10))
     def test_reports(self, n):
         report = verify_proposition(n)
-        assert report["ok"]
-        assert report["regular_ok"] and report["degenerate_ok"]
+        assert report["regular_max_min_density"] == {
+            4: 9, 5: 12, 6: 16, 7: 16, 8: 18, 9: 20}[n]
+        assert report["degenerate_ok"]
         counts = report["generation"]
         assert counts["classes"] == KNOWN_COUNTS[n]
         assert counts["children"] == counts["rejected_by_rank"] + counts["edge_codes"]
@@ -142,5 +144,6 @@ class TestVerifyProposition:
             "sibling_duplicates": 233, "classes": 233}
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            verify_proposition(3)
+        for n in (3, 13):
+            with pytest.raises(ValueError):
+                verify_proposition(n)

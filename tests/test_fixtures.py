@@ -43,7 +43,7 @@ class TestSevenCuspWords:
         for w in fixtures.SEVEN_CUSP_TRACE14_WORDS:
             m = fixtures.word_matrix(fixtures.B7, w)
             got.append(f"{float(abs(m.trace)):.4f}")
-        assert got == fixtures.SEVEN_CUSP_PERTURBED_TRACES
+        assert got == ["14.0364", "14.0364", "14.0037", "14.0071", "14.0211"]
 
     def test_perturbation_lengthens_systole(self):
         for w in fixtures.SEVEN_CUSP_TRACE14_WORDS:
