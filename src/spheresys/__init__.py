@@ -44,7 +44,6 @@ from .geodesics import (
     enumerate_geodesics_combinatorial,
     systole_combinatorial,
     systole_matrix_group,
-    verify_density_length,
     polygon_diameter_proxy,
 )
 from .enumeration import (

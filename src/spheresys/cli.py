@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from fractions import Fraction as Q
 
 from . import fixtures
@@ -472,13 +473,16 @@ def cmd_verify_paper(args, out):
         raise InputError(f"unknown selector {args.selector!r}")
     results = []
     for name, _, check, *values in rows:
+        start = time.perf_counter()
         ok, detail = check(*values)
-        results.append({"claim": name, "ok": ok, "detail": detail})
+        results.append({"claim": name, "ok": ok, "detail": detail,
+                        "seconds": round(time.perf_counter() - start, 3)})
     if args.json:
         out(json.dumps(results, indent=2))
     else:
         for r in results:
-            out(f"{'PASS' if r['ok'] else 'FAIL'} {r['claim']}: {r['detail']}")
+            out(f"{'PASS' if r['ok'] else 'FAIL'} {r['claim']} "
+                f"({r['seconds']:.2f} s): {r['detail']}")
     if not all(r["ok"] for r in results):
         raise ClaimFailure("some claims failed")
     return EXIT_OK

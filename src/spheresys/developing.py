@@ -290,21 +290,13 @@ def develop(g: Triangulation, tree: Optional[SpanningTree] = None,
                        pairing_of_dart, cusp_generators, first_label)
 
 
-def generators(dev: Development, include_cusps: bool = False) -> List[MoebiusMap]:
-    """The side pairings (one per tree edge); optionally cusp parabolics too.
+def generators(dev: Development) -> List[MoebiusMap]:
+    """The side pairings, one per tree edge.
 
     The tree's n-1 side pairings pair all 2(n-1) polygon sides and hence
-    generate the group; the cusp parabolics are redundant but appear in
-    printed generator lists.
+    generate the group.
     """
-    gens = [dev.side_pairings[e] for e in sorted(dev.side_pairings)]
-    if include_cusps:
-        seen = set(gens) | {m.inverse() for m in gens}
-        for w in sorted(dev.cusp_generators):
-            m = dev.cusp_generators[w]
-            if m not in seen:
-                gens.append(m)
-    return gens
+    return [dev.side_pairings[e] for e in sorted(dev.side_pairings)]
 
 
 def check_cusp_parabolics(dev: Development) -> bool:

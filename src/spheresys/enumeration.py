@@ -25,7 +25,6 @@ __all__ = [
     "EnumerationQuery",
     "ResourceLimitError",
     "enumerate_triangulations",
-    "naive_enumerate_count",
     "max_min_density",
     "verify_proposition",
 ]
@@ -234,54 +233,6 @@ def enumerate_triangulations(q: EnumerationQuery) -> Iterator[Triangulation]:
         if min(len(r) for r in rot) < q.min_degree:
             continue
         yield Triangulation.from_simple_rotations(rot)
-
-
-# -- independent oracle --------------------------------------------------
-
-def naive_enumerate_count(n: int) -> int:
-    """Count simple triangulation classes by diagonal-flip closure.
-
-    Independent of the splitting generator and of the canonical code:
-    starts from one triangulation with n vertices, closes under diagonal
-    flips (the flip graph of simple sphere triangulations is connected),
-    and counts classes with graph-isomorphism testing.  For simple
-    sphere triangulations graph isomorphism agrees with map isomorphism
-    up to reflection, so the counts are comparable.
-    """
-    import networkx as nx
-    from networkx.algorithms.isomorphism import GraphMatcher
-
-    rot = _k4_rotations()
-    while len(rot) < n:
-        rot = _split_vertex(rot, 0, 0, 1)
-    start = Triangulation.from_simple_rotations(rot)
-
-    def to_graph(t):
-        g = nx.Graph()
-        for e in range(t.n_edges):
-            g.add_edge(*t.edge_endpoints(e))
-        return g
-
-    reps: List[Tuple[Triangulation, "nx.Graph", str]] = []
-
-    def find(t):
-        g = to_graph(t)
-        h = nx.weisfeiler_lehman_graph_hash(g, iterations=4)
-        for _, g2, h2 in reps:
-            if h == h2 and GraphMatcher(g, g2).is_isomorphic():
-                return True
-        reps.append((t, g, h))
-        return False
-
-    queue = [start]
-    find(start)
-    while queue:
-        t = queue.pop()
-        for e in range(t.n_edges):
-            f = t.flip(e)
-            if f is not None and not find(f):
-                queue.append(f)
-    return len(reps)
 
 
 # -- density extremes ----------------------------------------------------

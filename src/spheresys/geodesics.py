@@ -17,8 +17,7 @@ from fractions import Fraction as Q
 from numbers import Real
 from typing import Dict, List, Optional, Tuple
 
-from .modular import (IDENTITY, TURNS, MoebiusMap, NotHyperbolicError,
-                      lr_word_value, mat_mul, trace_to_length)
+from .modular import IDENTITY, TURNS, MoebiusMap, mat_mul, trace_to_length
 from .triangulation import Triangulation
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "enumerate_geodesics_combinatorial",
     "systole_combinatorial",
     "systole_matrix_group",
-    "verify_density_length",
     "polygon_diameter_proxy",
 ]
 
@@ -210,6 +208,71 @@ def _within(quad, den, cap) -> bool:
     return (a * a + b * b + c * c + d * d) * cap[1] <= den * den * cap[0]
 
 
+def _gram(quad, den) -> Tuple[float, float, float]:
+    """G = S^T S of S = quad / den in floats, as (g11, g12, g22).
+
+    Each entry of S is rounded once from its exact value (int / int
+    true division rounds correctly), so no float error is carried from
+    one element to the next.
+    """
+    a, b, c, d = quad
+    a, b, c, d = a / den, b / den, c / den, d / den
+    return a * a + c * c, a * b + c * d, b * b + d * d
+
+
+def _norm2(m: MoebiusMap) -> Q:
+    """The exact a^2 + b^2 + c^2 + d^2 of a map."""
+    return Q(sum(x * x for x in m.quad), m.den * m.den)
+
+
+# The float pre-filter's error constant c and unit roundoff u.
+_FILTER_C = 16
+_U = Q(1, 2 ** 53)
+
+
+def _prefilter(t: MoebiusMap, cap: float, s_bound: Q):
+    """Float pre-filter for the exact displacement test of products S t.
+
+    With G = S^T S (``_gram``) and H = t t^T, the product's squared
+    Frobenius norm is tr(G H) = g11 h11 + 2 g12 h12 + g22 h22: three
+    multiplications per product once G is formed per element and H per
+    move, against eight and four squares for the plain float product.
+    Returns (h11, 2 h12, h22, threshold), or None where the filter does
+    not apply; a product whose float value exceeds the threshold fails
+    the exact test ``_within`` too, and any other product goes on to it.
+
+    The bound.  Every S the filter sees has ||S||^2 <= s_bound exactly
+    (the search passes its cap: each explored element passed
+    ``_within``), and ||S||^2, ||t||^2 >= 2 since the determinant is 1.
+    Let u = 2^-53.  Entries of S and t are rounded once; each entry of
+    G or H then carries at most four roundings (two inputs, a product, a
+    sum) and each term of the trace form three more (a product and two
+    sums; the doubling is exact), so the computed value differs from
+    tr(G H) by at most (11 u + O(u^2)) (g11 h11 + 2 p q + g22 h22), with
+    p = |ab| + |cd| <= sqrt(g11 g22) and q likewise for H.  By AM-GM
+    that is at most 11.01 u ||S||^2 ||t||^2.  Underflow adds below
+    2^-1074 per operation, negligible against u ||S||^2 ||t||^2 >= 4 u.
+    So a float value above cap + c u s_bound ||t||^2 (c = 16), rounded
+    to the nearest float, proves the exact value is above cap: since
+    s_bound >= cap in both callers, the margin of
+    5 u s_bound ||t||^2 >= 10 u cap covers the two roundings of the
+    threshold itself.  The threshold is cap (1 + delta_t) with
+    delta_t = c u s_bound ||t||^2 / cap, computed from the exact
+    entries of t rather than fixed.
+
+    The filter applies only while s_bound ||t||^2 <= 2^1000, so that no
+    float it forms can overflow (a generator with entries of 1e400 fails
+    this), and while delta_t <= 2^-10, so that it stays a tight test.
+    """
+    bound = s_bound * _norm2(t)
+    margin = _FILTER_C * _U * bound
+    if bound > 2 ** 1000 or margin > Q(cap) / 2 ** 10:
+        return None
+    e, f, g, h = (x / t.den for x in t.quad)
+    return (e * e + f * f, 2.0 * (e * g + f * h), g * g + h * h,
+            cap + float(margin))
+
+
 def _conjugacy_classes(candidates: Dict, steps: Dict, norm_cap,
                        extra_pairs=(), node_cap: int = 200_000):
     """Partition candidate elements into conjugacy classes.
@@ -223,9 +286,16 @@ def _conjugacy_classes(candidates: Dict, steps: Dict, norm_cap,
     the classes and whether every closure ran to the end; one cut short
     at node_cap may leave a class split, so its caller must not certify
     the partition.
+
+    A conjugate t s t^-1 is formed as the integer product (t s) t^-1 and
+    goes through the float pre-filter and the exact test before a map
+    is built.  The filter sees S = t s with ||S||^2 <= ||t||^2 norm_cap,
+    since every candidate and every visited conjugate is within norm_cap.
     """
     cap = norm_cap.as_integer_ratio()
-    conjugators = [(t, t.inverse()) for t in steps.values()]
+    conjugators = [(t.quad, t.den, t.inverse().quad,
+                    _prefilter(t.inverse(), norm_cap, _norm2(t) * Q(norm_cap)))
+                   for t in steps.values()]
     assigned: Dict[MoebiusMap, int] = {}
     label = 0
     closed = True
@@ -237,9 +307,18 @@ def _conjugacy_classes(candidates: Dict, steps: Dict, norm_cap,
         visited = {start}
         while queue and len(visited) < node_cap:
             s = queue.pop()
-            for t, t_inv in conjugators:
-                u = t * s * t_inv
-                if u in visited or not _within(u.quad, u.den, cap):
+            for t_quad, t_den, inv_quad, filt in conjugators:
+                ts, ts_den = mat_mul(t_quad, s.quad), t_den * s.den
+                if filt is not None:
+                    g11, g12, g22 = _gram(ts, ts_den)
+                    h11, h12x2, h22, threshold = filt
+                    if g11 * h11 + g12 * h12x2 + g22 * h22 > threshold:
+                        continue
+                quad, den = mat_mul(ts, inv_quad), ts_den * t_den
+                if not _within(quad, den, cap):
+                    continue
+                u = MoebiusMap(*quad, den)
+                if u in visited:
                     continue
                 visited.add(u)
                 queue.append(u)
@@ -291,10 +370,18 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     horizon with diameter 0 plus one unit of slack.  A diameter must be
     a finite real >= 0, and a horizon too large for a float is refused;
     a class closure cut short by its node cap clears the certificate.
+
+    At most max_states elements (the identity included) are explored; a
+    sweep that needs more stops at the cap and is not certified.  Each
+    product first meets the float pre-filter of ``_prefilter``, which
+    rejects only products the exact test would reject, so the filter
+    changes no explored element, witness or trace.
     """
     trace_bound = Q(trace_bound)
     if trace_bound <= 2:
         raise ValueError("trace bound must exceed 2")
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, not {max_states}")
     certified = diameter is not None
     bad_diameter = f"diameter must be a finite real >= 0, not {diameter!r}"
     if certified and (isinstance(diameter, bool)
@@ -306,7 +393,8 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
             raise ValueError(bad_diameter)
         horizon = 2.0 * math.acosh(float(trace_bound) / 2.0) + 2.0 * diam
         # displacement test: 2 cosh d(i, Wi) = (a^2+b^2+c^2+d^2) / den^2
-        cap = (2.0 * math.cosh(horizon)).as_integer_ratio()
+        cap_float = 2.0 * math.cosh(horizon)
+        cap = cap_float.as_integer_ratio()
         closure_cap = 2.0 * math.cosh(horizon + 3.0)
     except OverflowError:
         raise ValueError(f"trace bound {trace_bound} and diameter {diameter!r} "
@@ -316,9 +404,16 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
         steps[(lab, 1)] = m
         steps[(lab, -1)] = m.inverse()
     bound_num, bound_den = trace_bound.numerator, trace_bound.denominator
-    # (token, the token that would cancel it, its integer entries)
-    moves = [(tok, (tok[0], -tok[1]), t.quad, t.den)
+    # (token, its integer entries, its float pre-filter); a move the
+    # filter does not apply to gets H = 0 and an infinite threshold, so
+    # it never rejects
+    moves = [(tok, t.quad, t.den, *(_prefilter(t, cap_float, Q(cap_float))
+                                    or (0.0, 0.0, 0.0, math.inf)))
              for tok, t in steps.items()]
+    # the moves that may follow a word's last token: all but its inverse
+    moves_after = {None: moves}
+    for lab, exp in steps:
+        moves_after[lab, exp] = [m for m in moves if m[0] != (lab, -exp)]
 
     seen = {IDENTITY: ()}
     frontier = [IDENTITY]
@@ -326,25 +421,26 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     candidates: Dict[MoebiusMap, Tuple] = {}
     min_above = None        # least |trace| above the bound, as (num, den)
 
-    while frontier:
-        if len(seen) > max_states:
-            exhausted = False
-            break
+    while frontier and exhausted:
         nxt = []
         for s in frontier:
             word = seen[s]
-            last = word[-1] if word else None
+            follow = moves_after[word[-1] if word else None]
             quad, den = s.quad, s.den
-            for tok, undo, t_quad, t_den in moves:
-                if last == undo:
+            g11, g12, g22 = _gram(quad, den)
+            for tok, t_quad, t_den, h11, h12x2, h22, threshold in follow:
+                if g11 * h11 + g12 * h12x2 + g22 * h22 > threshold:
                     continue
-                # test the raw product; most are rejected before the gcd
+                # test the raw product exactly before the gcd
                 prod, prod_den = mat_mul(quad, t_quad), den * t_den
                 if not _within(prod, prod_den, cap):
                     continue
                 ns = MoebiusMap(*prod, prod_den)
                 if ns in seen:
                     continue
+                if len(seen) >= max_states:
+                    exhausted = False
+                    break
                 nword = word + (tok,)
                 seen[ns] = nword
                 nxt.append(ns)
@@ -355,6 +451,8 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
                     elif (min_above is None
                           or tr * min_above[1] < min_above[0] * ns.den):
                         min_above = (tr, ns.den)
+            if not exhausted:
+                break
         frontier = nxt
 
     witnesses = []
@@ -422,22 +520,3 @@ def polygon_diameter_proxy(dev) -> float:
             d = max(0.0, math.log(1.0 / height))
         worst = max(worst, d)
     return worst
-
-
-def verify_density_length(g: Triangulation, e: int) -> Tuple[int, float]:
-    """Trace and length of the dual-walk witness crossing edge e.
-
-    The geodesic crossing an edge with endpoint degrees m1, m2 spells
-    L R^(m1-2) L R^(m2-2) and has trace D - 2 for density D = m1 * m2.
-    """
-    u, v = g.edge_endpoints(e)
-    m1, m2 = g.degree[u], g.degree[v]
-    if m1 < 2 or m2 < 2:
-        raise ValueError("witness word needs both endpoint degrees >= 2")
-    d = m1 * m2
-    if d <= 4:
-        raise NotHyperbolicError(f"density {d} gives trace {d - 2} <= 2")
-    word = "L" + "R" * (m1 - 2) + "L" + "R" * (m2 - 2)
-    m = lr_word_value(word)
-    assert m.trace == d - 2
-    return d - 2, trace_to_length(d - 2)

@@ -293,9 +293,9 @@ class Triangulation:
     def a_priori_trace_bound(self) -> Optional[int]:
         """Least |trace| certified without a search, or None if none is.
 
-        A non-loop edge of density D >= 5 is crossed by a dual walk of
-        trace D - 2 (``geodesics.verify_density_length``), and each
-        pattern certificate names a walk of its trace bound.
+        A non-loop edge of density D = m1 m2 >= 5 is crossed by the dual
+        walk L R^(m1-2) L R^(m2-2) of trace D - 2, and each pattern
+        certificate names a walk of its trace bound.
         """
         density = self.density()
         bounds = [density.densities[e] - 2 for e in range(self.n_edges)

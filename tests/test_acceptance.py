@@ -11,7 +11,6 @@ from fractions import Fraction as Q
 from spheresys import fixtures
 from spheresys.developing import SpanningTree, check_cusp_parabolics, develop
 from spheresys.enumeration import (EnumerationQuery, max_min_density,
-                                   naive_enumerate_count,
                                    enumerate_triangulations)
 from spheresys.geodesics import systole_combinatorial
 from spheresys.modular import (cusp_parabolic, farey_adjacent, Frac,
@@ -19,6 +18,7 @@ from spheresys.modular import (cusp_parabolic, farey_adjacent, Frac,
                                schmutz_bound, trace_to_length)
 from spheresys.triangulation import icosahedron, octahedron, tetrahedron
 
+from test_enumeration import naive_enumerate_count
 from test_geodesics import cyclic_words_equal
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +169,7 @@ class TestVerifyPaper:
         assert code == 0
         lines = [l for l in out.splitlines() if l]
         assert lines and all(l.startswith("PASS") for l in lines)
+        assert all(re.match(r"PASS \S+ \(\d+\.\d\d s\): ", l) for l in lines)
 
     def test_gamma5_report(self, capsys):
         code, out = run(capsys, "verify-paper", "gamma5-n10")
@@ -181,6 +183,8 @@ class TestVerifyPaper:
         assert all(r["ok"] for r in data)
         assert {r["claim"] for r in data} == {"a7-determinants",
                                               "a7-word-traces"}
+        assert all(isinstance(r["seconds"], float) and r["seconds"] >= 0
+                   for r in data)
 
     def test_unknown_selector(self, capsys):
         code, _ = run(capsys, "verify-paper", "n=99")

@@ -266,16 +266,6 @@ class TestInvariants:
                 assert check_cusp_parabolics(dev)
 
 
-class TestGenerators:
-    def test_include_cusps_appends_new_parabolics(self):
-        g, tree, seed = fixtures.named_development("ten-long")
-        dev = develop(g, tree, seed=seed)
-        plain = generators(dev)
-        extended = generators(dev, include_cusps=True)
-        assert len(extended) >= len(plain)
-        assert set(plain) <= set(extended)
-
-
 class TestErrors:
     def test_seed_edge_not_in_tree(self):
         t = tetrahedron()

@@ -1,22 +1,22 @@
 import functools
 import math
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spheresys import fixtures
 from spheresys.developing import SpanningTree, develop, generators
 from spheresys import geodesics
 from spheresys.geodesics import (GeodesicWitness, _conjugacy_classes,
-                                 _cyclic_key,
+                                 _cyclic_key, _gram, _prefilter,
                                  enumerate_geodesics_combinatorial,
                                  polygon_diameter_proxy,
                                  systole_combinatorial,
-                                 systole_matrix_group,
-                                 verify_density_length)
-from spheresys.modular import (MoebiusMap, NotHyperbolicError, lr_word_value,
-                               schmutz_bound, trace_to_length)
+                                 systole_matrix_group)
+from spheresys.modular import (IDENTITY, MoebiusMap, NotHyperbolicError,
+                               lr_word_value, schmutz_bound, trace_to_length)
 from spheresys.triangulation import (Triangulation, bipyramid_with_duplicates,
                                      example_duplicate_edges, example_loop,
                                      icosahedron, octahedron, tetrahedron)
@@ -179,10 +179,34 @@ class TestMatrixGroup:
         assert rep.diameter is None
         assert any(abs(w.trace) == 14 for w in rep.witnesses)
 
+    def test_states_explored_pinned(self, gamma10_search, alpha10_search,
+                                    gamma11_search, alpha11_search):
+        assert [rep.states_explored for rep in (
+            gamma10_search, alpha10_search, gamma11_search,
+            alpha11_search)] == [124766, 124480, 375030, 374738]
+
     def test_state_cap_reported_as_partial(self):
-        rep = systole_matrix_group(fixtures.GAMMA10, 18, diameter=4.5,
-                                   max_states=100)
-        assert not rep.frontier_exhausted
+        # a cap is checked as each element is added, not once per level
+        for cap in (100, 1000, 20000):
+            rep = systole_matrix_group(fixtures.GAMMA10, 18, diameter=4.5,
+                                       max_states=cap)
+            assert not rep.frontier_exhausted
+            assert rep.states_explored == cap
+
+    def test_sweep_finishing_at_its_cap(self):
+        gens = {2: fixtures.A7[2], 3: fixtures.A7[3]}
+        full = systole_matrix_group(gens, 14, diameter=1.0)
+        assert full.frontier_exhausted
+        n = full.states_explored
+        exact = systole_matrix_group(gens, 14, diameter=1.0, max_states=n)
+        assert exact.frontier_exhausted and exact.states_explored == n
+        assert exact.witnesses == full.witnesses
+        short = systole_matrix_group(gens, 14, diameter=1.0,
+                                     max_states=n - 1)
+        assert not short.frontier_exhausted
+        assert short.states_explored == n - 1
+        with pytest.raises(ValueError):
+            systole_matrix_group(gens, 14, diameter=1.0, max_states=0)
 
     def test_class_closure_cap_reported(self, monkeypatch):
         gens = {2: fixtures.A7[2], 3: fixtures.A7[3]}
@@ -230,6 +254,141 @@ class TestMatrixGroup:
     def test_bound_too_small(self):
         with pytest.raises(ValueError):
             systole_matrix_group(fixtures.A7, 2)
+
+
+def norm2(m):
+    return sum(x * x for x in m.entries())
+
+
+def reference_sweep(gens, bound, diameter, max_states):
+    """The breadth-first sweep with the exact displacement test alone.
+
+    Returns the explored elements with their words, the candidates
+    (hyperbolic, |trace| <= bound) and the least |trace| above the
+    bound, computed with Fractions throughout.
+    """
+    horizon = 2.0 * math.acosh(bound / 2.0) + 2.0 * diameter
+    cap = Q(2.0 * math.cosh(horizon))
+    steps = {}
+    for lab, m in gens.items():
+        steps[(lab, 1)] = m
+        steps[(lab, -1)] = m.inverse()
+    seen = {IDENTITY: ()}
+    frontier = [IDENTITY]
+    candidates, above = {}, []
+    while frontier and len(seen) < max_states:
+        nxt = []
+        for s in frontier:
+            word = seen[s]
+            for tok, t in steps.items():
+                if word and word[-1] == (tok[0], -tok[1]):
+                    continue
+                w = s * t
+                if norm2(w) > cap or w in seen:
+                    continue
+                if len(seen) >= max_states:
+                    break
+                seen[w] = word + (tok,)
+                nxt.append(w)
+                tr = abs(w.trace)
+                if tr > bound:
+                    above.append(tr)
+                elif tr > 2:
+                    candidates[w] = seen[w]
+        frontier = nxt
+    return seen, candidates, min(above, default=None)
+
+
+def diameter_for_cap(bound, norm):
+    """The least diameter whose sweep cap, as the engine rounds it, is
+    at least norm (and 0 when the bound alone gives a larger cap)."""
+    base = 2.0 * math.acosh(bound / 2.0)
+    d = max(0.0, (math.acosh(norm / 2.0) - base) / 2.0)
+    while 2.0 * math.cosh(base + 2.0 * d) < norm:
+        d = math.nextafter(d, math.inf)
+    return d
+
+
+def unimodular(a, b, c):
+    """The determinant-one matrix (a b; c (1 + b c) / a)."""
+    return MoebiusMap(a, b, c, (1 + b * c) / a)
+
+
+_small = st.integers(-3, 3)
+_integer_gen = st.tuples(_small, _small, _small).map(
+    lambda t: MoebiusMap(1, t[0], 0, 1) * MoebiusMap(1, 0, t[1], 1)
+    * MoebiusMap(1, t[2], 0, 1))
+_rational_gen = st.tuples(
+    st.sampled_from([1, 2, -1, Q(1, 2), Q(-3, 2), Q(2, 3), 3]),
+    st.fractions(Q(-3), Q(3), max_denominator=7),
+    st.fractions(Q(-3), Q(3), max_denominator=7)).map(
+    lambda t: unimodular(*t))
+_tiny = Q(1, 10 ** 400)
+_huge_gen = st.sampled_from([
+    MoebiusMap(1 / _tiny, 0, 0, _tiny),
+    MoebiusMap(1, 1 / _tiny, 0, 1),
+    MoebiusMap(_tiny, -1, 1 - 3 * _tiny, 3)])
+
+
+@st.composite
+def _generator_sets(draw):
+    """Integer, rational and huge- or tiny-entry generators, at times
+    all conjugated by one rational matrix."""
+    ms = draw(st.lists(_integer_gen | _rational_gen | _huge_gen,
+                       min_size=1, max_size=3))
+    c = draw(st.none() | _rational_gen)
+    if c is not None:
+        ms = [c * m * c.inverse() for m in ms]
+    return {i + 1: m for i, m in enumerate(ms)}
+
+
+class TestFloatPrefilter:
+    @settings(max_examples=40, deadline=None)
+    @given(_generator_sets(), st.sampled_from([3, Q(7, 2), 5, 8, 12]),
+           st.floats(0.0, 1.5), st.sampled_from([100, 400]))
+    def test_sweep_matches_exact_reference(self, gens, bound, diameter,
+                                           max_states):
+        seen, _, _ = reference_sweep(gens, bound, diameter, max_states)
+        if len(seen) < max_states:
+            # lower the cap onto the largest norm found: the sweep is the
+            # same, with that element on the boundary of the exact test
+            diameter = diameter_for_cap(bound, max(map(norm2, seen)))
+        # a small node cap keeps the class closures of a draw with
+        # hundreds of candidates, or a non-discrete one, short
+        with mock.patch.object(geodesics, "_conjugacy_classes",
+                               functools.partial(_conjugacy_classes,
+                                                 node_cap=100)):
+            rep = systole_matrix_group(gens, bound, diameter=diameter,
+                                       max_states=max_states)
+            # the same sweep and class closure with the filter off
+            with mock.patch.object(geodesics, "_prefilter",
+                                   lambda *args: None):
+                exact = systole_matrix_group(gens, bound, diameter=diameter,
+                                             max_states=max_states)
+        seen, candidates, min_above = reference_sweep(
+            gens, bound, diameter, max_states)
+        assert rep.states_explored == len(seen)
+        assert rep.min_trace_above_bound == min_above
+        for w in rep.witnesses:
+            assert candidates[w.matrix] == w.word
+        assert rep == exact
+
+    @given(st.lists(_integer_gen | _rational_gen, min_size=1, max_size=6),
+           _integer_gen | _rational_gen | _huge_gen)
+    def test_never_rejects_an_accepted_product(self, factors, t):
+        """At a cap just above both ||S||^2 and ||S t||^2 nothing is cut."""
+        s = functools.reduce(lambda x, y: x * y, factors)
+        needed = max(norm2(s), norm2(s * t))
+        assume(needed < 2 ** 1000)
+        cap = float(needed)
+        if Q(cap) < needed:
+            cap = math.nextafter(cap, math.inf)
+        filt = _prefilter(t, cap, Q(cap))
+        if filt is None:
+            return
+        g11, g12, g22 = _gram(s.quad, s.den)
+        h11, h12x2, h22, threshold = filt
+        assert g11 * h11 + g12 * h12x2 + g22 * h22 <= threshold
 
 
 class TestWordTrace:
@@ -289,6 +448,24 @@ class TestCyclicKey:
             other = inverse(other)
         assert key(other) == key(w)
         assert key(w) == brute_cyclic_key(w, inverse(w))
+
+
+def verify_density_length(g, e):
+    """Trace and length of the dual-walk witness crossing edge e.
+
+    The geodesic crossing an edge with endpoint degrees m1, m2 spells
+    L R^(m1-2) L R^(m2-2) and has trace D - 2 for density D = m1 * m2.
+    """
+    u, v = g.edge_endpoints(e)
+    m1, m2 = g.degree[u], g.degree[v]
+    if m1 < 2 or m2 < 2:
+        raise ValueError("witness word needs both endpoint degrees >= 2")
+    d = m1 * m2
+    if d <= 4:
+        raise NotHyperbolicError(f"density {d} gives trace {d - 2} <= 2")
+    word = "L" + "R" * (m1 - 2) + "L" + "R" * (m2 - 2)
+    assert lr_word_value(word).trace == d - 2
+    return d - 2, trace_to_length(d - 2)
 
 
 class TestVerifyDensityLength:
