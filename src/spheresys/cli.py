@@ -252,9 +252,6 @@ def cmd_develop(args, out):
         for v, m in sorted(dev.cusp_generators.items()):
             out(f"cusp {v}: {m}")
         out(f"cusp parabolic check: {'pass' if ok else 'FAIL'}")
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_polygon(dev))
     if not ok:
         raise ClaimFailure("cusp parabolic check failed")
     return EXIT_OK
@@ -510,7 +507,6 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--tree", help="spanning tree as u-v,u-v,...")
     p.add_argument("--seed-edge", help="terminal tree edge as u-v")
-    p.add_argument("--svg", help="also write the polygon SVG here")
     p.set_defaults(fn=cmd_develop)
 
     p = sub.add_parser("systole",

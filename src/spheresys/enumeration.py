@@ -9,8 +9,9 @@ canonical way to undo it.  Contraction of an edge in the canonical
 orbit determines the parent class, so no class is reached from two
 parents, and a per-parent set of codes removes the remaining duplicates
 (``_classes`` gives the argument in full).  Only the kept classes get a
-minimal-traversal canonical code.  A slow flip-closure generator doubles
-as an independent correctness oracle for small vertex counts.
+minimal-traversal canonical code.  The independent correctness oracle
+for small vertex counts, a slow flip-closure count, lives in
+tests/test_enumeration.py.
 """
 
 from __future__ import annotations

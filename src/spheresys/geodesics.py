@@ -185,19 +185,6 @@ class MatrixSearchReport:
     min_trace_above_bound: Optional[Q]
 
 
-def _cyclic_reduce(word):
-    w = list(word)
-    out = []
-    for tok in w:
-        if out and out[-1][0] == tok[0] and out[-1][1] == -tok[1]:
-            out.pop()
-        else:
-            out.append(tok)
-    while len(out) >= 2 and out[0][0] == out[-1][0] and out[0][1] == -out[-1][1]:
-        out = out[1:-1]
-    return tuple(out)
-
-
 def _within(quad, den, cap) -> bool:
     """Whether (a^2 + b^2 + c^2 + d^2) / den^2 <= M / K for cap = (M, K).
 
@@ -274,18 +261,24 @@ def _prefilter(t: MoebiusMap, cap: float, s_bound: Q):
 
 
 def _conjugacy_classes(candidates: Dict, steps: Dict, norm_cap,
-                       extra_pairs=(), node_cap: int = 200_000):
-    """Partition candidate elements into conjugacy classes.
+                       node_cap: int = 200_000):
+    """Partition candidates (element -> word) into conjugacy classes.
 
-    From each candidate, close under single-generator conjugation (which
-    preserves the trace) within the slightly enlarged displacement cap
-    norm_cap on (a^2 + b^2 + c^2 + d^2); the conjugates of a class form
-    a connected tube around its axis, so the closure visits every class
-    member, including ones whose connecting conjugates lie just outside
-    the searched ball.  Inverse classes are merged afterwards.  Returns
-    the classes and whether every closure ran to the end; one cut short
-    at node_cap may leave a class split, so its caller must not certify
-    the partition.
+    An element is identified with its inverse.  One union-find over the
+    candidates joins two of them on either of two sound grounds.  Words:
+    stripping a letter and its inverse from the two ends of a word
+    leaves a conjugate, and words equal up to rotation and inversion
+    (``_cyclic_key``) spell conjugate elements; search words need no
+    free reduction, as no move follows a token with its inverse.
+    Closure: one walk from all candidates over s -> s^-1 and
+    s -> t s t^-1 for each generator t, within the slightly enlarged
+    displacement cap norm_cap on (a^2 + b^2 + c^2 + d^2), joins the
+    elements it connects; the conjugates of a class form a connected
+    tube around its axis, so the walk reaches every class member, even
+    where the connecting conjugates lie just outside the searched ball.
+    The walk expands at most node_cap elements in all; cut short, it may
+    leave a class split, so it returns False with the classes and its
+    caller must not certify the partition.
 
     A conjugate t s t^-1 is formed as the integer product (t s) t^-1 and
     goes through the float pre-filter and the exact test before a map
@@ -296,63 +289,48 @@ def _conjugacy_classes(candidates: Dict, steps: Dict, norm_cap,
     conjugators = [(t.quad, t.den, t.inverse().quad,
                     _prefilter(t.inverse(), norm_cap, _norm2(t) * Q(norm_cap)))
                    for t in steps.values()]
-    assigned: Dict[MoebiusMap, int] = {}
-    label = 0
-    closed = True
-    for start in candidates:
-        if start in assigned:
-            continue
-        assigned[start] = label
-        queue = [start]
-        visited = {start}
-        while queue and len(visited) < node_cap:
-            s = queue.pop()
-            for t_quad, t_den, inv_quad, filt in conjugators:
-                ts, ts_den = mat_mul(t_quad, s.quad), t_den * s.den
-                if filt is not None:
-                    g11, g12, g22 = _gram(ts, ts_den)
-                    h11, h12x2, h22, threshold = filt
-                    if g11 * h11 + g12 * h12x2 + g22 * h22 > threshold:
-                        continue
-                quad, den = mat_mul(ts, inv_quad), ts_den * t_den
-                if not _within(quad, den, cap):
+    root = {s: s for s in candidates}   # over every visited element
+
+    def find(s):
+        while root[s] != s:
+            root[s] = s = root[root[s]]
+        return s
+
+    first = {}
+    for s, word in candidates.items():
+        while len(word) > 1 and word[0] == (word[-1][0], -word[-1][1]):
+            word = word[1:-1]
+        key = _cyclic_key(word, tuple((lab, -exp)
+                                      for lab, exp in reversed(word)))
+        root[find(s)] = find(first.setdefault(key, s))
+
+    queue = list(candidates)
+    for _ in range(node_cap):
+        if not queue:
+            break
+        s = queue.pop()
+        near = [s.inverse()]
+        for t_quad, t_den, inv_quad, filt in conjugators:
+            ts, ts_den = mat_mul(t_quad, s.quad), t_den * s.den
+            if filt is not None:
+                g11, g12, g22 = _gram(ts, ts_den)
+                h11, h12x2, h22, threshold = filt
+                if g11 * h11 + g12 * h12x2 + g22 * h22 > threshold:
                     continue
-                u = MoebiusMap(*quad, den)
-                if u in visited:
-                    continue
-                visited.add(u)
+            quad, den = mat_mul(ts, inv_quad), ts_den * t_den
+            if _within(quad, den, cap):
+                near.append(MoebiusMap(*quad, den))
+        for u in near:
+            if u in root:
+                root[find(u)] = find(s)
+            else:
+                root[u] = s
                 queue.append(u)
-                if u in candidates:
-                    assigned[u] = label
-        closed = closed and not queue
-        label += 1
 
-    # merge a class with its inverse class and with any externally
-    # supplied conjugate pairs (e.g. cyclic word rotations)
-    merged = {}
-
-    def merge(la, lb):
-        while la in merged:
-            la = merged[la]
-        while lb in merged:
-            lb = merged[lb]
-        if la != lb:
-            a, b = sorted((la, lb))
-            merged[b] = a
-
-    for s, lab in assigned.items():
-        inv = s.inverse()
-        if inv in assigned:
-            merge(lab, assigned[inv])
-    for s, t in extra_pairs:
-        if s in assigned and t in assigned:
-            merge(assigned[s], assigned[t])
-    groups: Dict[int, List] = {}
-    for s, lab in assigned.items():
-        while lab in merged:
-            lab = merged[lab]
-        groups.setdefault(lab, []).append(s)
-    return list(groups.values()), closed
+    groups: Dict[MoebiusMap, List] = {}
+    for s in candidates:
+        groups.setdefault(find(s), []).append(s)
+    return list(groups.values()), not queue
 
 
 def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
@@ -376,6 +354,11 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     product first meets the float pre-filter of ``_prefilter``, which
     rejects only products the exact test would reject, so the filter
     changes no explored element, witness or trace.
+
+    An explored element with |trace| < 2 other than 0 or 1 raises
+    ValueError: by Niven's theorem it has infinite order, since a
+    rational elliptic of finite order has trace 0 or +-1, so the group
+    is not discrete.
     """
     trace_bound = Q(trace_bound)
     if trace_bound <= 2:
@@ -451,33 +434,17 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
                     elif (min_above is None
                           or tr * min_above[1] < min_above[0] * ns.den):
                         min_above = (tr, ns.den)
+                elif tr < 2 * ns.den and tr not in (0, ns.den):
+                    spelled = " ".join(f"{lab}^{exp}" for lab, exp in nword)
+                    raise ValueError(
+                        f"the group is not discrete: the word {spelled} has "
+                        f"trace {ns.trace}, an elliptic of infinite order")
             if not exhausted:
                 break
         frontier = nxt
 
     witnesses = []
-    # sound pre-merges from the words alone: a freely/cyclically reduced
-    # word is a conjugate of the original, and two candidates whose
-    # cyclic words agree up to rotation and inversion are conjugate
-    extra_pairs = []
-    by_key: Dict[Tuple, MoebiusMap] = {}
-    for s, word in candidates.items():
-        reduced = _cyclic_reduce(word)
-        if reduced != word:
-            rs = IDENTITY
-            for tok in reduced:
-                rs = rs * steps[tok]
-            if rs != s:
-                extra_pairs.append((s, rs))
-        key = _cyclic_key(reduced, tuple(
-            (lab, -exp) for lab, exp in reversed(reduced)))
-        if key in by_key:
-            extra_pairs.append((s, by_key[key]))
-        else:
-            by_key[key] = s
-
-    groups, closed = _conjugacy_classes(candidates, steps, closure_cap,
-                                        extra_pairs)
+    groups, closed = _conjugacy_classes(candidates, steps, closure_cap)
     for group in groups:
         s = min(group, key=lambda x: (len(candidates[x]), str(candidates[x])))
         witnesses.append(GeodesicWitness(candidates[s], s, s.trace,

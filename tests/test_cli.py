@@ -89,12 +89,6 @@ class TestDevelop:
         assert data["polygon"][-1] == "1/0"
         assert len(data["generators"]) == 3
 
-    def test_svg_side_file(self, capsys, tetra_file, tmp_path):
-        svg = tmp_path / "out.svg"
-        code, _ = run(capsys, "develop", tetra_file, "--svg", str(svg))
-        assert code == 0
-        assert svg.read_text().startswith("<svg")
-
     def test_bad_tree(self, capsys, tetra_file):
         code, _ = run(capsys, "develop", tetra_file, "--tree", "0-1,0-9")
         assert code == 2
@@ -309,6 +303,13 @@ class TestBadInput:
     def test_trace_bound_overflow(self, capsys, tmp_path):
         one_line_error(capsys, tmp_path, json.dumps({"generators": GENS_14}),
                        "systole", "--trace-bound", "1" + "0" * 400)
+
+    def test_non_discrete_group(self, capsys, tmp_path):
+        # a rotation of infinite order: its trace 6/5 is not 0, 1 or 2
+        err = one_line_error(capsys, tmp_path, json.dumps(
+            {"generators": {"1": ["3/5", "-4/5", "4/5", "3/5"]},
+             "diameter": 1}), "systole")
+        assert "not discrete" in err and "1^1" in err and "6/5" in err
 
     def test_disconnected_map(self, capsys, tmp_path):
         for command in ("density", "develop", "render", "systole"):

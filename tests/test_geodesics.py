@@ -225,6 +225,33 @@ class TestMatrixGroup:
         assert not systole_matrix_group(
             gens, 14, diameter=1.0).frontier_exhausted
 
+    def test_class_closure_work_bounded(self):
+        """node_cap bounds the closure from all candidates together."""
+        dev = develop(tetrahedron())
+        gens = {i + 1: m for i, m in enumerate(generators(dev))}
+        args = []
+
+        def capture(*a):
+            args.extend(a)
+            return _conjugacy_classes(*a)
+
+        with mock.patch.object(geodesics, "_conjugacy_classes", capture):
+            systole_matrix_group(gens, 30,
+                                 diameter=polygon_diameter_proxy(dev))
+        candidates, steps, norm_cap = args
+        assert len(candidates) == 563
+        tests, within = [], geodesics._within
+
+        def counted(*a):
+            tests.append(a)
+            return within(*a)
+
+        with mock.patch.object(geodesics, "_within", counted):
+            _, closed = _conjugacy_classes(candidates, steps, norm_cap,
+                                           node_cap=50)
+        assert not closed
+        assert len(tests) <= 50 * len(steps)
+
     @pytest.mark.parametrize("diameter", [math.nan, math.inf, -5, "abc",
                                           True])
     def test_diameter_must_be_finite_nonnegative(self, diameter):
@@ -353,20 +380,33 @@ class TestFloatPrefilter:
             # lower the cap onto the largest norm found: the sweep is the
             # same, with that element on the boundary of the exact test
             diameter = diameter_for_cap(bound, max(map(norm2, seen)))
-        # a small node cap keeps the class closures of a draw with
+        seen, candidates, min_above = reference_sweep(
+            gens, bound, diameter, max_states)
+        # an elliptic of infinite order proves the group is not discrete
+        refused = any(abs(w.trace) < 2 and abs(w.trace) not in (0, 1)
+                      for w in seen)
+
+        def sweep():
+            try:
+                return systole_matrix_group(gens, bound, diameter=diameter,
+                                            max_states=max_states)
+            except ValueError as exc:
+                assert "not discrete" in str(exc)
+                return None
+
+        # a small node cap keeps the class closure of a draw with
         # hundreds of candidates, or a non-discrete one, short
         with mock.patch.object(geodesics, "_conjugacy_classes",
                                functools.partial(_conjugacy_classes,
                                                  node_cap=100)):
-            rep = systole_matrix_group(gens, bound, diameter=diameter,
-                                       max_states=max_states)
+            rep = sweep()
             # the same sweep and class closure with the filter off
             with mock.patch.object(geodesics, "_prefilter",
                                    lambda *args: None):
-                exact = systole_matrix_group(gens, bound, diameter=diameter,
-                                             max_states=max_states)
-        seen, candidates, min_above = reference_sweep(
-            gens, bound, diameter, max_states)
+                exact = sweep()
+        assert (rep is None) == (exact is None) == refused
+        if refused:
+            return
         assert rep.states_explored == len(seen)
         assert rep.min_trace_above_bound == min_above
         for w in rep.witnesses:
