@@ -60,14 +60,15 @@ NAMED_GRAPHS = {
 }
 
 # generator fixtures with the development whose polygon supplies the
-# certified search diameter
+# certified search diameter; a sweep needs a free basis, so the 11-cusp
+# sets are generators 1-10 of the published 13
 NAMED_GENERATOR_SETS = {
     "a7": ("seven", fixtures.A7),
     "b7": ("seven", fixtures.B7),
     "gamma10": ("ten-long", fixtures.GAMMA10),
     "alpha10": ("ten-long", fixtures.ALPHA10),
-    "gamma11": ("eleven", fixtures.GAMMA11),
-    "alpha11": ("eleven", fixtures.ALPHA11),
+    "gamma11": ("eleven", fixtures.GAMMA11_BASIS),
+    "alpha11": ("eleven", fixtures.ALPHA11_BASIS),
 }
 
 
@@ -352,17 +353,15 @@ def _systole(graph_fn, trace, count, schmutz_n=None):
     return ok, detail
 
 
-def _determinants(gens_name, det):
-    gens = NAMED_GENERATOR_SETS[gens_name][1]
+def _determinants(gens, det):
     ok = all(m.a * m.d - m.b * m.c == det for m in gens.values())
     return ok, f"{len(gens)} matrices, all determinant {det}"
 
 
-def _word_traces(gens_name, words, values, above=None):
+def _word_traces(gens, words, values, above=None):
     """The |trace| of each word: as a set, equal to the exact values; or,
     given printed strings, rounded to 4 decimals and equal to them as a
     multiset.  With ``above``, every |trace| exceeds it."""
-    gens = NAMED_GENERATOR_SETS[gens_name][1]
     traces = [abs(fixtures.word_matrix(gens, w).trace) for w in words]
     if isinstance(values[0], str):
         shown = sorted(f"{float(t):.4f}" for t in traces)
@@ -375,6 +374,16 @@ def _word_traces(gens_name, words, values, above=None):
         ok = ok and all(t > above for t in traces)
         detail += f", all above {above}"
     return ok, detail
+
+
+def _basis_words(gens, words, rank):
+    """Generators rank + 1, rank + 2, ... equal ``words`` in order, each
+    a word in generators 1..rank, which thus generate the group."""
+    ok = all(max(lab for lab, _ in w) <= rank
+             and fixtures.word_matrix(gens, w) == gens[rank + 1 + i]
+             for i, w in enumerate(words))
+    return ok, (f"generators {rank + 1}-{rank + len(words)} are words in "
+                f"generators 1-{rank}")
 
 
 def _certified_sweep(gens_name, bound, classes):
@@ -432,29 +441,35 @@ PAPER_CLAIMS = [
     ("systole-ten-cusp", {"n=10"}, _systole, fixtures.ten_cusp_graph, 18, 8),
     ("systole-eleven-cusp", {"n=11"}, _systole, fixtures.eleven_cusp_graph,
      18, 6),
-    ("a7-determinants", {"a7", "n=7"}, _determinants, "a7", 1),
-    ("a7-word-traces", {"a7", "n=7"}, _word_traces, "a7",
+    ("a7-determinants", {"a7", "n=7"}, _determinants, fixtures.A7, 1),
+    ("a7-word-traces", {"a7", "n=7"}, _word_traces, fixtures.A7,
      fixtures.SEVEN_CUSP_TRACE14_WORDS, [14]),
-    ("b7-perturbed-traces", {"b7", "n=7"}, _word_traces, "b7",
+    ("b7-perturbed-traces", {"b7", "n=7"}, _word_traces, fixtures.B7,
      fixtures.SEVEN_CUSP_TRACE14_WORDS,
      ["14.0364", "14.0364", "14.0037", "14.0071", "14.0211"], 14),
-    ("gamma10-determinants", {"gamma10", "n=10"}, _determinants, "gamma10", 1),
+    ("gamma10-determinants", {"gamma10", "n=10"}, _determinants,
+     fixtures.GAMMA10, 1),
     ("gamma5-correction", {"gamma10", "gamma5-n10", "n=10"},
      _gamma5_correction, 14, 449),
-    ("gamma10-word-traces", {"gamma10", "n=10"}, _word_traces, "gamma10",
-     fixtures.TEN_CUSP_SYSTOLE_WORDS, [18]),
+    ("gamma10-word-traces", {"gamma10", "n=10"}, _word_traces,
+     fixtures.GAMMA10, fixtures.TEN_CUSP_SYSTOLE_WORDS, [18]),
     ("alpha10-perturbed-traces", {"alpha10", "n=10"}, _word_traces,
-     "alpha10", fixtures.TEN_CUSP_SYSTOLE_WORDS, [Q(45399, 2500)]),
+     fixtures.ALPHA10, fixtures.TEN_CUSP_SYSTOLE_WORDS, [Q(45399, 2500)]),
     ("alpha10-certified-absence", {"alpha10", "n=10"}, _certified_sweep,
      "alpha10", 18, 0),
-    ("gamma11-determinants", {"gamma11", "n=11"}, _determinants, "gamma11", 1),
-    ("gamma11-word-traces", {"gamma11", "n=11"}, _word_traces, "gamma11",
-     fixtures.ELEVEN_CUSP_SYSTOLE_WORDS, [18]),
+    ("gamma11-determinants", {"gamma11", "n=11"}, _determinants,
+     fixtures.GAMMA11, 1),
+    ("gamma11-word-traces", {"gamma11", "n=11"}, _word_traces,
+     fixtures.GAMMA11, fixtures.ELEVEN_CUSP_SYSTOLE_WORDS, [18]),
+    ("gamma11-basis", {"gamma11", "n=11"}, _basis_words, fixtures.GAMMA11,
+     fixtures.ELEVEN_CUSP_BASIS_WORDS, 10),
     ("gamma11-systole-classes", {"gamma11", "n=11"}, _certified_sweep,
      "gamma11", 18, 6),
     ("alpha11-perturbed-traces", {"alpha11", "n=11"}, _word_traces,
-     "alpha11", fixtures.ELEVEN_CUSP_SYSTOLE_WORDS,
+     fixtures.ALPHA11, fixtures.ELEVEN_CUSP_SYSTOLE_WORDS,
      [Q(36361, 2020), Q(454, 25)], 18),
+    ("alpha11-basis", {"alpha11", "n=11"}, _basis_words, fixtures.ALPHA11,
+     fixtures.ELEVEN_CUSP_BASIS_WORDS, 10),
     ("alpha11-certified-absence", {"alpha11", "n=11"}, _certified_sweep,
      "alpha11", 18, 0),
     ("example2-polygon", {"example2", "n=10"}, _polygon, "ten-compact", [

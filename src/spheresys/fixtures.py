@@ -23,6 +23,7 @@ __all__ = [
     "A7", "B7", "SEVEN_CUSP_TRACE14_WORDS",
     "GAMMA10", "P10", "ALPHA10", "TEN_CUSP_SYSTOLE_WORDS",
     "GAMMA11", "TAU11", "ALPHA11", "ELEVEN_CUSP_SYSTOLE_WORDS",
+    "ELEVEN_CUSP_BASIS_WORDS", "GAMMA11_BASIS", "ALPHA11_BASIS",
     "EXAMPLE2_PAIRINGS",
     "word_matrix",
 ]
@@ -222,6 +223,19 @@ ELEVEN_CUSP_SYSTOLE_WORDS = [
     [(7, 1), (6, 1)],
     [(3, 1), (2, -1), (1, 1)],
 ]
+
+# generators 11, 12 and 13 as words in generators 1-10, in GAMMA11 and
+# in ALPHA11 alike, so 1-10 generate each group.  The group of an
+# 11-punctured sphere is free of rank 10, and free groups of finite rank
+# are Hopfian, so ten generators of it are a free basis: the sweeps,
+# which need one, run on 1-10.
+ELEVEN_CUSP_BASIS_WORDS = [
+    [(2, 1), (8, -1), (4, -1), (10, 1), (5, -1), (9, -1), (7, -1)],
+    [(2, 1), (8, -1), (4, -1)],
+    [(7, 1), (9, 1), (5, 1)],
+]
+GAMMA11_BASIS = {k: GAMMA11[k] for k in range(1, 11)}
+ALPHA11_BASIS = {k: ALPHA11[k] for k in range(1, 11)}
 
 
 # -- worked-development side pairings (compact 10-cusp tree) -------------

@@ -4,9 +4,13 @@ Two engines.  For a triangulation, closed geodesics of the developed
 group correspond to closed left/right turn sequences on the dual
 trivalent ribbon graph; the enumerator walks all such cycles below an
 exact trace bound.  For an explicitly given matrix group (possibly
-non-arithmetic), a breadth-first search over group elements with
+non-arithmetic), a breadth-first search over reduced words with
 displacement pruning sweeps every conjugacy class below the bound, with
 the pruning horizon derived from a fundamental-domain diameter proxy.
+The generators must be a free basis: then each element has one reduced
+word, and a class is named by its cyclically reduced word up to
+rotation and inversion.  Two words found to give the same element prove
+a relation, and the sweep refuses the generator set.
 """
 
 from __future__ import annotations
@@ -207,17 +211,12 @@ def _gram(quad, den) -> Tuple[float, float, float]:
     return a * a + c * c, a * b + c * d, b * b + d * d
 
 
-def _norm2(m: MoebiusMap) -> Q:
-    """The exact a^2 + b^2 + c^2 + d^2 of a map."""
-    return Q(sum(x * x for x in m.quad), m.den * m.den)
-
-
 # The float pre-filter's error constant c and unit roundoff u.
 _FILTER_C = 16
 _U = Q(1, 2 ** 53)
 
 
-def _prefilter(t: MoebiusMap, cap: float, s_bound: Q):
+def _prefilter(t: MoebiusMap, cap: float):
     """Float pre-filter for the exact displacement test of products S t.
 
     With G = S^T S (``_gram``) and H = t t^T, the product's squared
@@ -228,9 +227,9 @@ def _prefilter(t: MoebiusMap, cap: float, s_bound: Q):
     not apply; a product whose float value exceeds the threshold fails
     the exact test ``_within`` too, and any other product goes on to it.
 
-    The bound.  Every S the filter sees has ||S||^2 <= s_bound exactly
-    (the search passes its cap: each explored element passed
-    ``_within``), and ||S||^2, ||t||^2 >= 2 since the determinant is 1.
+    The bound.  Every S the filter sees has ||S||^2 <= cap exactly (each
+    element the search explores passed ``_within`` at this cap), and
+    ||S||^2, ||t||^2 >= 2 since the determinant is 1.
     Let u = 2^-53.  Entries of S and t are rounded once; each entry of
     G or H then carries at most four roundings (two inputs, a product, a
     sum) and each term of the trace form three more (a product and two
@@ -239,19 +238,18 @@ def _prefilter(t: MoebiusMap, cap: float, s_bound: Q):
     p = |ab| + |cd| <= sqrt(g11 g22) and q likewise for H.  By AM-GM
     that is at most 11.01 u ||S||^2 ||t||^2.  Underflow adds below
     2^-1074 per operation, negligible against u ||S||^2 ||t||^2 >= 4 u.
-    So a float value above cap + c u s_bound ||t||^2 (c = 16), rounded
-    to the nearest float, proves the exact value is above cap: since
-    s_bound >= cap in both callers, the margin of
-    5 u s_bound ||t||^2 >= 10 u cap covers the two roundings of the
+    So a float value above cap + c u cap ||t||^2 (c = 16), rounded to
+    the nearest float, proves the exact value is above cap: the margin
+    of 5 u cap ||t||^2 >= 10 u cap covers the two roundings of the
     threshold itself.  The threshold is cap (1 + delta_t) with
-    delta_t = c u s_bound ||t||^2 / cap, computed from the exact
-    entries of t rather than fixed.
+    delta_t = c u ||t||^2, computed from the exact entries of t rather
+    than fixed.
 
-    The filter applies only while s_bound ||t||^2 <= 2^1000, so that no
+    The filter applies only while cap ||t||^2 <= 2^1000, so that no
     float it forms can overflow (a generator with entries of 1e400 fails
     this), and while delta_t <= 2^-10, so that it stays a tight test.
     """
-    bound = s_bound * _norm2(t)
+    bound = Q(cap) * Q(sum(x * x for x in t.quad), t.den * t.den)
     margin = _FILTER_C * _U * bound
     if bound > 2 ** 1000 or margin > Q(cap) / 2 ** 10:
         return None
@@ -260,77 +258,16 @@ def _prefilter(t: MoebiusMap, cap: float, s_bound: Q):
             cap + float(margin))
 
 
-def _conjugacy_classes(candidates: Dict, steps: Dict, norm_cap,
-                       node_cap: int = 200_000):
-    """Partition candidates (element -> word) into conjugacy classes.
+def _spell(word: Tuple) -> str:
+    return " ".join(f"{lab}^{exp}" for lab, exp in word) or "the empty word"
 
-    An element is identified with its inverse.  One union-find over the
-    candidates joins two of them on either of two sound grounds.  Words:
-    stripping a letter and its inverse from the two ends of a word
-    leaves a conjugate, and words equal up to rotation and inversion
-    (``_cyclic_key``) spell conjugate elements; search words need no
-    free reduction, as no move follows a token with its inverse.
-    Closure: one walk from all candidates over s -> s^-1 and
-    s -> t s t^-1 for each generator t, within the slightly enlarged
-    displacement cap norm_cap on (a^2 + b^2 + c^2 + d^2), joins the
-    elements it connects; the conjugates of a class form a connected
-    tube around its axis, so the walk reaches every class member, even
-    where the connecting conjugates lie just outside the searched ball.
-    The walk expands at most node_cap elements in all; cut short, it may
-    leave a class split, so it returns False with the classes and its
-    caller must not certify the partition.
 
-    A conjugate t s t^-1 is formed as the integer product (t s) t^-1 and
-    goes through the float pre-filter and the exact test before a map
-    is built.  The filter sees S = t s with ||S||^2 <= ||t||^2 norm_cap,
-    since every candidate and every visited conjugate is within norm_cap.
-    """
-    cap = norm_cap.as_integer_ratio()
-    conjugators = [(t.quad, t.den, t.inverse().quad,
-                    _prefilter(t.inverse(), norm_cap, _norm2(t) * Q(norm_cap)))
-                   for t in steps.values()]
-    root = {s: s for s in candidates}   # over every visited element
-
-    def find(s):
-        while root[s] != s:
-            root[s] = s = root[root[s]]
-        return s
-
-    first = {}
-    for s, word in candidates.items():
-        while len(word) > 1 and word[0] == (word[-1][0], -word[-1][1]):
-            word = word[1:-1]
-        key = _cyclic_key(word, tuple((lab, -exp)
-                                      for lab, exp in reversed(word)))
-        root[find(s)] = find(first.setdefault(key, s))
-
-    queue = list(candidates)
-    for _ in range(node_cap):
-        if not queue:
-            break
-        s = queue.pop()
-        near = [s.inverse()]
-        for t_quad, t_den, inv_quad, filt in conjugators:
-            ts, ts_den = mat_mul(t_quad, s.quad), t_den * s.den
-            if filt is not None:
-                g11, g12, g22 = _gram(ts, ts_den)
-                h11, h12x2, h22, threshold = filt
-                if g11 * h11 + g12 * h12x2 + g22 * h22 > threshold:
-                    continue
-            quad, den = mat_mul(ts, inv_quad), ts_den * t_den
-            if _within(quad, den, cap):
-                near.append(MoebiusMap(*quad, den))
-        for u in near:
-            if u in root:
-                root[find(u)] = find(s)
-            else:
-                root[u] = s
-                queue.append(u)
-
-    groups: Dict[MoebiusMap, List] = {}
-    for s in candidates:
-        groups.setdefault(find(s), []).append(s)
-    return list(groups.values()), not queue
+def _class_key(word: Tuple) -> Tuple:
+    """The conjugacy-class key of a reduced word, inverses identified:
+    its cyclic reduction up to rotation and inversion."""
+    while len(word) > 1 and word[0] == (word[-1][0], -word[-1][1]):
+        word = word[1:-1]
+    return _cyclic_key(word, tuple((lab, -exp) for lab, exp in reversed(word)))
 
 
 def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
@@ -338,16 +275,24 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
                          max_states: int = 2_000_000) -> MatrixSearchReport:
     """Sweep all conjugacy classes with |trace| <= trace_bound.
 
-    Breadth-first search over group elements (not words; elements are
-    deduplicated exactly, so redundant generating sets are fine).  An
-    element W is explored only while the displacement d(i, W i) stays
+    Breadth-first search over reduced words in the generators: no move
+    follows a token with its inverse.  The generators must be a free
+    basis (a set with no relation among its elements), so each element
+    has exactly one reduced word and the search meets it at most once;
+    a product equal to an element already explored proves a relation
+    and raises ValueError naming both words.  In a free group two
+    elements are conjugate exactly when their cyclically reduced words
+    agree up to rotation and inversion, so a class below the bound is
+    the set of candidates with one ``_class_key``, and its witness is
+    its shortest word, ties broken by spelling.
+
+    An element W is explored only while the displacement d(i, W i) stays
     below the horizon 2 arccosh(bound/2) + 2 * diameter: any class below
     the bound has an axis passing within the covering radius of the base
     point's orbit, hence a representative inside the horizon.  Without a
     diameter the search is a labeled non-exhaustive sweep to the same
     horizon with diameter 0 plus one unit of slack.  A diameter must be
-    a finite real >= 0, and a horizon too large for a float is refused;
-    a class closure cut short by its node cap clears the certificate.
+    a finite real >= 0, and a horizon too large for a float is refused.
 
     At most max_states elements (the identity included) are explored; a
     sweep that needs more stops at the cap and is not certified.  Each
@@ -378,7 +323,6 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
         # displacement test: 2 cosh d(i, Wi) = (a^2+b^2+c^2+d^2) / den^2
         cap_float = 2.0 * math.cosh(horizon)
         cap = cap_float.as_integer_ratio()
-        closure_cap = 2.0 * math.cosh(horizon + 3.0)
     except OverflowError:
         raise ValueError(f"trace bound {trace_bound} and diameter {diameter!r} "
                          "give a search horizon too large for a float")
@@ -390,7 +334,7 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     # (token, its integer entries, its float pre-filter); a move the
     # filter does not apply to gets H = 0 and an infinite threshold, so
     # it never rejects
-    moves = [(tok, t.quad, t.den, *(_prefilter(t, cap_float, Q(cap_float))
+    moves = [(tok, t.quad, t.den, *(_prefilter(t, cap_float)
                                     or (0.0, 0.0, 0.0, math.inf)))
              for tok, t in steps.items()]
     # the moves that may follow a word's last token: all but its inverse
@@ -401,7 +345,7 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     seen = {IDENTITY: ()}
     frontier = [IDENTITY]
     exhausted = True
-    candidates: Dict[MoebiusMap, Tuple] = {}
+    candidates: Dict[Tuple, MoebiusMap] = {}
     min_above = None        # least |trace| above the bound, as (num, den)
 
     while frontier and exhausted:
@@ -419,40 +363,45 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
                 if not _within(prod, prod_den, cap):
                     continue
                 ns = MoebiusMap(*prod, prod_den)
+                nword = word + (tok,)
                 if ns in seen:
-                    continue
+                    raise ValueError(
+                        f"the generators satisfy a relation, so they are "
+                        f"not a free basis: the words {_spell(seen[ns])} and "
+                        f"{_spell(nword)} give the same element")
                 if len(seen) >= max_states:
                     exhausted = False
                     break
-                nword = word + (tok,)
                 seen[ns] = nword
                 nxt.append(ns)
                 tr = abs(ns.na + ns.nd)
                 if tr > 2 * ns.den:
                     if tr * bound_den <= bound_num * ns.den:
-                        candidates[ns] = nword
+                        candidates[nword] = ns
                     elif (min_above is None
                           or tr * min_above[1] < min_above[0] * ns.den):
                         min_above = (tr, ns.den)
                 elif tr < 2 * ns.den and tr not in (0, ns.den):
-                    spelled = " ".join(f"{lab}^{exp}" for lab, exp in nword)
                     raise ValueError(
-                        f"the group is not discrete: the word {spelled} has "
-                        f"trace {ns.trace}, an elliptic of infinite order")
+                        f"the group is not discrete: the word {_spell(nword)} "
+                        f"has trace {ns.trace}, an elliptic of infinite order")
             if not exhausted:
                 break
         frontier = nxt
 
+    # each class's witness is its shortest word, ties broken by spelling
+    classes: Dict[Tuple, Tuple] = {}
+    for word in sorted(candidates, key=lambda w: (len(w), str(w))):
+        classes.setdefault(_class_key(word), word)
     witnesses = []
-    groups, closed = _conjugacy_classes(candidates, steps, closure_cap)
-    for group in groups:
-        s = min(group, key=lambda x: (len(candidates[x]), str(candidates[x])))
-        witnesses.append(GeodesicWitness(candidates[s], s, s.trace,
+    for word in classes.values():
+        s = candidates[word]
+        witnesses.append(GeodesicWitness(word, s, s.trace,
                                          trace_to_length(abs(s.trace))))
     witnesses.sort(key=lambda w: (abs(w.trace), len(w.word), str(w.word)))
     return MatrixSearchReport(
         witnesses=witnesses,
-        frontier_exhausted=exhausted and closed and certified,
+        frontier_exhausted=exhausted and certified,
         trace_bound=trace_bound,
         diameter=diameter,
         horizon=horizon,

@@ -509,7 +509,8 @@ class Triangulation:
             w = self.origin[l]
             third = [self.origin[x] for x in self.faces[enclosing]
                      if self.origin[x] != w]
-            if not third:
+            # a third vertex of degree 1 would give trace 2, a parabolic
+            if not third or self.degree[third[0]] < 2:
                 continue
             dd = self.degree[third[0]]
             word = "LLLL" + "R" * (dd - 1)

@@ -57,13 +57,13 @@ def alpha10_search(diameters):
 
 @pytest.fixture(scope="session")
 def gamma11_search(diameters):
-    return systole_matrix_group(fixtures.GAMMA11, 18,
+    return systole_matrix_group(fixtures.GAMMA11_BASIS, 18,
                                 diameter=diameters["eleven"])
 
 
 @pytest.fixture(scope="session")
 def alpha11_search(diameters):
-    return systole_matrix_group(fixtures.ALPHA11, 18,
+    return systole_matrix_group(fixtures.ALPHA11_BASIS, 18,
                                 diameter=diameters["eleven"])
 
 

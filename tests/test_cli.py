@@ -127,6 +127,18 @@ class TestSystole:
         assert "certified False" in out
         assert "trace 14" in out
 
+    def test_degree_one_vertex_in_loop_face(self, capsys, tmp_path):
+        # vertex 2 has degree 1 and is the third vertex of the face
+        # enclosing the loop around vertex 1: no certificate of trace 2
+        path = tmp_path / "deg1.txt"
+        path.write_text("rotation 0: 0 4 1 2\nrotation 1: 3\n"
+                        "rotation 2: 5\ntwin 0 1\ntwin 2 3\ntwin 4 5\n")
+        code, out = run(capsys, "systole", str(path))
+        assert code == 0
+        assert "systole 3.52549434808" in out
+        assert out.count("trace 6") == 3
+        assert len(out.splitlines()) == 4
+
     def test_non_unimodular_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"generators": {"1": ["2", "0", "0", "1"]}}))
@@ -204,8 +216,9 @@ CLAIM_N = {
     "gamma10-determinants": 10, "gamma5-correction": 10,
     "gamma10-word-traces": 10, "alpha10-perturbed-traces": 10,
     "alpha10-certified-absence": 10, "gamma11-determinants": 11,
-    "gamma11-word-traces": 11, "gamma11-systole-classes": 11,
-    "alpha11-perturbed-traces": 11, "alpha11-certified-absence": 11,
+    "gamma11-word-traces": 11, "gamma11-basis": 11,
+    "gamma11-systole-classes": 11, "alpha11-perturbed-traces": 11,
+    "alpha11-basis": 11, "alpha11-certified-absence": 11,
     "example2-polygon": 10,
 }
 FIXTURE_SELECTORS = {
@@ -216,8 +229,9 @@ FIXTURE_SELECTORS = {
     "gamma5-n10": {"gamma5-correction"},
     "alpha10": {"alpha10-perturbed-traces", "alpha10-certified-absence"},
     "gamma11": {"gamma11-determinants", "gamma11-word-traces",
-                "gamma11-systole-classes"},
-    "alpha11": {"alpha11-perturbed-traces", "alpha11-certified-absence"},
+                "gamma11-basis", "gamma11-systole-classes"},
+    "alpha11": {"alpha11-perturbed-traces", "alpha11-basis",
+                "alpha11-certified-absence"},
     "example2": {"example2-polygon"},
 }
 # the three certified sweeps and the n >= 11 enumerations take seconds each
@@ -310,6 +324,14 @@ class TestBadInput:
             {"generators": {"1": ["3/5", "-4/5", "4/5", "3/5"]},
              "diameter": 1}), "systole")
         assert "not discrete" in err and "1^1" in err and "6/5" in err
+
+    def test_generators_with_relation(self, capsys, tmp_path):
+        # the square of the first parabolic is the second
+        err = one_line_error(capsys, tmp_path, json.dumps(
+            {"generators": {"1": ["1", "2", "0", "1"],
+                            "2": ["1", "4", "0", "1"]},
+             "diameter": 1}), "systole")
+        assert "relation" in err and "1^1 1^1" in err and "2^1" in err
 
     def test_disconnected_map(self, capsys, tmp_path):
         for command in ("density", "develop", "render", "systole"):

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from spheresys import fixtures
 from spheresys.developing import SpanningTree, develop, generators
 from spheresys import geodesics
-from spheresys.geodesics import (GeodesicWitness, _conjugacy_classes,
-                                 _cyclic_key, _gram, _prefilter,
+from spheresys.geodesics import (GeodesicWitness, _cyclic_key, _gram,
+                                 _prefilter,
                                  enumerate_geodesics_combinatorial,
                                  polygon_diameter_proxy,
                                  systole_combinatorial,
@@ -183,7 +183,7 @@ class TestMatrixGroup:
                                     gamma11_search, alpha11_search):
         assert [rep.states_explored for rep in (
             gamma10_search, alpha10_search, gamma11_search,
-            alpha11_search)] == [124766, 124480, 375030, 374738]
+            alpha11_search)] == [124766, 124480, 373061, 372753]
 
     def test_state_cap_reported_as_partial(self):
         # a cap is checked as each element is added, not once per level
@@ -208,49 +208,17 @@ class TestMatrixGroup:
         with pytest.raises(ValueError):
             systole_matrix_group(gens, 14, diameter=1.0, max_states=0)
 
-    def test_class_closure_cap_reported(self, monkeypatch):
-        gens = {2: fixtures.A7[2], 3: fixtures.A7[3]}
-        steps = {(lab, e): m ** e for lab, m in gens.items() for e in (1, -1)}
-        word = ((2, 1), (3, 1))
-        start = fixtures.word_matrix(gens, word)
-        groups, closed = _conjugacy_classes({start: word}, steps, 1000)
-        assert closed and groups == [[start]]
-        _, closed = _conjugacy_classes({start: word}, steps, 1000,
-                                       node_cap=2)
-        assert not closed
-        # a sweep whose class closure is cut short certifies nothing
-        assert systole_matrix_group(gens, 14, diameter=1.0).frontier_exhausted
-        monkeypatch.setattr(geodesics, "_conjugacy_classes", functools.partial(
-            _conjugacy_classes, node_cap=2))
-        assert not systole_matrix_group(
-            gens, 14, diameter=1.0).frontier_exhausted
-
-    def test_class_closure_work_bounded(self):
-        """node_cap bounds the closure from all candidates together."""
-        dev = develop(tetrahedron())
-        gens = {i + 1: m for i, m in enumerate(generators(dev))}
-        args = []
-
-        def capture(*a):
-            args.extend(a)
-            return _conjugacy_classes(*a)
-
-        with mock.patch.object(geodesics, "_conjugacy_classes", capture):
-            systole_matrix_group(gens, 30,
-                                 diameter=polygon_diameter_proxy(dev))
-        candidates, steps, norm_cap = args
-        assert len(candidates) == 563
-        tests, within = [], geodesics._within
-
-        def counted(*a):
-            tests.append(a)
-            return within(*a)
-
-        with mock.patch.object(geodesics, "_within", counted):
-            _, closed = _conjugacy_classes(candidates, steps, norm_cap,
-                                           node_cap=50)
-        assert not closed
-        assert len(tests) <= 50 * len(steps)
+    def test_relation_refused(self, diameters):
+        """Two words giving one element prove the generators are not a
+        free basis; the error names both words."""
+        with pytest.raises(ValueError, match="relation") as err:
+            systole_matrix_group({1: fixtures.A7[2], 2: fixtures.A7[2]}, 14,
+                                 diameter=1.0)
+        assert "1^1" in str(err.value) and "2^1" in str(err.value)
+        # the 13 published GAMMA11 matrices: 12 = 2 8^-1 4^-1
+        with pytest.raises(ValueError, match="relation"):
+            systole_matrix_group(fixtures.GAMMA11, 18,
+                                 diameter=diameters["eleven"])
 
     @pytest.mark.parametrize("diameter", [math.nan, math.inf, -5, "abc",
                                           True])
@@ -284,15 +252,20 @@ class TestMatrixGroup:
 
 
 def norm2(m):
-    return sum(x * x for x in m.entries())
+    """The exact a^2 + b^2 + c^2 + d^2, summed over the integers: adding
+    Fractions with 400-digit parts would take most of a sweep's time."""
+    return Q(sum(x * x for x in m.quad), m.den * m.den)
 
 
 def reference_sweep(gens, bound, diameter, max_states):
     """The breadth-first sweep with the exact displacement test alone.
 
     Returns the explored elements with their words, the candidates
-    (hyperbolic, |trace| <= bound) and the least |trace| above the
-    bound, computed with Fractions throughout.
+    (hyperbolic, |trace| <= bound), the least |trace| above the bound
+    and the products equal to an element already explored (each proves
+    a relation), computed with Fractions throughout.  Like the engine,
+    it stops at the first new element found once max_states are held,
+    so nothing past that point is recorded.
     """
     horizon = 2.0 * math.acosh(bound / 2.0) + 2.0 * diameter
     cap = Q(2.0 * math.cosh(horizon))
@@ -302,8 +275,9 @@ def reference_sweep(gens, bound, diameter, max_states):
         steps[(lab, -1)] = m.inverse()
     seen = {IDENTITY: ()}
     frontier = [IDENTITY]
-    candidates, above = {}, []
-    while frontier and len(seen) < max_states:
+    candidates, above, repeated = {}, [], []
+    full = False
+    while frontier and not full:
         nxt = []
         for s in frontier:
             word = seen[s]
@@ -311,9 +285,13 @@ def reference_sweep(gens, bound, diameter, max_states):
                 if word and word[-1] == (tok[0], -tok[1]):
                     continue
                 w = s * t
-                if norm2(w) > cap or w in seen:
+                if norm2(w) > cap:
+                    continue
+                if w in seen:
+                    repeated.append(w)
                     continue
                 if len(seen) >= max_states:
+                    full = True
                     break
                 seen[w] = word + (tok,)
                 nxt.append(w)
@@ -322,8 +300,10 @@ def reference_sweep(gens, bound, diameter, max_states):
                     above.append(tr)
                 elif tr > 2:
                     candidates[w] = seen[w]
+            if full:
+                break
         frontier = nxt
-    return seen, candidates, min(above, default=None)
+    return seen, candidates, min(above, default=None), repeated
 
 
 def diameter_for_cap(bound, norm):
@@ -375,35 +355,30 @@ class TestFloatPrefilter:
            st.floats(0.0, 1.5), st.sampled_from([100, 400]))
     def test_sweep_matches_exact_reference(self, gens, bound, diameter,
                                            max_states):
-        seen, _, _ = reference_sweep(gens, bound, diameter, max_states)
+        seen = reference_sweep(gens, bound, diameter, max_states)[0]
         if len(seen) < max_states:
             # lower the cap onto the largest norm found: the sweep is the
             # same, with that element on the boundary of the exact test
             diameter = diameter_for_cap(bound, max(map(norm2, seen)))
-        seen, candidates, min_above = reference_sweep(
+        seen, candidates, min_above, repeated = reference_sweep(
             gens, bound, diameter, max_states)
-        # an elliptic of infinite order proves the group is not discrete
-        refused = any(abs(w.trace) < 2 and abs(w.trace) not in (0, 1)
-                      for w in seen)
+        # a relation among the generators, or an elliptic of infinite
+        # order (the group is not discrete), refuses the generator set
+        refused = bool(repeated) or any(
+            abs(w.trace) < 2 and abs(w.trace) not in (0, 1) for w in seen)
 
         def sweep():
             try:
                 return systole_matrix_group(gens, bound, diameter=diameter,
                                             max_states=max_states)
             except ValueError as exc:
-                assert "not discrete" in str(exc)
+                assert "relation" in str(exc) or "not discrete" in str(exc)
                 return None
 
-        # a small node cap keeps the class closure of a draw with
-        # hundreds of candidates, or a non-discrete one, short
-        with mock.patch.object(geodesics, "_conjugacy_classes",
-                               functools.partial(_conjugacy_classes,
-                                                 node_cap=100)):
-            rep = sweep()
-            # the same sweep and class closure with the filter off
-            with mock.patch.object(geodesics, "_prefilter",
-                                   lambda *args: None):
-                exact = sweep()
+        rep = sweep()
+        # the same sweep with the filter off
+        with mock.patch.object(geodesics, "_prefilter", lambda *args: None):
+            exact = sweep()
         assert (rep is None) == (exact is None) == refused
         if refused:
             return
@@ -423,7 +398,7 @@ class TestFloatPrefilter:
         cap = float(needed)
         if Q(cap) < needed:
             cap = math.nextafter(cap, math.inf)
-        filt = _prefilter(t, cap, Q(cap))
+        filt = _prefilter(t, cap)
         if filt is None:
             return
         g11, g12, g22 = _gram(s.quad, s.den)
