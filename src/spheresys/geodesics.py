@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import accumulate
 from numbers import Real
 from typing import Dict, List, Optional, Tuple
 
@@ -77,16 +78,23 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
     the walk leaves the new face through one of its two other sides.
     Turning around the origin vertex (d -> sigma[d]) is the L turn; the
     opposite turn is R.  Pure one-letter cycles are peripheral (they
-    wind around a single vertex, trace 2) and are excluded.  Termination
-    is certified by three facts about nonnegative turn products: appending
-    a turn never decreases any entry, so a prefix with a + d above the
-    bound cannot recover; a run R L^m R forces trace at least m + 2, so
-    runs are capped at run_cap = max(trace_bound - 2, max degree); and
-    once both letters have occurred, b and c are positive, so every
+    wind around a single vertex, trace 2) and are excluded.
+
+    The pruning reads only the L/R word, so one depth-first search over
+    words serves every start dart; a word closes a walk at each start
+    dart it maps to itself.  It ends, by three facts about nonnegative
+    turn products: appending a turn never decreases an entry, so a
+    prefix with a + d above the bound cannot recover; X^m Y has trace
+    m + 2 (X != Y), so a pure word (trace 2) is cut past trace_bound - 2
+    letters; and once both letters occur, b and c are positive, so each
     further turn (L adds c to the trace, R adds b) raises the trace by at
-    least 1.  A pushed prefix is an opening run of at most run_cap
-    letters followed by at most trace_bound - 2 trace-raising turns, so
-    it has at most run_cap + trace_bound - 2 <= 2 * run_cap letters.
+    least 1.  No word passes 2 * (trace_bound - 2) letters.
+
+    A class's witness is the first word in search order that closes it
+    at its least start dart, the first entry of its key: every rotation
+    of a closed word below the bound, and its reversed walk, survive the
+    pruning.  Pruning removes subtrees without reordering the rest, so
+    the witnesses do not depend on the bound.
     """
     report = g.validate()
     if not report.ok:
@@ -96,59 +104,40 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
 
     sigma, alpha = g.sigma, g.alpha
     n_darts = g.n_darts
-    sigma_inv = [0] * n_darts
-    for d in range(n_darts):
-        sigma_inv[sigma[d]] = d
-
-    def turn_L(d):
-        return sigma[d]
-
-    def turn_R(d):
-        return alpha[sigma_inv[alpha[d]]]
-
-    # which turn is L only affects the spelling: swapping L and R
-    # transposes the cyclic product
-    steps = (("L", turn_L, TURNS["L"]), ("R", turn_R, TURNS["R"]))
-    max_deg = max(g.degree)
-    run_cap = max(trace_bound - 2, max_deg)
+    # the turns as dart permutations; R(d) = alpha[sigma^-1[alpha[d]]] is
+    # sigma[alpha[sigma[d]]] since faces are triangles.  Swapping L and R
+    # transposes the cyclic product, so it changes only the spelling
+    perms = {"L": sigma,
+             "R": [sigma[alpha[sigma[d]]] for d in range(n_darts)]}
 
     found: Dict[Tuple, GeodesicWitness] = {}
-
-    for d0 in range(n_darts):
-        # iterative DFS: (dart, matrix, word, darts, run letter, run length)
-        stack = [(d0, (1, 0, 0, 1), "", (), None, 0)]
-        while stack:
-            d, m, word, darts, run_letter, run_len = stack.pop()
-            for letter, turn, tm in steps:
-                if letter == run_letter:
-                    if run_len >= run_cap:
-                        continue
-                    new_run = run_len + 1
-                else:
-                    new_run = 1
-                nxt = turn(d)
-                nm = mat_mul(m, tm)
-                if nm[0] + nm[3] > trace_bound:
-                    # any completion multiplies by an entrywise >= identity
-                    # factor, so the closing trace cannot drop back down
+    # iterative DFS: (matrix, word, dart reached from each start dart)
+    stack = [((1, 0, 0, 1), "", tuple(range(n_darts)))]
+    while stack:
+        m, word, reached = stack.pop()
+        for letter in "LR":
+            nm = mat_mul(m, TURNS[letter])
+            tr = nm[0] + nm[3]
+            # a trace above the bound never drops back down, and a pure
+            # word past trace_bound - 2 letters closes nothing below it
+            if tr > trace_bound or tr == 2 and len(word) >= trace_bound - 2:
+                continue
+            nword = word + letter
+            nreached = tuple(map(perms[letter].__getitem__, reached))
+            for d0, d in enumerate(nreached):
+                if d != d0 or tr == 2:
                     continue
-                nword = word + letter
-                ndarts = darts + (nxt,)
-                if nxt == d0:
-                    tr = nm[0] + nm[3]
-                    if 2 < tr <= trace_bound:
-                        key = _cyclic_key(ndarts, tuple(
-                            alpha[x] for x in reversed(ndarts)))
-                        if key not in found:
-                            mat = MoebiusMap(*nm)
-                            found[key] = GeodesicWitness(
-                                tuple(nword), mat, mat.trace,
-                                trace_to_length(tr))
-                stack.append((nxt, nm, nword, ndarts, letter, new_run))
+                darts = tuple(accumulate(
+                    nword, lambda x, turn: perms[turn][x], initial=d0))[1:]
+                key = _cyclic_key(darts, tuple(alpha[x] for x in reversed(darts)))
+                if d0 == key[0] and key not in found:
+                    mat = MoebiusMap(*nm)
+                    found[key] = GeodesicWitness(
+                        tuple(nword), mat, mat.trace, trace_to_length(tr))
+            stack.append((nm, nword, nreached))
 
-    order = sorted(found.values(),
-                   key=lambda w: (abs(w.trace), len(w.word), w.word))
-    return order
+    return sorted(found.values(),
+                  key=lambda w: (abs(w.trace), len(w.word), w.word))
 
 
 def systole_combinatorial(g: Triangulation,
@@ -156,21 +145,20 @@ def systole_combinatorial(g: Triangulation,
                           ) -> Tuple[float, List[GeodesicWitness]]:
     """Systole length and all witnesses attaining it.
 
-    The enumeration bound defaults to the best a-priori upper bound (a
-    low-density edge or a pattern certificate), which is itself realized
-    by a dual walk, so the enumeration always sees the systole class.
-    A given ``trace_bound`` below the systole's |trace| raises ValueError.
+    Without a ``trace_bound`` the bound starts at the a-priori bound (a
+    low-density edge or a pattern certificate), or 3 if there is none,
+    and doubles until a class is found.  That ends: d -> R(L(d)) permutes
+    the darts, so (LR)^k closes at every dart for some k >= 1, with
+    trace above 2.  A given bound below the systole raises ValueError.
     """
-    given = trace_bound is not None
-    if not given:
-        trace_bound = g.a_priori_trace_bound() or 30
-    witnesses = enumerate_geodesics_combinatorial(g, trace_bound)
-    if not witnesses and given:
-        raise ValueError(f"no hyperbolic class with |trace| <= {trace_bound}; "
-                         f"the systole lies above the trace bound")
-    if not witnesses:
-        raise RuntimeError("no hyperbolic class at or below the bound; "
-                           "the a-priori bound should be attained")
+    bound = trace_bound
+    if bound is None:
+        bound = g.a_priori_trace_bound() or 3
+    while not (witnesses := enumerate_geodesics_combinatorial(g, bound)):
+        if trace_bound is not None:
+            raise ValueError(f"no hyperbolic class with |trace| <= {bound}; "
+                             f"the systole lies above the trace bound")
+        bound *= 2
     best = min(abs(w.trace) for w in witnesses)
     systoles = [w for w in witnesses if abs(w.trace) == best]
     return trace_to_length(best), systoles

@@ -244,12 +244,6 @@ class Triangulation:
         euler = self.n_vertices - self.n_edges + self.n_faces
         if euler != 2:
             diagnostics.append(f"euler characteristic {euler} != 2")
-        deficiency = sum(6 - d for d in self.degree)
-        if not diagnostics and deficiency != 12:
-            diagnostics.append(f"degree deficiency sum {deficiency} != 12")
-        if 2 * self.n_edges != 3 * self.n_faces and not any(
-                "non-triangular" in d for d in diagnostics):
-            diagnostics.append("edge/face count violates 2E = 3F")
         has_loops = bool(self.loop_edges())
         has_dups = bool(self.duplicate_edge_pairs())
         min_deg = min(self.degree)
@@ -293,9 +287,11 @@ class Triangulation:
     def a_priori_trace_bound(self) -> Optional[int]:
         """Least |trace| certified without a search, or None if none is.
 
-        A non-loop edge of density D = m1 m2 >= 5 is crossed by the dual
-        walk L R^(m1-2) L R^(m2-2) of trace D - 2, and each pattern
-        certificate names a walk of its trace bound.
+        A non-loop edge of density D = m1 m2 >= 5 joins two cusps whose
+        parabolics P1, P2 give |trace(P1 P2^-1)| = D - 2 (see
+        ``parabolic_product_trace``): the walk L R^(m1-2) L R^(m2-2) unless
+        an end has degree 1, where R^-1 makes the word no walk.  Each
+        pattern certificate names a walk of its trace bound.
         """
         density = self.density()
         bounds = [density.densities[e] - 2 for e in range(self.n_edges)

@@ -9,14 +9,16 @@ from hypothesis import assume, given, settings, strategies as st
 from spheresys import fixtures
 from spheresys.developing import SpanningTree, develop, generators
 from spheresys import geodesics
+from spheresys.enumeration import EnumerationQuery, enumerate_triangulations
 from spheresys.geodesics import (GeodesicWitness, _cyclic_key, _gram,
                                  _prefilter,
                                  enumerate_geodesics_combinatorial,
                                  polygon_diameter_proxy,
                                  systole_combinatorial,
                                  systole_matrix_group)
-from spheresys.modular import (IDENTITY, MoebiusMap, NotHyperbolicError,
-                               lr_word_value, schmutz_bound, trace_to_length)
+from spheresys.modular import (IDENTITY, L, R, MoebiusMap, NotHyperbolicError,
+                               lr_word_value, mat_mul, schmutz_bound,
+                               trace_to_length)
 from spheresys.triangulation import (Triangulation, bipyramid_with_duplicates,
                                      example_duplicate_edges, example_loop,
                                      icosahedron, octahedron, tetrahedron)
@@ -50,6 +52,16 @@ class TestCombinatorialSystole:
         assert abs(length - schmutz_bound(12)) < 1e-12
         assert len(witnesses) == 30
         assert all(abs(w.trace) == 23 for w in witnesses)
+
+    @pytest.mark.parametrize("a_priori", [3, None])
+    def test_default_bound_doubles_until_found(self, a_priori):
+        expected = systole_combinatorial(icosahedron())[1]
+        with mock.patch.object(Triangulation, "a_priori_trace_bound",
+                               lambda self: a_priori):
+            _, witnesses = systole_combinatorial(icosahedron())
+        assert len(witnesses) == 30
+        assert all(abs(w.trace) == 23 for w in witnesses)
+        assert witnesses == expected
 
     def test_seven_cusp_five_systoles(self):
         length, witnesses = systole_combinatorial(fixtures.seven_cusp_graph())
@@ -90,46 +102,83 @@ class TestCombinatorialSystole:
         assert set(obj) == {"word", "matrix", "trace", "length"}
 
 
+def three_vertex_map():
+    """Vertex 2 has degree 1 and is the third vertex of the face
+    enclosing the loop around vertex 1."""
+    return Triangulation.from_rotation_lists(
+        [[0, 4, 1, 2], [3], [5]], [(0, 1), (2, 3), (4, 5)])
+
+
+def walk_oracle(g, bound):
+    """Exhaustive unpruned per-dart search of closed dual walks.
+
+    Returns class key -> (trace, the least start dart where the class
+    closes, the words that close it there).  Any closed turn word using
+    both letters has trace at least its length plus one, so searching
+    words of up to bound - 1 letters loses nothing.
+    """
+    sigma, alpha = g.sigma, g.alpha
+    sigma_inv = [0] * g.n_darts
+    for d in range(g.n_darts):
+        sigma_inv[sigma[d]] = d
+
+    def step(d, letter):
+        return sigma[d] if letter == "L" else alpha[sigma_inv[alpha[d]]]
+
+    def canon(darts):
+        rev = tuple(alpha[d] for d in reversed(darts))
+        return min(s[i:] + s[:i] for s in (darts, rev)
+                   for i in range(len(s)))
+
+    found = {}
+    for d0 in range(g.n_darts):
+        stack = [(d0, "", (), IDENTITY)]
+        while stack:
+            d, word, darts, m = stack.pop()
+            if len(word) >= bound - 1:
+                continue
+            for letter in "LR":
+                nxt = step(d, letter)
+                nword, ndarts = word + letter, darts + (nxt,)
+                nm = m * (L if letter == "L" else R)
+                if nxt == d0 and 2 < nm.trace <= bound:
+                    _, start, words = found.setdefault(
+                        canon(ndarts), (nm.trace, d0, set()))
+                    if start == d0:
+                        words.add(nword)
+                stack.append((nxt, nword, ndarts, nm))
+    return found
+
+
 class TestBruteForceOracle:
-    def test_tetrahedron_small_depth(self):
-        """Exhaustive unpruned walk enumeration agrees with the engine.
+    def test_classes_and_witnesses(self):
+        """The engine finds the oracle's classes with their traces, and
+        each witness closes its class at the class's least start dart."""
+        maps = [tetrahedron(), octahedron(),
+                *enumerate_triangulations(EnumerationQuery(7)),
+                example_loop(), example_duplicate_edges(),
+                bipyramid_with_duplicates(3), three_vertex_map()]
+        for g in maps:
+            found = walk_oracle(g, 10)
+            witnesses = enumerate_geodesics_combinatorial(g, 10)
+            # symmetric classes can share a witness word, so pair each
+            # witness with a class it closes at that class's least dart
+            options = [[key for key, (_, _, words) in found.items()
+                        if "".join(w.word) in words] for w in witnesses]
+            owner = {}
 
-        Any closed turn word using both letters has trace at least its
-        length plus one, so trace <= 12 needs length <= 11 and a cap of
-        12 loses nothing.
-        """
-        g = tetrahedron()
-        sigma, alpha = g.sigma, g.alpha
-        sigma_inv = [0] * g.n_darts
-        for d in range(g.n_darts):
-            sigma_inv[sigma[d]] = d
+            def claim(i, tried):
+                for key in options[i]:
+                    if key not in tried:
+                        tried.add(key)
+                        if key not in owner or claim(owner[key], tried):
+                            owner[key] = i
+                            return True
+                return False
 
-        def step(d, letter):
-            return sigma[d] if letter == "L" else alpha[sigma_inv[alpha[d]]]
-
-        def canon(darts):
-            seq = tuple(darts)
-            rev = tuple(alpha[d] for d in reversed(seq))
-            return min(s[i:] + s[:i] for s in (seq, rev)
-                       for i in range(len(s)))
-
-        found = {}
-        for d0 in range(g.n_darts):
-            stack = [(d0, "", ())]
-            while stack:
-                d, word, darts = stack.pop()
-                if len(word) >= 12:
-                    continue
-                for letter in "LR":
-                    nxt = step(d, letter)
-                    nword, ndarts = word + letter, darts + (nxt,)
-                    tr = lr_word_value(nword).trace
-                    if nxt == d0 and 2 < tr <= 12:
-                        found.setdefault(canon(ndarts), tr)
-                    stack.append((nxt, nword, ndarts))
-
-        witnesses = enumerate_geodesics_combinatorial(g, 12)
-        assert sorted(found.values()) == sorted(w.trace for w in witnesses)
+            assert all(claim(i, set()) for i in range(len(witnesses)))
+            assert {key: witnesses[i].trace for key, i in owner.items()} == {
+                key: tr for key, (tr, _, _) in found.items()}
 
 
 class TestMatrixGroup:
@@ -284,9 +333,12 @@ def reference_sweep(gens, bound, diameter, max_states):
             for tok, t in steps.items():
                 if word and word[-1] == (tok[0], -tok[1]):
                     continue
-                w = s * t
-                if norm2(w) > cap:
+                # the exact norm test on the raw product, before the gcd
+                prod, den = mat_mul(s.quad, t.quad), s.den * t.den
+                if (sum(x * x for x in prod) * cap.denominator
+                        > den * den * cap.numerator):
                     continue
+                w = MoebiusMap(*prod, den)
                 if w in seen:
                     repeated.append(w)
                     continue
