@@ -25,7 +25,6 @@ from .triangulation import (
     Triangulation,
     ValidationReport,
     DensityReport,
-    PatternCertificate,
     tetrahedron,
     octahedron,
     icosahedron,

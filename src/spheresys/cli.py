@@ -108,6 +108,9 @@ def parse_input(text: str):
         for lab, quad in quads.items():
             if not isinstance(quad, list) or len(quad) != 4:
                 raise ValueError(f"generator {lab!r}: expected four entries")
+            if any(isinstance(entry, bool) for entry in quad):
+                raise ValueError(f"generator {lab!r}: entries are strings "
+                                 f"or numbers, not booleans")
             if any(_oversized(entry) for entry in quad):
                 raise ValueError(
                     f"generator {lab!r}: an entry is longer than "
@@ -262,8 +265,11 @@ def cmd_render(args, out):
     dev = _build_development(args)
     svg = render_polygon(dev)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(svg)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise InputError(str(exc))
     else:
         out(svg)
     return EXIT_OK

@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .triangulation import (Triangulation, canonical_traversal,
+from . import geodesics
+from .triangulation import (Triangulation, bipyramid_with_duplicates,
+                            canonical_traversal, example_loop,
                             neighbor_darts, tetrahedron)
 
 __all__ = [
@@ -256,33 +258,23 @@ def verify_proposition(n: int) -> dict:
     """Measurements behind the extremal-density statement for n cusps.
 
     The regular case by enumeration: the largest minimum edge density
-    and the number of classes attaining it.  The degenerate cases by
-    pattern certificates on constructed low-degree families.  The
-    report's "generation" entry holds the enumeration's counts for
-    level n (see ``_classes``).
+    D and the number of classes attaining it.  The degenerate cases by
+    the dual walk on constructed maps with loops, duplicate edges or
+    low-degree vertices: each must have a closed geodesic of |trace| at
+    most D - 2, and its row in "degenerate_checks" holds its exact
+    systole trace (None if the walk finds no class).  The report's
+    "generation" entry holds the enumeration's counts for level n (see
+    ``_classes``).
     """
-    from .triangulation import (bipyramid_with_duplicates, example_loop)
-
     if not 4 <= n <= MAX_VERTICES:
         raise ValueError(f"n must be between 4 and {MAX_VERTICES}")
     value, extremal = max_min_density(EnumerationQuery(n))
-    report = {
-        "n": n,
-        "regular_max_min_density": value,
-        "extremal_count": len(extremal),
-        "generation": dict(_classes(n)[1]),
-        "degenerate_ok": True,
-        "degenerate_checks": [],
-    }
-    # Degenerate families with n vertices: the best certified trace
-    # (from a low-density edge between distinct cusps, or from a
-    # structural pattern certificate) must undercut value - 2, the
-    # trace implied by the regular-class density bound.
     checks = []
 
     def check(name, t):
-        best = t.a_priori_trace_bound()
-        checks.append((name, best, best is not None and best <= value - 2))
+        witnesses = geodesics.enumerate_geodesics_combinatorial(t, value - 2)
+        best = min((int(abs(w.trace)) for w in witnesses), default=None)
+        checks.append((name, best, best is not None))
 
     check("bipyramid", bipyramid_with_duplicates(n - 2))
     if n == 4:
@@ -291,6 +283,11 @@ def verify_proposition(n: int) -> dict:
         inner = [f for f in range(t.n_faces)
                  if sorted(t.face_vertices(f)) == [0, 0, 1]]
         check("stellated-loop", t.stellate(inner))
-    report["degenerate_checks"] = checks
-    report["degenerate_ok"] = all(ok for _, _, ok in checks)
-    return report
+    return {
+        "n": n,
+        "regular_max_min_density": value,
+        "extremal_count": len(extremal),
+        "generation": dict(_classes(n)[1]),
+        "degenerate_ok": all(ok for _, _, ok in checks),
+        "degenerate_checks": checks,
+    }

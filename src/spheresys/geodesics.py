@@ -145,11 +145,14 @@ def systole_combinatorial(g: Triangulation,
                           ) -> Tuple[float, List[GeodesicWitness]]:
     """Systole length and all witnesses attaining it.
 
-    Without a ``trace_bound`` the bound starts at the a-priori bound (a
-    low-density edge or a pattern certificate), or 3 if there is none,
-    and doubles until a class is found.  That ends: d -> R(L(d)) permutes
-    the darts, so (LR)^k closes at every dart for some k >= 1, with
-    trace above 2.  A given bound below the systole raises ValueError.
+    Without a ``trace_bound`` the bound starts at the a-priori bound
+    (the least density walk, ``Triangulation.a_priori_trace_bound``), or
+    3 if there is none, and doubles until a class is found.  That ends:
+    d -> R(L(d)) permutes the darts, so (LR)^k closes at every dart for
+    some k >= 1, with trace above 2.  The search returns every class up
+    to its bound, so a start above the systole (possible on maps with
+    loops or duplicate edges) still gives the least trace.  A given bound
+    below the systole raises ValueError.
     """
     bound = trace_bound
     if bound is None:

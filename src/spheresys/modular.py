@@ -118,9 +118,6 @@ class Frac:
             return Frac(int(a), int(b))
         return Frac(int(text), 1)
 
-    def mediant(self, other: "Frac") -> "Frac":
-        return Frac(self.p + other.p, self.q + other.q)
-
 
 INF = Frac(1, 0)
 

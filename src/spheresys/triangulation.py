@@ -10,16 +10,13 @@ vertex degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-from .modular import lr_word_value
 
 __all__ = [
     "Triangulation",
     "ValidationReport",
     "DensityReport",
-    "PatternCertificate",
     "tetrahedron",
     "octahedron",
     "icosahedron",
@@ -50,14 +47,6 @@ class DensityReport:
     densities: List[int]          # indexed by edge id
     min_density: int
     witness_edge: int
-
-
-@dataclass
-class PatternCertificate:
-    pattern: str                  # "adjacent-degree-2", "loop-walk", "degree-1"
-    trace_bound: int
-    word: str                     # L/R word realizing the bound
-    detail: Tuple
 
 
 class Triangulation:
@@ -285,19 +274,21 @@ class Triangulation:
         return DensityReport(densities, densities[witness], witness)
 
     def a_priori_trace_bound(self) -> Optional[int]:
-        """Least |trace| certified without a search, or None if none is.
+        """Least |trace| of a density walk, or None if there is none.
 
         A non-loop edge of density D = m1 m2 >= 5 joins two cusps whose
         parabolics P1, P2 give |trace(P1 P2^-1)| = D - 2 (see
         ``parabolic_product_trace``): the walk L R^(m1-2) L R^(m2-2) unless
-        an end has degree 1, where R^-1 makes the word no walk.  Each
-        pattern certificate names a walk of its trace bound.
+        an end has degree 1, where R^-1 makes the word no walk.  So the
+        least such trace bounds the systole's from above.  It equals it on
+        every simple class with up to 10 vertices and on the fixture
+        graphs; a map with loops or duplicate edges can have shorter
+        walks, which only the dual walk finds.
         """
-        density = self.density()
-        bounds = [density.densities[e] - 2 for e in range(self.n_edges)
-                  if not self.is_loop(e) and density.densities[e] >= 5]
-        bounds += [cert.trace_bound for cert in self.pattern_certificates()]
-        return min(bounds, default=None)
+        densities = self.density().densities
+        return min((densities[e] - 2 for e in range(self.n_edges)
+                    if not self.is_loop(e) and densities[e] >= 5),
+                   default=None)
 
     # -- surgery --------------------------------------------------------
 
@@ -399,122 +390,6 @@ class Triangulation:
                     seen.add(g)
                     stack.append(g)
         return seen
-
-    # -- structural pattern certificates --------------------------------
-
-    def pattern_certificates(self) -> List[PatternCertificate]:
-        """Short-geodesic certificates from low-degree configurations.
-
-        Detects the three configurations that force a short hyperbolic
-        element: degree-2 apexes of adjacent triangles, loops whose two
-        sides both contain at least two triangles, and degree-1 vertices.
-        Trace bounds for the walk-based patterns are computed exactly
-        from the constructed L/R word, never quoted from a statement.
-        """
-        certs: List[PatternCertificate] = []
-        certs.extend(self._adjacent_degree2_certificates())
-        certs.extend(self._loop_certificates())
-        certs.extend(self._degree1_certificates())
-        return certs
-
-    def _opposite_corner(self, f: int, e: int) -> Optional[int]:
-        """Vertex of face f whose corner is not an endpoint of a dart of e."""
-        # corner at origin of dart d lies between alpha[prev] and d; the
-        # corner opposite to edge e is the origin of the dart whose edge
-        # and whose predecessor's edge are both != e
-        cycle = self.faces[f]
-        for i, d in enumerate(cycle):
-            prev = cycle[i - 1]
-            if self.edge_of_dart[d] != e and self.edge_of_dart[prev] != e:
-                return self.origin[d]
-        return None
-
-    def _adjacent_degree2_certificates(self) -> List[PatternCertificate]:
-        certs = []
-        seen = set()
-        for e in range(self.n_edges):
-            d1, d2 = self.edges[e]
-            f1, f2 = self.face_of_dart[d1], self.face_of_dart[d2]
-            if f1 == f2:
-                continue
-            v1 = self._opposite_corner(f1, e)
-            v2 = self._opposite_corner(f2, e)
-            if v1 is None or v2 is None:
-                continue
-            for a, b in ((v1, v2), (v2, v1)):
-                if self.degree[a] == 2 and self.degree[b] in (2, 3):
-                    trace = 14 if self.degree[b] == 2 else 22
-                    key = (min(a, b), max(a, b), trace)
-                    if key not in seen:
-                        seen.add(key)
-                        m2 = 8 if self.degree[b] == 2 else 12
-                        word = "LL" + "R" * (m2 - 2)
-                        assert lr_word_value(word).trace == trace
-                        certs.append(PatternCertificate(
-                            "adjacent-degree-2", trace, word, (a, b, e)))
-                    break
-        return certs
-
-    def _loop_sides(self, e: int):
-        d1, d2 = self.edges[e]
-        side1 = self._face_side({e}, self.face_of_dart[d1])
-        side2 = self._face_side({e}, self.face_of_dart[d2])
-        return d1, d2, side1, side2
-
-    def _loop_certificates(self) -> List[PatternCertificate]:
-        certs = []
-        for e in self.loop_edges():
-            d1, d2, side1, side2 = self._loop_sides(e)
-            if len(side1) < 2 or len(side2) < 2:
-                continue  # one side is the single degree-1 triangle
-            v = self.origin[d1]
-            rot = self.vertex_darts[v]
-            i1, i2 = rot.index(d1), rot.index(d2)
-            lo, hi = sorted((i1, i2))
-            arc_a = rot[lo + 1:hi]
-            arc_b = rot[hi + 1:] + rot[:lo]
-            # pick the arc lying on the smaller side of the loop
-            best = None
-            for arc in (arc_a, arc_b):
-                if not arc:
-                    continue
-                k = len(arc)
-                if best is None or k < best:
-                    best = k
-            if best is None or best < 2:
-                continue
-            word = "L" * (best - 1) + "R"
-            m = lr_word_value(word)
-            certs.append(PatternCertificate(
-                "loop-walk", int(abs(m.trace)), word, (e, v, best)))
-        return certs
-
-    def _degree1_certificates(self) -> List[PatternCertificate]:
-        certs = []
-        for v in range(self.n_vertices):
-            if self.degree[v] != 1:
-                continue
-            d = self.vertex_darts[v][0]
-            containing = self.face_of_dart[d]
-            loop_darts = [x for x in self.faces[containing]
-                          if self.is_loop(self.edge_of_dart[x])]
-            if not loop_darts:
-                continue
-            l = loop_darts[0]
-            enclosing = self.face_of_dart[self.alpha[l]]
-            w = self.origin[l]
-            third = [self.origin[x] for x in self.faces[enclosing]
-                     if self.origin[x] != w]
-            # a third vertex of degree 1 would give trace 2, a parabolic
-            if not third or self.degree[third[0]] < 2:
-                continue
-            dd = self.degree[third[0]]
-            word = "LLLL" + "R" * (dd - 1)
-            m = lr_word_value(word)
-            assert m.trace == 4 * dd - 2
-            certs.append(PatternCertificate(
-                "degree-1", 4 * dd - 2, word, (v, third[0])))
-        return certs
 
     # -- canonical form and isomorphism ---------------------------------
 

@@ -339,6 +339,13 @@ class TestBadInput:
                                  tetrahedron_and_torus().to_text(), command)
             assert "2 connected components" in err, command
 
+    def test_unwritable_render_output(self, capsys, tmp_path):
+        # a missing directory, and a directory in place of the file
+        for target in (tmp_path / "missing" / "x.svg", tmp_path):
+            err = one_line_error(capsys, tmp_path, tetrahedron().to_text(),
+                                 "render", "-o", str(target))
+            assert str(target) in err
+
     def test_huge_entries_run(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"generators": GENS_HUGE}))
@@ -393,6 +400,12 @@ class TestParseInput:
                         ["1" + "0" * 1000, "0", "0", "1/1" + "0" * 1000]):
             with pytest.raises(cli.InputError, match="longer than"):
                 cli.parse_input(json.dumps({"generators": {"1": entries}}))
+
+    def test_boolean_entry_refused(self):
+        # JSON true would otherwise read as 1: the parabolic (1 1; 0 1)
+        with pytest.raises(cli.InputError, match="booleans"):
+            cli.parse_input(json.dumps(
+                {"generators": {"1": [True, 1, 0, 1]}, "diameter": 1}))
 
     def test_both_branches_parse(self):
         assert isinstance(cli.parse_input(tetrahedron().to_text()),

@@ -172,6 +172,12 @@ class TestVerifyProposition:
         assert report["regular_max_min_density"] == {
             4: 9, 5: 12, 6: 16, 7: 16, 8: 18, 9: 20}[n]
         assert report["degenerate_ok"]
+        # exact dual-walk systole traces of the degenerate maps
+        degenerate = [("bipyramid", {4: 6, 5: 10}.get(n, 14), True)]
+        if n == 4:
+            degenerate += [("loop-with-pendant", 4, True),
+                           ("stellated-loop", 4, True)]
+        assert report["degenerate_checks"] == degenerate
         counts = report["generation"]
         assert counts["classes"] == KNOWN_COUNTS[n]
         assert counts["children"] == counts["rejected_by_rank"] + counts["edge_codes"]

@@ -157,7 +157,8 @@ class TestBruteForceOracle:
         maps = [tetrahedron(), octahedron(),
                 *enumerate_triangulations(EnumerationQuery(7)),
                 example_loop(), example_duplicate_edges(),
-                bipyramid_with_duplicates(3), three_vertex_map()]
+                bipyramid_with_duplicates(2), bipyramid_with_duplicates(3),
+                three_vertex_map()]
         for g in maps:
             found = walk_oracle(g, 10)
             witnesses = enumerate_geodesics_combinatorial(g, 10)
@@ -612,14 +613,15 @@ class TestConsistency:
         assert spectra[0] == spectra[1] == spectra[2]
 
     def test_pattern_certificates_confirmed(self):
-        """Each certified trace bound is attained by an actual walk."""
-        for g in (example_loop(), example_duplicate_edges(),
-                  bipyramid_with_duplicates(3)):
-            for cert in g.pattern_certificates():
-                witnesses = enumerate_geodesics_combinatorial(
-                    g, cert.trace_bound)
-                assert witnesses
-                assert min(abs(w.trace) for w in witnesses) <= cert.trace_bound
+        """The doubling search from the density bound finds the least
+        trace on the bipyramids, also for m >= 5, where that bound
+        4m - 2 lies above the systole 14."""
+        for m in range(2, 11):
+            g = bipyramid_with_duplicates(m)
+            _, witnesses = systole_combinatorial(g)
+            assert g.a_priori_trace_bound() == 4 * m - 2
+            assert {abs(w.trace) for w in witnesses} == {min(4 * m - 2, 14)}
+            assert witnesses == systole_combinatorial(g, 30)[1]
 
     @given(st.lists(st.sampled_from(["L", "R"]), min_size=1, max_size=30),
            st.sampled_from(["L", "R"]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spheresys.enumeration import EnumerationQuery, enumerate_triangulations
+from spheresys.geodesics import systole_combinatorial
 from spheresys.triangulation import (
     Triangulation,
     bipyramid_with_duplicates,
@@ -152,30 +153,31 @@ class TestDegenerateExamples:
             assert any(diagnostic in d for d in report.diagnostics)
 
 
+def systole_words(g):
+    """The dual walk's least |trace| on g and its witness words."""
+    _, witnesses = systole_combinatorial(g)
+    return abs(witnesses[0].trace), ["".join(w.word) for w in witnesses]
+
+
 class TestPatternCertificates:
+    """Exact systoles of regular maps and of maps with low-degree
+    vertices, duplicate edges or loops."""
+
     def test_regular_has_none(self):
-        assert tetrahedron().pattern_certificates() == []
-        assert octahedron().pattern_certificates() == []
+        # on these simple maps the density walk attains the systole
+        for g, trace in ((tetrahedron(), 7), (octahedron(), 14)):
+            assert systole_words(g)[0] == trace == g.a_priori_trace_bound()
 
     def test_adjacent_degree_two_three(self):
-        certs = example_duplicate_edges().pattern_certificates()
-        assert sorted(c.trace_bound for c in certs) == [22, 22]
-        assert all(c.pattern == "adjacent-degree-2" for c in certs)
+        assert systole_words(example_duplicate_edges()) == (7, ["RLRL"])
 
     def test_adjacent_degree_two_two(self):
-        b = bipyramid_with_duplicates(2)
         # both bigon vertices have degree 2 and face each other
-        certs = [c for c in b.pattern_certificates()
-                 if c.pattern == "adjacent-degree-2"]
-        assert certs and all(c.trace_bound == 14 for c in certs)
+        trace, words = systole_words(bipyramid_with_duplicates(2))
+        assert trace == 6 and len(words) == 2
 
     def test_degree_one(self):
-        certs = example_loop().pattern_certificates()
-        assert len(certs) == 1
-        c = certs[0]
-        assert c.pattern == "degree-1"
-        # enclosing triangle's third vertex has degree 3 -> trace 4*3-2
-        assert c.trace_bound == 10 and c.word == "LLLLRR"
+        assert systole_words(example_loop()) == (4, ["LRL"])
 
     def test_loop_walk_after_stellation(self):
         t = example_loop()
@@ -183,9 +185,8 @@ class TestPatternCertificates:
                  if sorted(t.face_vertices(f)) == [0, 0, 1]]
         s = t.stellate(inner)
         assert s.validate().ok
-        certs = [c for c in s.pattern_certificates() if c.pattern == "loop-walk"]
-        assert len(certs) == 1
-        assert certs[0].word == "LLR" and certs[0].trace_bound == 4
+        trace, words = systole_words(s)
+        assert trace == 4 and len(words) == 2
 
 
 class TestSurgery:
