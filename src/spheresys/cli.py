@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction as Q
@@ -102,8 +103,9 @@ def parse_input(text: str):
             return Triangulation.from_text(text)
         data = json.loads(text)
         quads = data.get("generators") if isinstance(data, dict) else None
-        if not isinstance(quads, dict):
-            raise ValueError('expected {"generators": {label: [a, b, c, d]}}')
+        if not isinstance(quads, dict) or not quads:
+            raise ValueError('expected {"generators": {label: [a, b, c, d]}}'
+                             " with at least one generator")
         gens = {}
         for lab, quad in quads.items():
             if not isinstance(quad, list) or len(quad) != 4:
@@ -146,6 +148,8 @@ def load_input(spec: str, check: bool = True):
             text = fh.read()
     except OSError as exc:
         raise InputError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{spec}: {exc}")
     try:
         loaded = parse_input(text)
     except InputError as exc:
@@ -570,8 +574,13 @@ def main(argv=None) -> int:
         code, message = EXIT_CLAIM, f"failure: {exc}"
     except ResourceLimitError as exc:
         code, message = EXIT_RESOURCE, f"resource limit: {exc}"
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # reader closed early: the rest, and the exit flush, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if message is not None:
         print(message, file=sys.stderr)
     return code

@@ -7,17 +7,17 @@ Rademacher), so it arises from one with a vertex fewer by a vertex
 split, and a split is kept only if contracting its new edge is the
 canonical way to undo it.  Contraction of an edge in the canonical
 orbit determines the parent class, so no class is reached from two
-parents, and a per-parent set of codes removes the remaining duplicates
-(``_classes`` gives the argument in full).  Only the kept classes get a
-minimal-traversal canonical code.  The independent correctness oracle
-for small vertex counts, a slow flip-closure count, lives in
-tests/test_enumeration.py.
+parents.  The edge code that decides canonicity is also a complete
+class invariant, so it keys the kept class and no class gets a second
+code (``_classes`` gives the argument in full).  The independent
+correctness oracle for small vertex counts, a slow flip-closure count,
+lives in tests/test_enumeration.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from . import geodesics
 from .triangulation import (Triangulation, bipyramid_with_duplicates,
@@ -64,29 +64,18 @@ def _split_vertex(rot, v, i, j):
     arc endpoints see the pair in the orientation-consistent order.
     """
     nbrs = rot[v]
-    k = len(nbrs)
     a_i, a_j = nbrs[i], nbrs[j]
     v2 = len(rot)
     new = [list(r) for r in rot]
-    arc1 = list(nbrs[i:j + 1])
-    arc2 = list(nbrs[j:]) + list(nbrs[:i + 1])
-    new[v] = arc1 + [v2]
-    new.append(arc2 + [v])
-    for t in range(j + 1, k):
-        w = nbrs[t]
-        new[w][new[w].index(v)] = v2
-    for t in range(0, i):
-        w = nbrs[t]
+    new[v] = [*nbrs[i:j + 1], v2]
+    new.append([*nbrs[j:], *nbrs[:i + 1], v])
+    for w in nbrs[j + 1:] + nbrs[:i]:
         new[w][new[w].index(v)] = v2
     p = new[a_i].index(v)
     new[a_i][p:p + 1] = [v, v2]
     p = new[a_j].index(v)
     new[a_j][p:p + 1] = [v2, v]
     return [tuple(r) for r in new]
-
-
-def _k4_rotations():
-    return [tuple(r) for r in tetrahedron().simple_neighbor_lists()]
 
 
 def _ranked_split(rot, degrees, v, i, j):
@@ -150,12 +139,12 @@ def _edge_code(child, darts, edges):
 _COUNT_KEYS = ("children", "rejected_by_rank", "edge_codes",
                "sibling_duplicates", "classes")
 
-# Per vertex count: (classes keyed by canonical code, generation counts)
+# Per vertex count: (classes keyed by edge code, generation counts)
 _CLASS_CACHE: Dict[int, Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]] = {}
 
 
 def _classes(n: int) -> Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]:
-    """All simple triangulation classes with n vertices, keyed by code.
+    """All simple triangulation classes with n vertices, keyed by edge code.
 
     Canonical construction path (McKay 1998): a child of a vertex split
     is kept only if contracting its new edge {v, v2} is the canonical
@@ -178,18 +167,22 @@ def _classes(n: int) -> Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]:
       canonical edges form one orbit under automorphisms and reflection,
       and contracting any of them gives the same parent class.  A class
       is therefore accepted only from that parent's representative.
-    - Two splits of one parent can still give isomorphic children, each
-      with its new edge canonical.  The new edge's code is then a
-      complete invariant of the child, so a per-parent set of codes
-      drops those duplicates.
+    - A kept child's code, its new edge's edge code, is beaten by no
+      tie, so it is the least edge code over the contractible edges of
+      least rank, a set that depends only on the class.  The traversal
+      reaches every dart, so the code determines the map and keys the
+      class (K4's edges form one orbit, so any of them gives its key).
+      Two splits of one parent can still give isomorphic children; no
+      class comes from two parents, so a code already in the level
+      marks such a sibling duplicate.
 
     Returns the classes and the level's counts: children tried,
     children rejected by rank, children that reached an edge code (the
     rest of those lose on code), sibling duplicates and classes.
     """
     if 4 not in _CLASS_CACHE:
-        k4 = _k4_rotations()
-        _CLASS_CACHE[4] = ({canonical_traversal(*neighbor_darts(k4))[0]: k4},
+        k4 = [tuple(r) for r in tetrahedron().simple_neighbor_lists()]
+        _CLASS_CACHE[4] = ({_edge_code(k4, neighbor_darts(k4), [(0, 1)]): k4},
                            dict.fromkeys(_COUNT_KEYS, 0) | {"classes": 1})
     size = max(s for s in _CLASS_CACHE if s <= n)
     while size < n:
@@ -197,7 +190,6 @@ def _classes(n: int) -> Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]:
         counts = dict.fromkeys(_COUNT_KEYS, 0)
         for rot in _CLASS_CACHE[size][0].values():
             degrees = [len(r) for r in rot]
-            siblings = set()
             for v in range(size):
                 k = degrees[v]
                 for i in range(k):
@@ -214,44 +206,43 @@ def _classes(n: int) -> Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]:
                         code = _edge_code(child, darts, [(v, size)])
                         if ties and _edge_code(child, darts, ties) < code:
                             continue
-                        if code in siblings:
+                        if code in nxt:
                             counts["sibling_duplicates"] += 1
                             continue
-                        siblings.add(code)
-                        nxt[canonical_traversal(*darts)[0]] = child
+                        nxt[code] = child
         size += 1
-        counts["classes"] = len(nxt)
-        _CLASS_CACHE[size] = (nxt, counts)
+        _CLASS_CACHE[size] = (nxt, counts | {"classes": len(nxt)})
     return _CLASS_CACHE[n]
+
+
+def _rotations(q: EnumerationQuery) -> Iterator[List[Tuple]]:
+    """Neighbour lists of the classes that q admits, in key order."""
+    if q.n > MAX_VERTICES:
+        raise ResourceLimitError(
+            f"simple triangulations enumerated up to {MAX_VERTICES} vertices")
+    for _, rot in sorted(_classes(q.n)[0].items()):
+        if min(len(r) for r in rot) >= q.min_degree:
+            yield rot
 
 
 def enumerate_triangulations(q: EnumerationQuery) -> Iterator[Triangulation]:
     """One representative per isomorphism class, deterministically ordered."""
-    if q.n > MAX_VERTICES:
-        raise ResourceLimitError(
-            f"simple triangulations enumerated up to {MAX_VERTICES} vertices")
-    classes = _classes(q.n)[0]
-    for code in sorted(classes):
-        rot = classes[code]
-        if min(len(r) for r in rot) < q.min_degree:
-            continue
+    for rot in _rotations(q):
         yield Triangulation.from_simple_rotations(rot)
 
 
 # -- density extremes ----------------------------------------------------
 
 def max_min_density(q: EnumerationQuery):
-    """Largest min edge density over the class, with all attaining maps."""
-    best = None
-    extremal = []
-    for t in enumerate_triangulations(q):
-        m = t.density().min_density
-        if best is None or m > best:
-            best = m
-            extremal = [t]
-        elif m == best:
-            extremal.append(t)
-    return best, extremal
+    """Largest min edge density over the class, with all attaining maps.
+
+    Densities are read off the neighbour lists; only attaining maps are built.
+    """
+    mins = [(min(len(nbrs) * len(rot[w]) for nbrs in rot for w in nbrs), rot)
+            for rot in _rotations(q)]
+    best = max((m for m, _ in mins), default=None)
+    return best, [Triangulation.from_simple_rotations(rot)
+                  for m, rot in mins if m == best]
 
 
 def verify_proposition(n: int) -> dict:

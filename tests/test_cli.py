@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +171,20 @@ class TestEnumerate:
         code, _ = run(capsys, "enumerate", "--n", "13", "--count-only")
         assert code == 3
 
+    def test_closed_pipe_exits_quietly(self):
+        # n = 10 prints about 120 kB, more than a pipe holds, so the
+        # command is still writing when its reader closes after one line
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spheresys.cli", "enumerate", "--n", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.readline().startswith(b"rotation 0:")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
+
 
 class TestVerifyPaper:
     def test_small_selector(self, capsys):
@@ -304,6 +321,7 @@ class TestBadInput:
         "rotation 0: 5 1 2\nrotation 1: 3 4\ntwin 0 3\n",
         "twin 0 9\n",
         json.dumps({"generators": [["1", "0", "4", "1"]]}),
+        json.dumps({"generators": {}}),
         json.dumps({"generators": GENS_14, "diameter": float("nan")}),
         json.dumps({"generators": GENS_14, "diameter": 400}),
         json.dumps({"generators": {"1": ["1e3000000", "0", "0", "1"]}}),
@@ -313,6 +331,15 @@ class TestBadInput:
     def test_one_line_error(self, capsys, tmp_path, content):
         one_line_error(capsys, tmp_path, content,
                        "systole", "--trace-bound", "14")
+
+    def test_undecodable_file_named(self, capsys, tmp_path):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\xfe\x00")
+        code = cli.main(["systole", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {path}: ") and "decode" in line
 
     def test_trace_bound_overflow(self, capsys, tmp_path):
         one_line_error(capsys, tmp_path, json.dumps({"generators": GENS_14}),

@@ -164,6 +164,29 @@ class TestMaxMinDensity:
         assert len(extremal) == 1
         assert extremal[0].is_isomorphic(octahedron())
 
+    @pytest.mark.parametrize("min_degree", (3, 4))
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_matches_brute_force(self, n, min_degree):
+        mins = [(t.density().min_density, t.canonical_code())
+                for t in classes(n, min_degree=min_degree)]
+        best = max((m for m, _ in mins), default=None)
+        got, extremal = max_min_density(EnumerationQuery(n, min_degree))
+        assert got == best
+        assert ({t.canonical_code() for t in extremal}
+                == {code for m, code in mins if m == best})
+
+    def test_builds_only_extremal_classes(self, monkeypatch):
+        built = []
+        build = Triangulation.from_simple_rotations
+
+        def counting(rot):
+            built.append(rot)
+            return build(rot)
+
+        monkeypatch.setattr(Triangulation, "from_simple_rotations", counting)
+        _, extremal = max_min_density(EnumerationQuery(12))
+        assert len(built) == len(extremal) == 1
+
 
 class TestVerifyProposition:
     @pytest.mark.parametrize("n", range(4, 10))
@@ -193,6 +216,17 @@ class TestVerifyProposition:
         assert verify_proposition(10)["generation"] == {
             "children": 4259, "rejected_by_rank": 3750, "edge_codes": 509,
             "sibling_duplicates": 233, "classes": 233}
+
+    @pytest.mark.parametrize("n,counts", [
+        (11, {"children": 23857, "rejected_by_rank": 21729,
+              "edge_codes": 2128, "sibling_duplicates": 619,
+              "classes": 1249}),
+        (12, {"children": 150139, "rejected_by_rank": 139594,
+              "edge_codes": 10545, "sibling_duplicates": 1566,
+              "classes": 7595}),
+    ])
+    def test_generation_counts_n11_n12(self, n, counts):
+        assert verify_proposition(n)["generation"] == counts
 
     def test_range_check(self):
         for n in (3, 13):
