@@ -133,7 +133,7 @@ def _edge_code(child, darts, edges):
             roots.append(origin.index(a) + child[a].index(b))
         if len(child[b]) <= len(child[a]):
             roots.append(origin.index(b) + child[b].index(a))
-    return canonical_traversal(*darts, roots)[0]
+    return canonical_traversal(*darts, roots)
 
 
 _COUNT_KEYS = ("children", "rejected_by_rank", "edge_codes",

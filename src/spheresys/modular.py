@@ -110,14 +110,6 @@ class Frac:
     def __le__(self, other):
         return self._key() <= other._key()
 
-    @staticmethod
-    def parse(text: str) -> "Frac":
-        text = text.strip()
-        if "/" in text:
-            a, b = text.split("/")
-            return Frac(int(a), int(b))
-        return Frac(int(text), 1)
-
 
 INF = Frac(1, 0)
 
@@ -203,20 +195,8 @@ class MoebiusMap:
         return Q(self.na + self.nd, self.den)
 
     @property
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    @property
     def is_parabolic(self) -> bool:
         return abs(self.na + self.nd) == 2 * self.den and self != IDENTITY
-
-    @property
-    def is_hyperbolic(self) -> bool:
-        return abs(self.na + self.nd) > 2 * self.den
-
-    @property
-    def is_elliptic(self) -> bool:
-        return abs(self.na + self.nd) < 2 * self.den
 
     def __mul__(self, other: "MoebiusMap") -> "MoebiusMap":
         return MoebiusMap(*mat_mul(self.quad, other.quad),
@@ -241,15 +221,6 @@ class MoebiusMap:
         """Apply the map projectively to an extended rational."""
         x = Frac.from_rational(x)
         return Frac(self.na * x.p + self.nb * x.q, self.nc * x.p + self.nd * x.q)
-
-    def fixed_rational_point(self) -> Frac:
-        """The fixed point of a parabolic map, as an extended rational."""
-        if not self.is_parabolic:
-            raise ValueError("only parabolic maps have a single rational fixed point")
-        if self.nc == 0:
-            return INF
-        # c x^2 + (d - a) x - b = 0 with zero discriminant
-        return Frac(self.na - self.nd, 2 * self.nc)
 
     def to_json(self):
         return [str(e) for e in self.entries()]

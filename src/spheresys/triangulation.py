@@ -11,7 +11,7 @@ vertex degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Triangulation",
@@ -327,105 +327,16 @@ class Triangulation:
             rotations.append([spokes_at_center[0], spokes_at_center[2], spokes_at_center[1]])
         return Triangulation.from_rotation_lists(rotations, twins)
 
-    def flip(self, e: int) -> Optional["Triangulation"]:
-        """Diagonal flip of an interior edge; None if the flip is degenerate.
-
-        Only defined on simple triangulations and only performed when the
-        result is again simple.
-        """
-        d = self.edges[e][0]
-        dd = self.alpha[d]
-        u, v = self.origin[d], self.origin[dd]
-        if u == v:
-            return None
-        p = self.face_next(d)
-        q = self.face_next(p)
-        r = self.face_next(dd)
-        s = self.face_next(r)
-        a = self.origin[self.alpha[p]]
-        b = self.origin[self.alpha[r]]
-        if a == b:
-            return None
-        # reject if a-b already an edge
-        for x in self.vertex_darts[a]:
-            if self.head(x) == b:
-                return None
-        if self.degree[u] <= 3 or self.degree[v] <= 3:
-            return None
-        rotations = self.rotations()
-        rotations[u].remove(d)
-        rotations[v].remove(dd)
-        rot_a = rotations[a]
-        rot_a.insert(rot_a.index(self.alpha[p]) + 1, d)
-        rot_b = rotations[b]
-        rot_b.insert(rot_b.index(self.alpha[r]) + 1, dd)
-        twins = [(x, self.alpha[x]) for x in range(self.n_darts) if x < self.alpha[x]]
-        return Triangulation.from_rotation_lists(rotations, twins)
-
-    def duplicate_edge_split(self, e1: int, e2: int) -> Tuple[int, int]:
-        """Triangle counts of the two components separated by a bigon."""
-        if e1 == e2:
-            raise ValueError("need two distinct edges")
-        if self.is_loop(e1) or self.is_loop(e2):
-            raise ValueError("duplicate edges must have two distinct endpoints")
-        if sorted(self.edge_endpoints(e1)) != sorted(self.edge_endpoints(e2)):
-            raise ValueError("edges are not duplicates of each other")
-        blocked = {e1, e2}
-        side = self._face_side(blocked, self.face_of_dart[self.edges[e1][0]])
-        c1 = len(side)
-        c2 = self.n_faces - c1
-        return tuple(sorted((c1, c2)))
-
-    def _face_side(self, blocked_edges: Set[int], start_face: int) -> Set[int]:
-        """Faces reachable from start_face without crossing blocked edges."""
-        seen = {start_face}
-        stack = [start_face]
-        while stack:
-            f = stack.pop()
-            for d in self.faces[f]:
-                if self.edge_of_dart[d] in blocked_edges:
-                    continue
-                g = self.face_of_dart[self.alpha[d]]
-                if g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-        return seen
-
-    # -- canonical form and isomorphism ---------------------------------
+    # -- canonical code ------------------------------------------------
 
     def canonical_code(self) -> Tuple[int, ...]:
-        """Minimal traversal code over all root darts and both orientations.
+        """Least traversal code over the default roots of
+        ``canonical_traversal`` and both orientations.
 
         Two maps have equal codes iff they are isomorphic as maps up to
         orientation-preserving or -reversing homeomorphism.
         """
-        return canonical_traversal(self.sigma, self.alpha, self.origin)[0]
-
-    def canonical_form(self) -> "Triangulation":
-        """Relabel darts into the canonical traversal order."""
-        _, rot, order = canonical_traversal(self.sigma, self.alpha, self.origin)
-        n = self.n_darts
-        label = [0] * n
-        for i, d in enumerate(order):
-            label[d] = i
-        # relabelled vertices by first-seen dart order
-        vmap = {}
-        for d in order:
-            vmap.setdefault(self.origin[d], len(vmap))
-        new_sigma = [0] * n
-        new_alpha = [0] * n
-        new_origin = [0] * n
-        for d in range(n):
-            new_sigma[label[d]] = label[rot[d]]
-            new_alpha[label[d]] = label[self.alpha[d]]
-            new_origin[label[d]] = vmap[self.origin[d]]
-        return Triangulation(new_sigma, new_alpha, new_origin)
-
-    def is_isomorphic(self, other: "Triangulation") -> bool:
-        if (self.n_darts != other.n_darts
-                or sorted(self.degree) != sorted(other.degree)):
-            return False
-        return self.canonical_code() == other.canonical_code()
+        return canonical_traversal(self.sigma, self.alpha, self.origin)
 
     # -- serialization ---------------------------------------------------
 
@@ -465,17 +376,6 @@ class Triangulation:
         rot_lists = [rotations[v] for v in range(len(rotations))]
         return cls.from_rotation_lists(rot_lists, twins)
 
-    def to_json_obj(self):
-        return {
-            "rotations": [list(rot) for rot in self.vertex_darts],
-            "twins": [[d, self.alpha[d]] for d in range(self.n_darts) if d < self.alpha[d]],
-        }
-
-    @classmethod
-    def from_json_obj(cls, data) -> "Triangulation":
-        return cls.from_rotation_lists(data["rotations"],
-                                       [tuple(t) for t in data["twins"]])
-
 
 # -- dart arrays and the canonical code ----------------------------------
 
@@ -508,17 +408,14 @@ def neighbor_darts(neighbors: Sequence[Sequence[int]]):
 
 def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
                         origin: Sequence[int],
-                        roots: Optional[Sequence[int]] = None):
-    """Minimal rooted traversal code of a connected map, with its witness.
+                        roots: Optional[Sequence[int]] = None) -> Tuple[int, ...]:
+    """Minimal rooted traversal code of a connected map, as a tuple.
 
     Roots are the given darts, by default the darts minimizing (degree
     of origin, degree of head), read with sigma and with its inverse
-    (the mirror image).  Returns ``(code, rotation, order)``: the least
-    code as a tuple, the rotation (sigma or its inverse) that attains
-    it, and the darts in the traversal order of the attaining root, so
-    that ``order[i]`` is the dart labelled i.  The code describes the
-    whole map only if the traversal reaches every dart, so a map with
-    more than one component raises ValueError.
+    (the mirror image).  The code describes the whole map only if the
+    traversal reaches every dart, so a map with more than one component
+    raises ValueError.
     """
     n = len(sigma)
     if roots is None:
@@ -531,21 +428,20 @@ def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
     sigma_inv = [0] * n
     for d in range(n):
         sigma_inv[sigma[d]] = d
-    best = rotation = order = None
+    best = reached = None
     for rot in (sigma, sigma_inv):
         for root in roots:
             found = _root_code(rot, alpha, root, best)
             if found is not None and (best is None or found[0] < best):
-                best, order = found
-                rotation = rot
-    if len(order) != n:
+                best, reached = found
+    if reached != n:
         raise ValueError("map is not connected: the traversal reaches "
-                         f"{len(order)} of {n} darts")
-    return tuple(best), rotation, order
+                         f"{reached} of {n} darts")
+    return tuple(best)
 
 
 def _root_code(sigma, alpha, root, best):
-    """(code, dart order) for one rooted, oriented map; None if > best."""
+    """(code, darts reached) for one rooted, oriented map; None if > best."""
     label = [-1] * len(sigma)
     label[root] = 0
     order = [root]
@@ -565,7 +461,7 @@ def _root_code(sigma, alpha, root, best):
                 if lab < b:
                     best = None  # strictly better; stop comparing
             code.append(lab)
-    return code, order
+    return code, len(order)
 
 
 # -- fixed small builders -----------------------------------------------

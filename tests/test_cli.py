@@ -185,6 +185,32 @@ class TestEnumerate:
         assert proc.returncode == 0
         assert err == b""
 
+    @pytest.mark.parametrize("unbuffered", ("", "1"))
+    def test_closed_pipe_keeps_exit_code(self, tmp_path, unbuffered):
+        # validate prints its report, then fails; a reader that has
+        # closed the pipe does not turn that failure into success
+        path = tmp_path / "loop.txt"
+        path.write_text("rotation 0: 0 1\ntwin 0 1\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spheresys.cli", "validate", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered))
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert err == b"error: triangulation is invalid\n"
+
+    def test_lines_stream_before_the_command_returns(self, capsys,
+                                                     monkeypatch):
+        def one_class_then_check(q):
+            yield tetrahedron()
+            assert capsys.readouterr().out.startswith("rotation 0:")
+
+        monkeypatch.setattr(cli, "enumerate_triangulations",
+                            one_class_then_check)
+        assert cli.main(["enumerate", "--n", "4"]) == 0
+
 
 class TestVerifyPaper:
     def test_small_selector(self, capsys):
@@ -193,6 +219,13 @@ class TestVerifyPaper:
         lines = [l for l in out.splitlines() if l]
         assert lines and all(l.startswith("PASS") for l in lines)
         assert all(re.match(r"PASS \S+ \(\d+\.\d\d s\): ", l) for l in lines)
+        # the density row says what it covers: every simple class, and
+        # only the constructed degenerate maps, with their systole traces
+        (density,) = [l for l in lines if l.startswith("PASS density-n4 ")]
+        assert "over simple triangulations" in density
+        assert density.endswith("constructed degenerate maps by systole "
+                                "trace: bipyramid 6, loop-with-pendant 4, "
+                                "stellated-loop 4")
 
     def test_gamma5_report(self, capsys):
         code, out = run(capsys, "verify-paper", "gamma5-n10")

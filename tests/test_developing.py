@@ -29,6 +29,12 @@ def frac(s):
     return Frac(int(s))
 
 
+def fixed_corners(g, dev, m):
+    """The (corner label, vertex) pairs whose label m fixes."""
+    return {(lab, g.origin[d]) for d, lab in enumerate(dev.corner_labels)
+            if m(lab) == lab}
+
+
 class TestSpanningTree:
     def test_tetrahedron_star(self):
         t = tetrahedron()
@@ -138,12 +144,9 @@ class TestDevelopTenCusp:
         assert [str(x) for x in dev.polygon] == [
             "0/1", "1/3", "2/5", "1/2", "1/1", "4/3", "7/5", "3/2", "2/1",
             "7/3", "12/5", "5/2", "3/1", "10/3", "17/5", "7/2", "4/1", "1/0"]
-        labels = {v: set() for v in range(g.n_vertices)}
-        for d, lab in enumerate(dev.corner_labels):
-            labels[g.origin[d]].add(lab)
         for i, m in fixtures.GAMMA10.items():
-            fix = m.fixed_rational_point()
-            (v,) = [w for w in range(g.n_vertices) if fix in labels[w]]
+            # the one corner label that m fixes, and its vertex
+            ((fix, v),) = fixed_corners(g, dev, m)
             p = cusp_parabolic(fix, g.degree[v])
             assert m in (p, p.inverse()), i
 
@@ -183,12 +186,8 @@ class TestDevelopElevenCusp:
             assert gam[i] in gens or gam[i].inverse() in gens, i
         # the remaining parabolics in the published list are cusp
         # generators of the development
-        labels = {v: set() for v in range(g.n_vertices)}
-        for d, lab in enumerate(dev.corner_labels):
-            labels[g.origin[d]].add(lab)
         for i in (10, 11):
-            fix = gam[i].fixed_rational_point()
-            (v,) = [w for w in range(g.n_vertices) if fix in labels[w]]
+            ((fix, v),) = fixed_corners(g, dev, gam[i])
             p = cusp_parabolic(fix, g.degree[v])
             assert gam[i] in (p, p.inverse())
 
