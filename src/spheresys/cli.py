@@ -20,7 +20,8 @@ from . import fixtures
 from .developing import SpanningTree, develop, generators, \
     check_cusp_parabolics, render_polygon
 from .enumeration import (EnumerationQuery, ResourceLimitError,
-                          enumerate_triangulations, verify_proposition)
+                          enumerate_triangulations, neighbor_lists,
+                          verify_proposition)
 from .geodesics import (polygon_diameter_proxy, systole_combinatorial,
                         systole_matrix_group)
 from .modular import MoebiusMap, schmutz_bound, trace_to_length
@@ -307,6 +308,9 @@ def cmd_systole(args, out):
             "min_trace_above_bound":
                 None if report.min_trace_above_bound is None
                 else fmt_trace(report.min_trace_above_bound),
+            "products_tried": report.products_tried,
+            "filter_rejects": report.filter_rejects,
+            "exact_rejects": report.exact_rejects,
             "witnesses": [w.to_json_obj() for w in report.witnesses],
         }, indent=2))
     else:
@@ -331,7 +335,7 @@ def cmd_systole(args, out):
 def cmd_enumerate(args, out):
     q = EnumerationQuery(n=args.n, min_degree=args.min_degree)
     if args.count_only:
-        count = sum(1 for _ in enumerate_triangulations(q))
+        count = sum(1 for _ in neighbor_lists(q))
         out(str(count))
     else:
         for t in enumerate_triangulations(q):

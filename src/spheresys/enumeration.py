@@ -29,6 +29,7 @@ __all__ = [
     "ResourceLimitError",
     "enumerate_triangulations",
     "max_min_density",
+    "neighbor_lists",
     "verify_proposition",
 ]
 
@@ -215,7 +216,7 @@ def _classes(n: int) -> Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]:
     return _CLASS_CACHE[n]
 
 
-def _rotations(q: EnumerationQuery) -> Iterator[List[Tuple]]:
+def neighbor_lists(q: EnumerationQuery) -> Iterator[List[Tuple]]:
     """Neighbour lists of the classes that q admits, in key order."""
     if q.n > MAX_VERTICES:
         raise ResourceLimitError(
@@ -227,7 +228,7 @@ def _rotations(q: EnumerationQuery) -> Iterator[List[Tuple]]:
 
 def enumerate_triangulations(q: EnumerationQuery) -> Iterator[Triangulation]:
     """One representative per isomorphism class, deterministically ordered."""
-    for rot in _rotations(q):
+    for rot in neighbor_lists(q):
         yield Triangulation.from_simple_rotations(rot)
 
 
@@ -239,7 +240,7 @@ def max_min_density(q: EnumerationQuery):
     Densities are read off the neighbour lists; only attaining maps are built.
     """
     mins = [(min(len(nbrs) * len(rot[w]) for nbrs in rot for w in nbrs), rot)
-            for rot in _rotations(q)]
+            for rot in neighbor_lists(q)]
     best = max((m for m, _ in mins), default=None)
     return best, [Triangulation.from_simple_rotations(rot)
                   for m, rot in mins if m == best]

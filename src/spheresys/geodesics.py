@@ -22,7 +22,8 @@ from itertools import accumulate
 from numbers import Real
 from typing import Dict, List, Optional, Tuple
 
-from .modular import IDENTITY, TURNS, MoebiusMap, mat_mul, trace_to_length
+from .modular import (TURNS, MoebiusMap, canonical_entries, mat_mul,
+                      trace_to_length)
 from .triangulation import Triangulation
 
 __all__ = [
@@ -178,6 +179,9 @@ class MatrixSearchReport:
     horizon: float
     states_explored: int
     min_trace_above_bound: Optional[Q]
+    products_tried: int     # element-move products the sweep formed
+    filter_rejects: int     # of those, rejected by the float pre-filter
+    exact_rejects: int      # rejected by the exact test ``_within``
 
 
 def _within(quad, den, cap) -> bool:
@@ -291,11 +295,20 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     rejects only products the exact test would reject, so the filter
     changes no explored element, witness or trace.
 
+    An explored element is kept as its ``canonical_entries`` tuple, and
+    maps are built only for the witnesses.  Each product tried is
+    rejected by the filter or the exact test, or explored, or finds the
+    cap full (at most once).  An empty generator set raises ValueError:
+    the trivial group has no class to sweep, so nothing to certify.
+
     An explored element with |trace| < 2 other than 0 or 1 raises
     ValueError: by Niven's theorem it has infinite order, since a
     rational elliptic of finite order has trace 0 or +-1, so the group
     is not discrete.
     """
+    if not gens:
+        raise ValueError("no generators: the trivial group has no "
+                         "hyperbolic class to sweep")
     trace_bound = Q(trace_bound)
     if trace_bound <= 2:
         raise ValueError("trace bound must exceed 2")
@@ -333,27 +346,31 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     for lab, exp in steps:
         moves_after[lab, exp] = [m for m in moves if m[0] != (lab, -exp)]
 
-    seen = {IDENTITY: ()}
-    frontier = [IDENTITY]
+    identity = (1, 0, 0, 1, 1)
+    seen = {identity: ()}
+    frontier = [(identity, ())]
     exhausted = True
-    candidates: Dict[Tuple, MoebiusMap] = {}
+    candidates: Dict[Tuple, Tuple] = {}
     min_above = None        # least |trace| above the bound, as (num, den)
+    tried = passed = exact_rejects = 0      # passed: past the float filter
 
     while frontier and exhausted:
         nxt = []
-        for s in frontier:
-            word = seen[s]
+        for s, word in frontier:
             follow = moves_after[word[-1] if word else None]
-            quad, den = s.quad, s.den
+            tried += len(follow)
+            quad, den = s[:4], s[4]
             g11, g12, g22 = _gram(quad, den)
             for tok, t_quad, t_den, h11, h12x2, h22, threshold in follow:
                 if g11 * h11 + g12 * h12x2 + g22 * h22 > threshold:
                     continue
+                passed += 1
                 # test the raw product exactly before the gcd
                 prod, prod_den = mat_mul(quad, t_quad), den * t_den
                 if not _within(prod, prod_den, cap):
+                    exact_rejects += 1
                     continue
-                ns = MoebiusMap(*prod, prod_den)
+                ns = canonical_entries(*prod, prod_den)
                 nword = word + (tok,)
                 if ns in seen:
                     raise ValueError(
@@ -362,20 +379,24 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
                         f"{_spell(nword)} give the same element")
                 if len(seen) >= max_states:
                     exhausted = False
+                    # the moves after this one were never tried
+                    tried -= len(follow) - 1 - [m[0] for m in follow].index(tok)
                     break
                 seen[ns] = nword
-                nxt.append(ns)
-                tr = abs(ns.na + ns.nd)
-                if tr > 2 * ns.den:
-                    if tr * bound_den <= bound_num * ns.den:
+                nxt.append((ns, nword))
+                na, _, _, nd, nden = ns
+                tr = abs(na + nd)
+                if tr > 2 * nden:
+                    if tr * bound_den <= bound_num * nden:
                         candidates[nword] = ns
                     elif (min_above is None
-                          or tr * min_above[1] < min_above[0] * ns.den):
-                        min_above = (tr, ns.den)
-                elif tr < 2 * ns.den and tr not in (0, ns.den):
+                          or tr * min_above[1] < min_above[0] * nden):
+                        min_above = (tr, nden)
+                elif tr < 2 * nden and tr not in (0, nden):
                     raise ValueError(
                         f"the group is not discrete: the word {_spell(nword)} "
-                        f"has trace {ns.trace}, an elliptic of infinite order")
+                        f"has trace {Q(na + nd, nden)}, an elliptic of "
+                        f"infinite order")
             if not exhausted:
                 break
         frontier = nxt
@@ -386,7 +407,7 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
         classes.setdefault(_class_key(word), word)
     witnesses = []
     for word in classes.values():
-        s = candidates[word]
+        s = MoebiusMap(*candidates[word])
         witnesses.append(GeodesicWitness(word, s, s.trace,
                                          trace_to_length(abs(s.trace))))
     witnesses.sort(key=lambda w: (abs(w.trace), len(w.word), str(w.word)))
@@ -398,6 +419,9 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
         horizon=horizon,
         states_explored=len(seen),
         min_trace_above_bound=None if min_above is None else Q(*min_above),
+        products_tried=tried,
+        filter_rejects=tried - passed,
+        exact_rejects=exact_rejects,
     )
 
 

@@ -6,9 +6,10 @@ considered projectively (M and -M are the same map).  ``MoebiusMap`` is
 the one exact matrix type: it stores four integers over a common
 positive denominator in a canonical form, so products, inverses,
 powers and comparisons are integer arithmetic.  ``mat_mul`` is the one
-2x2 product formula; the matrix-group search and the dual walk use it
-on raw integer entries before (or instead of) building a map.  All
-group arithmetic is exact; floating point enters only in the final
+2x2 product formula and ``canonical_entries`` the one canonical form,
+shared by ``MoebiusMap`` and the matrix-group search, which keeps each
+element as those five integers and builds no map for it.  All group
+arithmetic is exact; floating point enters only in the final
 trace-to-length conversion.
 """
 
@@ -24,6 +25,7 @@ __all__ = [
     "Frac",
     "INF",
     "MoebiusMap",
+    "canonical_entries",
     "mat_mul",
     "TURNS",
     "IDENTITY",
@@ -132,6 +134,28 @@ def mat_mul(x: Sequence[int], y: Sequence[int]) -> Tuple[int, int, int, int]:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
+def canonical_entries(a: int, b: int, c: int, d: int, den: int
+                      ) -> Tuple[int, int, int, int, int]:
+    """The canonical form (na, nb, nc, nd, den) of (a b; c d) / den.
+
+    den > 0, gcd(na, nb, nc, nd, den) = 1, the first nonzero numerator
+    is positive and na*nd - nb*nc = den^2.  The arguments are ints;
+    ValueError if den is not positive or the determinant is not 1.
+    """
+    if den <= 0:
+        raise ValueError(f"denominator {den} is not positive")
+    g = gcd(a, b, c, d, den)
+    if g > 1:
+        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    if a * d - b * c != den * den:
+        raise ValueError(f"matrix ({Q(a, den)}, {Q(b, den)}; {Q(c, den)}, "
+                         f"{Q(d, den)}) has determinant != 1")
+    # a = 0 forces b != 0, so the first nonzero entry is a or b
+    if a < 0 or (a == 0 and b < 0):
+        a, b, c, d = -a, -b, -c, -d
+    return a, b, c, d, den
+
+
 # Turn matrices of the dual walk, by letter.
 TURNS = {"L": (1, 1, 0, 1), "R": (1, 0, 1, 1)}
 
@@ -140,12 +164,11 @@ TURNS = {"L": (1, 1, 0, 1), "R": (1, 0, 1, 1)}
 class MoebiusMap:
     """A determinant-one 2x2 matrix over exact rationals, up to sign.
 
-    Stored as integers over a common denominator: the entries are
-    na/den, nb/den, nc/den, nd/den with den > 0, gcd(na, nb, nc, nd,
-    den) = 1, the first nonzero numerator positive and
-    na*nd - nb*nc = den^2.  The representative is thus canonical, and
-    equality and hashing are projective.  The constructor also takes
-    rational entries (with den left at 1) and brings them to this form.
+    Stored as the five integers of ``canonical_entries``: the entries
+    are na/den, nb/den, nc/den and nd/den.  The representative is thus
+    canonical, and equality and hashing are projective.  The constructor
+    also takes rational entries (with den left at 1) and brings them to
+    this form.
     """
 
     na: int
@@ -162,19 +185,13 @@ class MoebiusMap:
                              c.denominator, d.denominator)
             a, b, c, d = (int(x * scale) for x in (a, b, c, d))
             den *= scale
-        if den <= 0:
-            raise ValueError(f"denominator {den} is not positive")
-        g = gcd(a, b, c, d, den)
-        if g > 1:
-            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
-        if a * d - b * c != den * den:
-            raise ValueError(f"matrix ({Q(a, den)}, {Q(b, den)}; {Q(c, den)}, "
-                             f"{Q(d, den)}) has determinant != 1")
-        # a = 0 forces b != 0, so the first nonzero entry is a or b
-        if a < 0 or (a == 0 and b < 0):
-            a, b, c, d = -a, -b, -c, -d
-        for name, value in zip(self.__slots__, (a, b, c, d, den)):
-            object.__setattr__(self, name, value)
+        # one call per field: a loop over the slots costs more per map
+        a, b, c, d, den = canonical_entries(a, b, c, d, den)
+        object.__setattr__(self, "na", a)
+        object.__setattr__(self, "nb", b)
+        object.__setattr__(self, "nc", c)
+        object.__setattr__(self, "nd", d)
+        object.__setattr__(self, "den", den)
 
     @property
     def quad(self) -> Tuple[int, int, int, int]:

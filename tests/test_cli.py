@@ -120,6 +120,16 @@ class TestSystole:
         assert "no elements at or below the bound" in out
         assert "certified True" in out
 
+    def test_json_prune_counts(self, capsys):
+        code, out = run(capsys, "--json", "systole", "fixture:b7",
+                        "--trace-bound", "14")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["frontier_exhausted"]
+        assert rep["products_tried"] == (rep["filter_rejects"]
+                                         + rep["exact_rejects"]
+                                         + rep["states_explored"] - 1)
+
     def test_generator_json(self, capsys, tmp_path):
         path = tmp_path / "gens.json"
         path.write_text(json.dumps({"generators": {
@@ -159,6 +169,20 @@ class TestEnumerate:
         code, out = run(capsys, "enumerate", "--n", "7", "--count-only")
         assert code == 0
         assert out.strip() == "5"
+
+    def test_count_only_builds_no_triangulation(self, capsys, monkeypatch):
+        built = []
+        build = Triangulation.from_simple_rotations
+
+        def counting(rot):
+            built.append(rot)
+            return build(rot)
+
+        monkeypatch.setattr(Triangulation, "from_simple_rotations", counting)
+        code, out = run(capsys, "enumerate", "--n", "9", "--count-only")
+        assert code == 0
+        assert out.strip() == "50"
+        assert built == []
 
     def test_stream_parses_back(self, capsys):
         from spheresys.triangulation import Triangulation

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from fractions import Fraction as Q
@@ -277,11 +278,19 @@ class TestMatrixGroup:
         with pytest.raises(ValueError):
             systole_matrix_group(gens, 14, diameter=diameter)
 
-    def test_witness_words_reproduce_matrices(self, gamma11_search):
-        for w in gamma11_search.witnesses:
-            assert fixtures.word_matrix(fixtures.GAMMA11, w.word) in (
-                w.matrix, w.matrix.inverse())
-            assert abs(w.trace) > 2
+    def test_witness_words_reproduce_matrices(self, gamma11_search,
+                                              diameters):
+        # a rational generator set too: its states carry denominators
+        b7 = systole_matrix_group(fixtures.B7, Q(351, 25),
+                                  diameter=diameters["seven"])
+        assert b7.frontier_exhausted
+        assert (len(b7.witnesses), b7.states_explored) == (5, 5805)
+        for gens, rep in ((fixtures.GAMMA11, gamma11_search),
+                          (fixtures.B7, b7)):
+            for w in rep.witnesses:
+                assert fixtures.word_matrix(gens, w.word) in (
+                    w.matrix, w.matrix.inverse())
+                assert abs(w.trace) > 2
 
     def test_non_unimodular_generator(self):
         # generators reach the engine as MoebiusMaps, and the constructor
@@ -299,6 +308,30 @@ class TestMatrixGroup:
     def test_bound_too_small(self):
         with pytest.raises(ValueError):
             systole_matrix_group(fixtures.A7, 2)
+
+    def test_empty_generator_set_refused(self):
+        # the trivial group has no class to sweep: nothing to certify
+        with pytest.raises(ValueError, match="no generators"):
+            systole_matrix_group({}, 18, diameter=1.0)
+
+    def test_prune_counts(self):
+        """Every product tried is rejected by the float filter or the
+        exact test, or explored; the counts of one small sweep, with the
+        filter on and off."""
+        gens = {2: fixtures.A7[2], 3: fixtures.A7[3]}
+        rep = systole_matrix_group(gens, 14, diameter=1.0)
+        assert rep.frontier_exhausted
+        assert (rep.states_explored, rep.products_tried, rep.filter_rejects,
+                rep.exact_rejects) == (39, 118, 80, 0)
+        with mock.patch.object(geodesics, "_prefilter", lambda *args: None):
+            exact = systole_matrix_group(gens, 14, diameter=1.0)
+        assert (exact.states_explored, exact.products_tried,
+                exact.filter_rejects, exact.exact_rejects) == (39, 118, 0, 80)
+        # at the cap, the product that found it full is tried but is
+        # neither rejected nor explored, and no later move is tried
+        capped = systole_matrix_group(gens, 14, diameter=1.0, max_states=38)
+        assert (capped.states_explored, capped.products_tried,
+                capped.filter_rejects, capped.exact_rejects) == (38, 110, 72, 0)
 
 
 def norm2(m):
@@ -439,7 +472,18 @@ class TestFloatPrefilter:
         assert rep.min_trace_above_bound == min_above
         for w in rep.witnesses:
             assert candidates[w.matrix] == w.word
-        assert rep == exact
+        # the filter moves rejects from the exact test to itself and
+        # changes nothing else; each product tried is rejected or
+        # explored, or found the cap full (with a diameter given, only
+        # the cap leaves the frontier unexhausted)
+        for r in (rep, exact):
+            assert r.products_tried == (
+                r.filter_rejects + r.exact_rejects + r.states_explored - 1
+                + (not r.frontier_exhausted))
+        assert exact.filter_rejects == 0
+        assert rep == dataclasses.replace(
+            exact, filter_rejects=rep.filter_rejects,
+            exact_rejects=exact.exact_rejects - rep.filter_rejects)
 
     @given(st.lists(_integer_gen | _rational_gen, min_size=1, max_size=6),
            _integer_gen | _rational_gen | _huge_gen)

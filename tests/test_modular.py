@@ -11,6 +11,7 @@ from spheresys.modular import (
     IDENTITY,
     MoebiusMap,
     L,
+    canonical_entries,
     NotHyperbolicError,
     cusp_parabolic,
     farey_adjacent,
@@ -279,3 +280,25 @@ class TestMoebiusMapAgainstFractions:
         assert m == neg and hash(m) == hash(neg)
         assert MoebiusMap(*m.entries()) == m
         assert MoebiusMap.from_json(m.to_json()) == m
+
+
+class TestCanonicalEntries:
+    """The one canonical form, shared by MoebiusMap and the matrix sweep."""
+
+    @given(_unimodular(), st.integers(1, 10 ** 6), st.integers(2, 9))
+    def test_scaling_and_sign(self, x, k, j):
+        den = math.lcm(*(e.denominator for e in x))
+        quad = [int(e * den) for e in x]
+        form = canonical_entries(*quad, den)
+        assert canonical_entries(*(k * e for e in quad), k * den) == form
+        assert canonical_entries(*(-e for e in quad), den) == form
+        m = MoebiusMap(*x)
+        assert form == (m.na, m.nb, m.nc, m.nd, m.den)
+        # the determinant is den^2 / j^2, not den^2
+        with pytest.raises(ValueError, match="determinant"):
+            canonical_entries(*quad, j * den)
+
+    @pytest.mark.parametrize("den", [0, -1])
+    def test_denominator_positive(self, den):
+        with pytest.raises(ValueError, match="not positive"):
+            canonical_entries(1, 0, 0, 1, den)
