@@ -118,15 +118,19 @@ class SpanningTree:
 
 @dataclass
 class Development:
+    """Farey corner labels and the group data read from them.
+
+    ``side_pairings`` is the one side-pairing table: ``generators``
+    returns it and ``check_cusp_parabolics`` composes it.
+    """
+
     g: Triangulation
     tree: SpanningTree
     seed: Tuple[int, int]                      # (terminal tree edge, face id)
     corner_labels: List[Frac]                  # indexed by dart
     polygon: List[Frac]                        # ideal vertices, infinity last
     side_pairings: Dict[int, MoebiusMap]       # tree edge -> pairing
-    pairing_of_dart: Dict[int, MoebiusMap]     # tree dart -> map to twin side
     cusp_generators: Dict[int, MoebiusMap]     # vertex -> parabolic
-    first_label: Dict[int, Frac]               # vertex -> first assigned label
 
     def face_labels(self, f: int) -> Tuple[Frac, ...]:
         return tuple(self.corner_labels[d] for d in self.g.faces[f])
@@ -273,21 +277,17 @@ def develop(g: Triangulation, tree: Optional[SpanningTree] = None,
     polygon = sorted(l for l in set(labels) if l != INF) + [INF]
 
     side_pairings: Dict[int, MoebiusMap] = {}
-    pairing_of_dart: Dict[int, MoebiusMap] = {}
     for e in sorted(tree.edges):
         d1, d2 = g.edges[e]
         src = (labels[d1], labels[g.face_next(d1)])
         dst = (labels[g.face_next(d2)], labels[d2])
-        m = _pairing_from_pairs(src, dst)
-        side_pairings[e] = m
-        pairing_of_dart[d1] = m
-        pairing_of_dart[d2] = m.inverse()
+        side_pairings[e] = _pairing_from_pairs(src, dst)
 
     cusp_generators = {w: cusp_parabolic(first_label[w], g.degree[w])
                        for w in range(g.n_vertices)}
 
     return Development(g, tree, seed, labels, polygon, side_pairings,
-                       pairing_of_dart, cusp_generators, first_label)
+                       cusp_generators)
 
 
 def generators(dev: Development) -> List[MoebiusMap]:
@@ -302,9 +302,11 @@ def generators(dev: Development) -> List[MoebiusMap]:
 def check_cusp_parabolics(dev: Development) -> bool:
     """Verify the vertex-cycle composites are the expected cusp parabolics.
 
-    Walking the rotation at a vertex and composing the side pairings met
-    at tree edges must produce, up to inversion, the conjugate of L^d
-    fixing the vertex's first label, where d is the vertex degree.
+    Walking the rotation at a vertex composes the side pairings met at
+    tree edges, read from ``dev.side_pairings`` as ``generators`` returns
+    them and inverted at an edge's second dart.  The composite must be,
+    up to inversion, the parabolic of width d fixing the label of the
+    rotation's first dart, where d is the vertex degree.
     """
     g = dev.g
     for w in range(g.n_vertices):
@@ -312,8 +314,11 @@ def check_cusp_parabolics(dev: Development) -> bool:
         gamma = None
         for d in rot:
             nxt = g.sigma[d]
-            if g.edge_of_dart[d] in dev.tree:
-                m = dev.pairing_of_dart[d]
+            e = g.edge_of_dart[d]
+            if e in dev.tree:
+                m = dev.side_pairings[e]
+                if d == g.edges[e][1]:
+                    m = m.inverse()
                 if m(dev.corner_labels[d]) != dev.corner_labels[nxt]:
                     return False
                 gamma = m if gamma is None else m * gamma

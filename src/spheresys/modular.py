@@ -72,14 +72,6 @@ class Frac:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    @classmethod
-    def from_rational(cls, x: Union[int, Q, "Frac"]) -> "Frac":
-        if isinstance(x, Frac):
-            return x
-        if isinstance(x, int):
-            return cls(x, 1)
-        return cls(x.numerator, x.denominator)
-
     @property
     def is_infinite(self) -> bool:
         return self.q == 0
@@ -95,22 +87,13 @@ class Frac:
     def __repr__(self):
         return f"Frac({self.p}, {self.q})"
 
-    def __float__(self):
-        if self.q == 0:
-            return math.inf
-        return self.p / self.q
-
-    def _key(self):
-        # infinity sorts above every rational
-        if self.q == 0:
-            return (1, 0)
-        return (0, Q(self.p, self.q))
-
+    # with both denominators >= 0 and infinity stored as 1/0, cross
+    # multiplication is exact and sorts infinity above every rational
     def __lt__(self, other):
-        return self._key() < other._key()
+        return self.p * other.q < other.p * self.q
 
     def __le__(self, other):
-        return self._key() <= other._key()
+        return self.p * other.q <= other.p * self.q
 
 
 INF = Frac(1, 0)
@@ -236,7 +219,6 @@ class MoebiusMap:
 
     def __call__(self, x: Frac) -> Frac:
         """Apply the map projectively to an extended rational."""
-        x = Frac.from_rational(x)
         return Frac(self.na * x.p + self.nb * x.q, self.nc * x.p + self.nd * x.q)
 
     def to_json(self):
@@ -280,9 +262,8 @@ def parabolic_product_trace(m1: int, m2: int) -> int:
     if m1 < 1 or m2 < 1:
         raise ValueError("cusp widths must be positive")
     closed_form = abs(m1 * m2 - 2)
-    p1 = MoebiusMap(1, m1, 0, 1)
-    p2 = MoebiusMap(1, 0, m2, 1)
-    by_matrix = abs((p1 * p2.inverse()).trace)
+    product = cusp_parabolic(INF, m1) * cusp_parabolic(Frac(0), m2)
+    by_matrix = abs(product.trace)
     assert by_matrix == closed_form, (m1, m2, by_matrix, closed_form)
     return closed_form
 
@@ -299,42 +280,19 @@ def lr_word_value(word: Union[str, Sequence[str]]) -> MoebiusMap:
     return MoebiusMap(*m)
 
 
-def _integer_map_to(cusp: Frac) -> MoebiusMap:
-    """An integer unimodular map sending infinity to the given cusp."""
-    p, q = cusp.p, cusp.q
-    if q == 0:
-        return IDENTITY
-    # p s - r q = 1
-    g, s, r = _extended_gcd(p, q)
-    assert g == 1
-    return MoebiusMap(p, -r, q, s)
-
-
-def _extended_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def cusp_parabolic(cusp: Frac, width: int) -> MoebiusMap:
-    """The conjugate of L**width fixing the given cusp.
+    """The parabolic of the given width fixing the cusp p/q, in closed form.
 
-    For cusp p/q the result is I + width * (-pq, p^2; -q^2, pq); its
-    lower-left entry is width * q^2 up to sign.  Callers comparing
-    against other conventions should accept the inverse as well.
+    It is I + width * (-pq, p^2; -q^2, pq), which is M L^width M^-1 for
+    every integer unimodular M sending infinity to p/q (the first column
+    of M is (p, q)); infinity, stored as 1/0, gives L**width.  Callers
+    comparing against other conventions should accept the inverse.
     """
     if width < 1:
         raise ValueError("cusp width must be positive")
-    m = _integer_map_to(cusp)
-    result = m * (L ** width) * m.inverse()
+    p, q = cusp.p, cusp.q
+    result = MoebiusMap(1 - width * p * q, width * p * p,
+                        -width * q * q, 1 + width * p * q)
     assert result.is_parabolic
     assert result(cusp) == cusp
     return result

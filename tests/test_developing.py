@@ -20,6 +20,10 @@ from spheresys.triangulation import (
 from spheresys import fixtures
 
 
+TEN_COMPACT_TREE_EDGES = sorted(
+    fixtures.named_development("ten-compact")[1].edges)
+
+
 def frac(s):
     if s in ("inf", "1/0"):
         return INF
@@ -240,14 +244,15 @@ class TestInvariants:
                 dev = develop(g, tree)
                 assert check_cusp_parabolics(dev)
 
-    def test_certificate_detects_tampering(self):
+    @pytest.mark.parametrize("tamper", ["times-L2", "inverse"])
+    @pytest.mark.parametrize("e", TEN_COMPACT_TREE_EDGES)
+    def test_certificate_detects_tampering(self, e, tamper):
+        """Changing one exported side pairing fails the check."""
         g, tree, seed = fixtures.named_development("ten-compact")
         dev = develop(g, tree, seed=seed)
-        e = sorted(dev.side_pairings)[0]
-        d1, d2 = g.edges[e]
-        dev.side_pairings[e] = dev.side_pairings[e] * (L ** 2)
-        dev.pairing_of_dart[d1] = dev.side_pairings[e]
-        dev.pairing_of_dart[d2] = dev.side_pairings[e].inverse()
+        m = dev.side_pairings[e]
+        dev.side_pairings[e] = {"times-L2": m * (L ** 2),
+                                "inverse": m.inverse()}[tamper]
         assert not check_cusp_parabolics(dev)
 
     def test_deterministic(self):

@@ -438,14 +438,18 @@ def _generator_sets(draw):
 class TestFloatPrefilter:
     @settings(max_examples=40, deadline=None)
     @given(_generator_sets(), st.sampled_from([3, Q(7, 2), 5, 8, 12]),
-           st.floats(0.0, 1.5), st.sampled_from([100, 400]))
+           st.floats(0.0, 1.5), st.sampled_from([100, 400]),
+           st.sampled_from([0, 1, 3]))
     def test_sweep_matches_exact_reference(self, gens, bound, diameter,
-                                           max_states):
+                                           max_states, short):
         seen = reference_sweep(gens, bound, diameter, max_states)[0]
         if len(seen) < max_states:
             # lower the cap onto the largest norm found: the sweep is the
             # same, with that element on the boundary of the exact test
             diameter = diameter_for_cap(bound, max(map(norm2, seen)))
+            # and stop it `short` states before its full size, so that
+            # it meets max_states part way through an element's moves
+            max_states = max(1, len(seen) - short)
         seen, candidates, min_above, repeated = reference_sweep(
             gens, bound, diameter, max_states)
         # a relation among the generators, or an elliptic of infinite

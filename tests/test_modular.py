@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from spheresys.modular import (
     Frac,
@@ -38,6 +38,20 @@ class TestFrac:
 
     def test_ordering(self):
         assert Frac(1, 2) < Frac(2, 3) < Frac(1, 1) < INF
+
+    @given(st.integers(-40, 40), st.integers(-40, 40),
+           st.integers(-40, 40), st.integers(-40, 40))
+    def test_ordering_matches_fraction(self, p, q, r, s):
+        """< and <= agree with Fraction comparison; infinity (any p/0)
+        sorts above every rational and equal to itself."""
+        assume((p, q) != (0, 0) and (r, s) != (0, 0))
+
+        def value(a, b):
+            return math.inf if b == 0 else Q(a, b)
+
+        x, y = Frac(p, q), Frac(r, s)
+        assert (x < y) == (value(p, q) < value(r, s))
+        assert (x <= y) == (value(p, q) <= value(r, s))
 
 
 class TestFareyAdjacent:
@@ -137,6 +151,19 @@ class TestLRWords:
             assert lr_word_value("LLLL" + "R" * (d - 1)).trace == 4 * d - 2
 
 
+def extended_gcd(a, b):
+    """(g, s, t) with a*s + b*t = g = gcd(a, b) >= 0."""
+    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
+    while r:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_s, s = s, old_s - quo * s
+        old_t, t = t, old_t - quo * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 class TestCuspParabolic:
     def test_infinity(self):
         assert cusp_parabolic(INF, 3) == L ** 3
@@ -154,6 +181,22 @@ class TestCuspParabolic:
         assert g(INF) == Frac(2)
         conj = g * (L ** 5) * g.inverse()
         assert conj in (m, m.inverse())
+
+    @given(
+        st.just(INF) | st.just(Frac(0)) | st.tuples(
+            st.integers(-60, 60), st.integers(1, 60)).filter(
+                lambda t: math.gcd(*t) == 1).map(lambda t: Frac(*t)),
+        st.integers(1, 12),
+    )
+    def test_closed_form_is_conjugate(self, cusp, w):
+        """cusp_parabolic(p/q, w) is exactly M L^w M^-1 for an integer
+        unimodular M with first column (p, q), built by extended gcd."""
+        p, q = cusp.p, cusp.q
+        g, s, t = extended_gcd(p, q)
+        assert g == 1
+        m = MoebiusMap(p, -t, q, s)         # det = p s + q t = 1
+        assert m(INF) == cusp
+        assert cusp_parabolic(cusp, w) == m * (L ** w) * m.inverse()
 
     @given(
         st.integers(-30, 30),
