@@ -40,6 +40,7 @@ from .developing import (
 from .geodesics import (
     GeodesicWitness,
     MatrixSearchReport,
+    ResourceLimitError,
     enumerate_geodesics_combinatorial,
     systole_combinatorial,
     systole_matrix_group,
@@ -47,7 +48,6 @@ from .geodesics import (
 )
 from .enumeration import (
     EnumerationQuery,
-    ResourceLimitError,
     enumerate_triangulations,
     max_min_density,
     verify_proposition,

@@ -19,11 +19,10 @@ from fractions import Fraction as Q
 from . import fixtures
 from .developing import SpanningTree, develop, generators, \
     check_cusp_parabolics, render_polygon
-from .enumeration import (EnumerationQuery, ResourceLimitError,
-                          enumerate_triangulations, neighbor_lists,
-                          verify_proposition)
-from .geodesics import (polygon_diameter_proxy, systole_combinatorial,
-                        systole_matrix_group)
+from .enumeration import (EnumerationQuery, enumerate_triangulations,
+                          neighbor_lists, verify_proposition)
+from .geodesics import (ResourceLimitError, polygon_diameter_proxy,
+                        systole_combinatorial, systole_matrix_group)
 from .modular import MoebiusMap, schmutz_bound, trace_to_length
 from .triangulation import (Triangulation, icosahedron, octahedron,
                             tetrahedron)
@@ -191,9 +190,7 @@ def parse_seed(g: Triangulation, tree: SpanningTree, spec: str):
         raise InputError(f"bad seed edge {spec!r}; expected u-v")
     for e in tree.terminal_edges():
         if set(g.edge_endpoints(e)) == {u, v}:
-            face = next(f for f in range(g.n_faces)
-                        if e in {g.edge_of_dart[d] for d in g.faces[f]})
-            return e, face
+            return e, min(g.face_of_dart[d] for d in g.edges[e])
     raise InputError(f"{spec} is not a terminal edge of the spanning tree")
 
 

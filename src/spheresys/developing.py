@@ -9,7 +9,7 @@ finite-index subgroup of the modular group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .modular import (Frac, INF, MoebiusMap, cusp_parabolic, farey_adjacent,
@@ -34,25 +34,13 @@ class SpanningTree:
         self.edges = frozenset(edges)
         if len(self.edges) != g.n_vertices - 1:
             raise ValueError("a spanning tree needs exactly n-1 edges")
-        # connectivity over the vertex set
-        adj = {v: [] for v in range(g.n_vertices)}
-        for e in self.edges:
-            u, v = g.edge_endpoints(e)
-            if u == v:
-                raise ValueError("tree edges cannot be loops")
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != g.n_vertices:
+        # n - 1 edges that close no cycle span the n vertices
+        if not all(map(_forest_grower(g), self.edges)):
             raise ValueError("edges do not span the triangulation")
-        self.tree_degree = [len(adj[v]) for v in range(g.n_vertices)]
+        self.tree_degree = [0] * g.n_vertices
+        for e in self.edges:
+            for v in g.edge_endpoints(e):
+                self.tree_degree[v] += 1
 
     def __contains__(self, e: int) -> bool:
         return e in self.edges
@@ -78,10 +66,10 @@ class SpanningTree:
         return cls(g, edges)
 
     @classmethod
-    def bfs_tree(cls, g: Triangulation, root: int = 0) -> "SpanningTree":
-        seen = {root}
+    def bfs_tree(cls, g: Triangulation) -> "SpanningTree":
+        seen = {0}
         edges = []
-        queue = [root]
+        queue = [0]
         while queue:
             u = queue.pop(0)
             for d in g.vertex_darts[u]:
@@ -96,24 +84,29 @@ class SpanningTree:
     def random_tree(cls, g: Triangulation, rng) -> "SpanningTree":
         order = list(range(g.n_edges))
         rng.shuffle(order)
-        parent = list(range(g.n_vertices))
+        return cls(g, list(filter(_forest_grower(g), order)))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        edges = []
-        for e in order:
-            u, v = g.edge_endpoints(e)
-            if u == v:
-                continue
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                edges.append(e)
-        return cls(g, edges)
+def _forest_grower(g: Triangulation):
+    """A test that accepts an edge, and keeps it, iff it closes no cycle
+    with the edges accepted before it (union-find over the vertices);
+    a loop closes one at once."""
+    parent = list(range(g.n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def accept(e):
+        ru, rv = (find(v) for v in g.edge_endpoints(e))
+        if ru == rv:
+            return False
+        parent[ru] = rv
+        return True
+
+    return accept
 
 
 @dataclass
@@ -210,9 +203,9 @@ def develop(g: Triangulation, tree: Optional[SpanningTree] = None,
         raise ValueError("seed edge must belong to the spanning tree")
     u, v = g.edge_endpoints(e0)
     if tree.tree_degree[u] == 1:
-        v_inf, v_zero = u, v
+        v_inf = u
     elif tree.tree_degree[v] == 1:
-        v_inf, v_zero = v, u
+        v_inf = v
     else:
         raise ValueError("seed edge must be terminal in the tree")
     seed_darts = [d for d in g.edges[e0] if g.face_of_dart[d] == f0]
@@ -300,40 +293,45 @@ def generators(dev: Development) -> List[MoebiusMap]:
 
 
 def check_cusp_parabolics(dev: Development) -> bool:
-    """Verify the vertex-cycle composites are the expected cusp parabolics.
+    """Verify the exported cusp generators against the side pairings.
 
-    Walking the rotation at a vertex composes the side pairings met at
-    tree edges, read from ``dev.side_pairings`` as ``generators`` returns
-    them and inverted at an edge's second dart.  The composite must be,
-    up to inversion, the parabolic of width d fixing the label of the
-    rotation's first dart, where d is the vertex degree.
+    At each vertex w, ``dev.cusp_generators[w]`` must be the parabolic of
+    width d (the vertex degree) fixing the label of one of w's corners.
+    Walking the rotation from that corner composes the side pairings met
+    at tree edges, read from ``dev.side_pairings`` as ``generators``
+    returns them and inverted at an edge's second dart; the composite
+    must equal the cusp generator up to inversion.
     """
-    g = dev.g
+    g, labels = dev.g, dev.corner_labels
     for w in range(g.n_vertices):
+        cusp = dev.cusp_generators[w]
         rot = g.vertex_darts[w]
+        start = next((i for i, d in enumerate(rot)
+                      if cusp(labels[d]) == labels[d]), None)
+        if (start is None
+                or cusp != cusp_parabolic(labels[rot[start]], g.degree[w])):
+            return False
         gamma = None
-        for d in rot:
+        for d in rot[start:] + rot[:start]:
             nxt = g.sigma[d]
             e = g.edge_of_dart[d]
             if e in dev.tree:
                 m = dev.side_pairings[e]
                 if d == g.edges[e][1]:
                     m = m.inverse()
-                if m(dev.corner_labels[d]) != dev.corner_labels[nxt]:
+                if m(labels[d]) != labels[nxt]:
                     return False
                 gamma = m if gamma is None else m * gamma
-            elif dev.corner_labels[nxt] != dev.corner_labels[d]:
+            elif labels[nxt] != labels[d]:
                 return False
-        if gamma is None:
-            return False
-        expected = cusp_parabolic(dev.corner_labels[rot[0]], g.degree[w])
-        if gamma not in (expected, expected.inverse()):
+        if gamma not in (cusp, cusp.inverse()):
             return False
     return True
 
 
-def render_polygon(dev: Development, width: int = 800, height: int = 400) -> str:
+def render_polygon(dev: Development) -> str:
     """Upper-half-plane SVG of the developed Farey triangles."""
+    width, height = 800, 400
     if not dev.polygon:
         raise ValueError("empty development")
     finite = [x.as_rational() for x in dev.polygon if x != INF]

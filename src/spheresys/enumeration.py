@@ -20,27 +20,20 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from . import geodesics
+from .geodesics import ResourceLimitError
 from .triangulation import (Triangulation, bipyramid_with_duplicates,
                             canonical_traversal, example_loop,
                             neighbor_darts, tetrahedron)
 
 __all__ = [
     "EnumerationQuery",
-    "ResourceLimitError",
     "enumerate_triangulations",
     "max_min_density",
     "neighbor_lists",
     "verify_proposition",
 ]
 
-# A000109: simple sphere triangulations (3-connected planar) by vertices
-KNOWN_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233, 11: 1249, 12: 7595}
-
 MAX_VERTICES = 12
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a query exceeds the supported desk-scale range."""
 
 
 @dataclass(frozen=True)
@@ -123,18 +116,19 @@ def _ranked_split(rot, degrees, v, i, j):
 def _edge_code(child, darts, edges):
     """Least traversal code rooted at a dart of one of the given edges.
 
-    The roots are the edges' darts leaving a lower-degree end, read with
-    sigma and with its inverse, so the code is the same for edges that
-    an isomorphism or a reflection maps onto each other.
+    ``darts`` is ``neighbor_darts(child)``.  The roots are the edges'
+    darts leaving a lower-degree end, read with sigma and with its
+    inverse, so the code is the same for edges that an isomorphism or a
+    reflection maps onto each other.
     """
-    origin = darts[2]
+    sigma, alpha, origin, index = darts
     roots = []
     for a, b in edges:
         if len(child[a]) <= len(child[b]):
-            roots.append(origin.index(a) + child[a].index(b))
+            roots.append(index[a, b])
         if len(child[b]) <= len(child[a]):
-            roots.append(origin.index(b) + child[b].index(a))
-    return canonical_traversal(*darts, roots)
+            roots.append(index[b, a])
+    return canonical_traversal(sigma, alpha, origin, roots)
 
 
 _COUNT_KEYS = ("children", "rejected_by_rank", "edge_codes",

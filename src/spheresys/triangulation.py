@@ -21,7 +21,6 @@ __all__ = [
     "octahedron",
     "icosahedron",
     "bipyramid_with_duplicates",
-    "example_duplicate_edges",
     "example_loop",
     "neighbor_darts",
     "canonical_traversal",
@@ -33,13 +32,9 @@ class ValidationReport:
     ok: bool
     diagnostics: List[str]
     degrees: List[int]
-    min_degree: int
     has_loops: bool
     has_duplicate_edges: bool
     regular: bool
-
-    def __bool__(self):
-        return self.ok
 
 
 @dataclass
@@ -94,7 +89,7 @@ class Triangulation:
     @classmethod
     def from_simple_rotations(cls, neighbors: Sequence[Sequence[int]]) -> "Triangulation":
         """Build from per-vertex cyclic neighbour lists (simple graphs only)."""
-        return cls(*neighbor_darts(neighbors))
+        return cls(*neighbor_darts(neighbors)[:3])
 
     @classmethod
     def from_oriented_faces(cls, faces: Sequence[Tuple[int, int, int]]) -> "Triangulation":
@@ -195,18 +190,6 @@ class Triangulation:
     def loop_edges(self) -> List[int]:
         return [e for e in range(self.n_edges) if self.is_loop(e)]
 
-    def duplicate_edge_pairs(self) -> List[Tuple[int, int]]:
-        by_ends: Dict[Tuple[int, int], List[int]] = {}
-        for e in range(self.n_edges):
-            u, v = sorted(self.edge_endpoints(e))
-            by_ends.setdefault((u, v), []).append(e)
-        pairs = []
-        for group in by_ends.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    pairs.append((group[i], group[j]))
-        return pairs
-
     def rotations(self) -> List[List[int]]:
         return [list(rot) for rot in self.vertex_darts]
 
@@ -234,16 +217,16 @@ class Triangulation:
         if euler != 2:
             diagnostics.append(f"euler characteristic {euler} != 2")
         has_loops = bool(self.loop_edges())
-        has_dups = bool(self.duplicate_edge_pairs())
-        min_deg = min(self.degree)
+        has_dups = len({tuple(sorted(self.edge_endpoints(e)))
+                        for e in range(self.n_edges)}) != self.n_edges
         return ValidationReport(
             ok=not diagnostics,
             diagnostics=diagnostics,
             degrees=list(self.degree),
-            min_degree=min_deg,
             has_loops=has_loops,
             has_duplicate_edges=has_dups,
-            regular=(not diagnostics and min_deg >= 3 and not has_loops and not has_dups),
+            regular=(not diagnostics and min(self.degree) >= 3
+                     and not has_loops and not has_dups),
         )
 
     def _component_count(self) -> int:
@@ -381,10 +364,11 @@ class Triangulation:
 
 
 def neighbor_darts(neighbors: Sequence[Sequence[int]]):
-    """(sigma, alpha, origin) of a simple map given by cyclic neighbour lists.
+    """(sigma, alpha, origin, index) of a simple map given by cyclic
+    neighbour lists.
 
     Darts are numbered vertex by vertex, each vertex's darts in the order
-    of its list.
+    of its list; ``index`` maps (v, w) to the dart from v to w.
     """
     index = {}
     origin = []
@@ -403,7 +387,7 @@ def neighbor_darts(neighbors: Sequence[Sequence[int]]):
             sigma[base + t] = base + (t + 1) % k
             alpha[base + t] = index[(w, v)]
         base += k
-    return sigma, alpha, origin
+    return sigma, alpha, origin, index
 
 
 def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
@@ -522,27 +506,6 @@ def bipyramid_with_duplicates(m: int) -> Triangulation:
         twins.append((2 * i, 2 * i + 1))
     t = Triangulation.from_rotation_lists(rotations, twins)
     return t
-
-
-def example_duplicate_edges() -> Triangulation:
-    """Five-vertex triangulation with a duplicate pair and a degree-2 vertex.
-
-    Vertices: 0 bottom apex (degree 5), 1 middle (degree 2), 2 top apex
-    (degree 5), 3 right (degree 3), 4 left (degree 3).
-    """
-    # darts, per edge: (at-first-endpoint, at-second-endpoint)
-    # e0 = 0-1 (0,1); e1 = 1-2 (2,3); e2 = 0-3 (4,5); e3 = 0-4 (6,7)
-    # e4 = 3-2 (8,9); e5 = 4-2 (10,11); e6 = 0-2 right (12,13)
-    # e7 = 0-2 left (14,15); e8 = 3-4 top arc (16,17)
-    rotations = [
-        [4, 12, 0, 14, 6],      # vertex 0: D, Cright, B, Cleft, E
-        [0 + 1, 2],             # vertex 1: to 0 (dart 1), to 2 (dart 2)
-        [11, 15, 3, 13, 9],     # vertex 2: E, Cleft, B, Cright, D
-        [17, 8, 5],             # vertex 3: arc to 4, to 2, to 0
-        [10, 16, 7],            # vertex 4: to 2, arc to 3, to 0
-    ]
-    twins = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13), (14, 15), (16, 17)]
-    return Triangulation.from_rotation_lists(rotations, twins)
 
 
 def example_loop() -> Triangulation:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +114,17 @@ class TestSystole:
         code, out = run(capsys, "systole", "fixture:icosahedron")
         assert code == 0
         assert out.count("trace 23") == 30
+
+    def test_trace_bound_resource_limit(self, capsys):
+        start = time.perf_counter()
+        code = cli.main(["systole", "fixture:tetrahedron",
+                         "--trace-bound", "100000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("resource limit: ")
+        assert elapsed < 1
 
     def test_perturbed_generator_fixture(self, capsys):
         code, out = run(capsys, "systole", "fixture:b7", "--trace-bound", "14")

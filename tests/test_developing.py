@@ -255,6 +255,17 @@ class TestInvariants:
                                 "inverse": m.inverse()}[tamper]
         assert not check_cusp_parabolics(dev)
 
+    @pytest.mark.parametrize("tamper", ["square", "inverse", "L7"])
+    @pytest.mark.parametrize("w", range(fixtures.ten_cusp_graph().n_vertices))
+    def test_certificate_covers_cusp_table(self, w, tamper):
+        """Changing one exported cusp generator fails the check."""
+        g, tree, seed = fixtures.named_development("ten-compact")
+        dev = develop(g, tree, seed=seed)
+        m = dev.cusp_generators[w]
+        dev.cusp_generators[w] = {"square": m * m, "inverse": m.inverse(),
+                                  "L7": L ** 7}[tamper]
+        assert not check_cusp_parabolics(dev)
+
     def test_deterministic(self):
         g, tree, seed = fixtures.named_development("ten-compact")
         one = develop(g, tree, seed=seed).to_json_obj()

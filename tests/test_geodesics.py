@@ -11,8 +11,8 @@ from spheresys import fixtures
 from spheresys.developing import SpanningTree, develop, generators
 from spheresys import geodesics
 from spheresys.enumeration import EnumerationQuery, enumerate_triangulations
-from spheresys.geodesics import (GeodesicWitness, _cyclic_key, _gram,
-                                 _prefilter,
+from spheresys.geodesics import (GeodesicWitness, ResourceLimitError,
+                                 _cyclic_key, _gram, _prefilter,
                                  enumerate_geodesics_combinatorial,
                                  polygon_diameter_proxy,
                                  systole_combinatorial,
@@ -21,8 +21,9 @@ from spheresys.modular import (IDENTITY, L, R, MoebiusMap, NotHyperbolicError,
                                lr_word_value, mat_mul, schmutz_bound,
                                trace_to_length)
 from spheresys.triangulation import (Triangulation, bipyramid_with_duplicates,
-                                     example_duplicate_edges, example_loop,
-                                     icosahedron, octahedron, tetrahedron)
+                                     example_loop, icosahedron, octahedron,
+                                     tetrahedron)
+from test_triangulation import example_duplicate_edges
 
 
 def cyclic_words_equal(w1, w2):
@@ -95,6 +96,21 @@ class TestCombinatorialSystole:
     def test_bound_too_small(self):
         with pytest.raises(ValueError):
             enumerate_geodesics_combinatorial(tetrahedron(), 2)
+
+    def test_bound_above_limit(self):
+        limit = geodesics.MAX_WALK_TRACE_BOUND
+        with pytest.raises(ResourceLimitError, match=f"limit of {limit}"):
+            enumerate_geodesics_combinatorial(tetrahedron(), limit + 1)
+
+    @pytest.mark.parametrize("a_priori", [7, None])
+    def test_doubling_stops_at_limit(self, monkeypatch, a_priori):
+        # the tetrahedron's systole trace is 7; from 3 the bound doubles
+        # to 6, then to 12, above the limit
+        monkeypatch.setattr(geodesics, "MAX_WALK_TRACE_BOUND", 6)
+        monkeypatch.setattr(Triangulation, "a_priori_trace_bound",
+                            lambda self: a_priori)
+        with pytest.raises(ResourceLimitError):
+            systole_combinatorial(tetrahedron())
 
     def test_json_roundtrip_fields(self):
         _, witnesses = systole_combinatorial(tetrahedron())

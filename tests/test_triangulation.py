@@ -9,13 +9,33 @@ from spheresys.triangulation import (
     Triangulation,
     bipyramid_with_duplicates,
     canonical_traversal,
-    example_duplicate_edges,
     example_loop,
     icosahedron,
     octahedron,
     tetrahedron,
 )
 from test_enumeration import flip
+
+
+def example_duplicate_edges() -> Triangulation:
+    """Five-vertex triangulation with a duplicate pair and a degree-2 vertex.
+
+    Vertices: 0 bottom apex (degree 5), 1 middle (degree 2), 2 top apex
+    (degree 5), 3 right (degree 3), 4 left (degree 3).
+    """
+    # darts, per edge: (at-first-endpoint, at-second-endpoint)
+    # e0 = 0-1 (0,1); e1 = 1-2 (2,3); e2 = 0-3 (4,5); e3 = 0-4 (6,7)
+    # e4 = 3-2 (8,9); e5 = 4-2 (10,11); e6 = 0-2 right (12,13)
+    # e7 = 0-2 left (14,15); e8 = 3-4 top arc (16,17)
+    rotations = [
+        [4, 12, 0, 14, 6],      # vertex 0: D, Cright, B, Cleft, E
+        [0 + 1, 2],             # vertex 1: to 0 (dart 1), to 2 (dart 2)
+        [11, 15, 3, 13, 9],     # vertex 2: E, Cleft, B, Cright, D
+        [17, 8, 5],             # vertex 3: arc to 4, to 2, to 0
+        [10, 16, 7],            # vertex 4: to 2, arc to 3, to 0
+    ]
+    twins = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13), (14, 15), (16, 17)]
+    return Triangulation.from_rotation_lists(rotations, twins)
 
 
 def tetrahedron_and_torus():
