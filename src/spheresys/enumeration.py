@@ -16,7 +16,10 @@ lives in tests/test_enumeration.py.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterator, List, Tuple
 
 from . import geodesics
@@ -50,26 +53,28 @@ class EnumerationQuery:
 
 # -- vertex splitting ------------------------------------------------------
 
-def _split_vertex(rot, v, i, j):
-    """Split vertex v between rotation positions i < j; returns new lists.
+def _split_lists(rot, v, i, j):
+    """The neighbour lists that splitting v between positions i < j changes.
 
     The vertex keeps the neighbour arc rot[v][i..j] and a new last vertex
     takes the complementary arc; both also gain each other.  The shared
     arc endpoints see the pair in the orientation-consistent order.
+    Returns {vertex: new tuple} for v, the new vertex, the two shared
+    endpoints and the vertices of the complementary arc, which now see
+    the new vertex in place of v; every other list is unchanged.
     """
     nbrs = rot[v]
-    a_i, a_j = nbrs[i], nbrs[j]
     v2 = len(rot)
-    new = [list(r) for r in rot]
-    new[v] = [*nbrs[i:j + 1], v2]
-    new.append([*nbrs[j:], *nbrs[:i + 1], v])
+    changed = {v: (*nbrs[i:j + 1], v2), v2: (*nbrs[j:], *nbrs[:i + 1], v)}
     for w in nbrs[j + 1:] + nbrs[:i]:
-        new[w][new[w].index(v)] = v2
-    p = new[a_i].index(v)
-    new[a_i][p:p + 1] = [v, v2]
-    p = new[a_j].index(v)
-    new[a_j][p:p + 1] = [v2, v]
-    return [tuple(r) for r in new]
+        r = rot[w]
+        p = r.index(v)
+        changed[w] = r[:p] + (v2,) + r[p + 1:]
+    for w, pair in ((nbrs[i], (v, v2)), (nbrs[j], (v2, v))):
+        r = rot[w]
+        p = r.index(v)
+        changed[w] = r[:p] + pair + r[p + 1:]
+    return changed
 
 
 def _ranked_split(rot, degrees, v, i, j):
@@ -77,10 +82,11 @@ def _ranked_split(rot, degrees, v, i, j):
 
     Edges are ranked by the sorted degrees of their ends, then the
     sorted degrees of their two apexes.  ``degrees`` are the parent's.
-    Returns None, without building the child when the degrees already
-    decide, as soon as a contractible edge ranks strictly lower than the
-    new edge {v, v2}.  Otherwise returns (child, ties), where ties are
-    the child's other contractible edges of equal rank as (a, b) pairs.
+    Returns None, without splitting when the degrees already decide, as
+    soon as a contractible edge ranks strictly lower than the new edge
+    {v, v2}.  Otherwise returns (changed, ties): the split's changed
+    lists (see _split_lists) and the child's other contractible edges of
+    equal rank as (a, b) pairs.
     """
     nbrs = rot[v]
     k = len(nbrs)
@@ -94,32 +100,35 @@ def _ranked_split(rot, degrees, v, i, j):
         return None  # every vertex has a contractible edge (see _classes)
     new_key = (lo, hi, *sorted((deg[nbrs[i]], deg[nbrs[j]])))
     new_edge = (v, v2)
-    child = _split_vertex(rot, v, i, j)
+    changed = _split_lists(rot, v, i, j)
     ties = []
-    for a, around in enumerate(child):
-        if deg[a] != lo:
+    for a, d in enumerate(deg):
+        if d != lo:
             continue
+        around = changed[a] if a in changed else rot[a]
         for t, b in enumerate(around):
             if (deg[b] > hi or (deg[b] == lo and b < a)
                     or (a in new_edge and b in new_edge)):
                 continue
-            apexes = (around[t - 1], around[(t + 1) % lo])
-            key = (lo, deg[b], *sorted((deg[apexes[0]], deg[apexes[1]])))
-            if key > new_key or len(set(around).intersection(child[b])) != 2:
+            key = (lo, deg[b], *sorted((deg[around[t - 1]],
+                                        deg[around[(t + 1) % lo]])))
+            if key > new_key or len(set(around).intersection(
+                    changed[b] if b in changed else rot[b])) != 2:
                 continue
             if key < new_key:
                 return None
             ties.append((a, b))
-    return child, ties
+    return changed, ties
 
 
-def _edge_code(child, darts, edges):
+def _edge_code(child, darts, edges, bound=None):
     """Least traversal code rooted at a dart of one of the given edges.
 
     ``darts`` is ``neighbor_darts(child)``.  The roots are the edges'
     darts leaving a lower-degree end, read with sigma and with its
     inverse, so the code is the same for edges that an isomorphism or a
-    reflection maps onto each other.
+    reflection maps onto each other.  Given ``bound``, returns a code
+    below it, or None if there is none (see ``canonical_traversal``).
     """
     sigma, alpha, origin, index = darts
     roots = []
@@ -128,7 +137,7 @@ def _edge_code(child, darts, edges):
             roots.append(index[a, b])
         if len(child[b]) <= len(child[a]):
             roots.append(index[b, a])
-    return canonical_traversal(sigma, alpha, origin, roots)
+    return canonical_traversal(sigma, alpha, origin, roots, bound)
 
 
 _COUNT_KEYS = ("children", "rejected_by_rank", "edge_codes",
@@ -136,6 +145,120 @@ _COUNT_KEYS = ("children", "rejected_by_rank", "edge_codes",
 
 # Per vertex count: (classes keyed by edge code, generation counts)
 _CLASS_CACHE: Dict[int, Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]] = {}
+
+# A level is generated on one worker per available CPU when its parent
+# level has at least this many classes.  Medians of 5 builds on a 2-CPU
+# host (Python 3.11), in this process -> on two forked workers: level 9
+# (14 parents) 31 -> 45-51 ms, level 10 (50 parents) 97 -> 90-101 ms,
+# level 11 (233 parents) 484 -> 297 ms, level 12 (1,249 parents)
+# 2.35 -> 1.48 s.  Starting the pool costs about as much as level 10
+# saves, so levels up to 10 stay in process.
+PARALLEL_MIN_PARENTS = 200
+# Contiguous slices per worker, so that the last slice to finish leaves
+# the other workers idle only briefly (4 and 8 timed the same).
+_SLICES_PER_WORKER = 4
+
+
+def _children(size: int, part: slice):
+    """Kept children of the parents ``part`` of level ``size``, with counts.
+
+    Returns ([(code, child)], counts) in the order the parents and their
+    splits are tried.  Two splits of one parent can give one class;
+    only the first is kept and the rest count as sibling duplicates.
+    """
+    counts = dict.fromkeys(_COUNT_KEYS, 0)
+    kept = []
+    for rot in list(_CLASS_CACHE[size][0].values())[part]:
+        degrees = [len(r) for r in rot]
+        codes = set()
+        for v in range(size):
+            k = degrees[v]
+            for i in range(k):
+                for j in range(i + 1, k):
+                    counts["children"] += 1
+                    ranked = _ranked_split(rot, degrees, v, i, j)
+                    if ranked is None:
+                        counts["rejected_by_rank"] += 1
+                        continue
+                    counts["edge_codes"] += 1
+                    changed, ties = ranked
+                    child = [changed.get(a, r) for a, r in enumerate(rot)]
+                    child.append(changed[size])  # the new vertex
+                    darts = neighbor_darts(child)
+                    code = _edge_code(child, darts, [(v, size)])
+                    if ties and _edge_code(child, darts, ties, code):
+                        continue
+                    if code in codes:
+                        counts["sibling_duplicates"] += 1
+                        continue
+                    codes.add(code)
+                    kept.append((code, child))
+    return kept, counts
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(parents: int) -> int:
+    """Workers to fork for a level with this many parents; 1: none.
+
+    One per available CPU for a large level, where the platform has
+    fork.  Fork copies only the calling thread, so a lock that another
+    thread holds would stay held in the workers: a process running
+    other threads forks none, and neither does a daemonic process (a
+    pool's worker), which may not have children.
+    """
+    cpus = _available_cpus()
+    if (parents < PARALLEL_MIN_PARENTS or cpus < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return 1
+    import multiprocessing  # about 23 ms to import; small runs skip it
+    return 1 if multiprocessing.current_process().daemon else cpus
+
+
+def _merge(size: int, results):
+    """One level from the (kept, counts) of its slices, in parent order."""
+    nxt: Dict[Tuple, List[Tuple]] = {}
+    counts = dict.fromkeys(_COUNT_KEYS, 0)
+    for kept, part_counts in results:
+        for key, value in part_counts.items():
+            counts[key] += value
+        for code, child in kept:
+            if code in nxt:
+                raise ValueError(f"two parents with {size} vertices give one "
+                                 "class; the canonical construction is broken")
+            nxt[code] = child
+    counts["classes"] = len(nxt)
+    return nxt, counts
+
+
+def _level(size: int):
+    """The classes with size + 1 vertices and their counts (see _classes).
+
+    With several workers (see _workers), contiguous slices of the
+    parents run on forked workers, which inherit the parent level, so
+    only slice bounds are sent; otherwise one slice of every parent runs
+    here.  Slices are merged in parent order either way, so the level
+    does not depend on the choice.
+    """
+    parents = len(_CLASS_CACHE[size][0])
+    workers = _workers(parents)
+    if workers == 1:
+        return _merge(size, [_children(size, slice(parents))])
+    import multiprocessing
+    step = -(-parents // (_SLICES_PER_WORKER * workers))
+    parts = [slice(s, s + step) for s in range(0, parents, step)]
+    with multiprocessing.get_context("fork").Pool(
+            min(workers, len(parts))) as pool:
+        level = _merge(size, pool.imap(partial(_children, size), parts))
+        pool.close()
+        pool.join()
+    return level
 
 
 def _classes(n: int) -> Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]:
@@ -167,9 +290,15 @@ def _classes(n: int) -> Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]:
       least rank, a set that depends only on the class.  The traversal
       reaches every dart, so the code determines the map and keys the
       class (K4's edges form one orbit, so any of them gives its key).
-      Two splits of one parent can still give isomorphic children; no
-      class comes from two parents, so a code already in the level
-      marks such a sibling duplicate.
+    - Each parent's children can be generated on their own.  A kept
+      code determines the child with its new edge, and contracting that
+      edge gives back the parent, so children of different parents have
+      different codes and the level is the disjoint union of the
+      parents' children (``_level`` runs large levels on several
+      processes).  Two splits of one parent can still give isomorphic
+      children; ``_children`` drops these sibling duplicates per
+      parent.  The merge checks the argument instead of trusting it: a
+      code that two parents both give raises ValueError.
 
     Returns the classes and the level's counts: children tried,
     children rejected by rank, children that reached an edge code (the
@@ -179,34 +308,9 @@ def _classes(n: int) -> Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]:
         k4 = [tuple(r) for r in tetrahedron().simple_neighbor_lists()]
         _CLASS_CACHE[4] = ({_edge_code(k4, neighbor_darts(k4), [(0, 1)]): k4},
                            dict.fromkeys(_COUNT_KEYS, 0) | {"classes": 1})
-    size = max(s for s in _CLASS_CACHE if s <= n)
-    while size < n:
-        nxt: Dict[Tuple, List[Tuple]] = {}
-        counts = dict.fromkeys(_COUNT_KEYS, 0)
-        for rot in _CLASS_CACHE[size][0].values():
-            degrees = [len(r) for r in rot]
-            for v in range(size):
-                k = degrees[v]
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        counts["children"] += 1
-                        ranked = _ranked_split(rot, degrees, v, i, j)
-                        if ranked is None:
-                            counts["rejected_by_rank"] += 1
-                            continue
-                        counts["edge_codes"] += 1
-                        child, ties = ranked
-                        darts = neighbor_darts(child)
-                        # the split adds vertex number `size`
-                        code = _edge_code(child, darts, [(v, size)])
-                        if ties and _edge_code(child, darts, ties) < code:
-                            continue
-                        if code in nxt:
-                            counts["sibling_duplicates"] += 1
-                            continue
-                        nxt[code] = child
-        size += 1
-        _CLASS_CACHE[size] = (nxt, counts | {"classes": len(nxt)})
+    built = max(s for s in _CLASS_CACHE if s <= n)
+    for size in range(built, n):
+        _CLASS_CACHE[size + 1] = _level(size)
     return _CLASS_CACHE[n]
 
 

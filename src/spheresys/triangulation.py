@@ -11,6 +11,7 @@ vertex degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -392,7 +393,9 @@ def neighbor_darts(neighbors: Sequence[Sequence[int]]):
 
 def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
                         origin: Sequence[int],
-                        roots: Optional[Sequence[int]] = None) -> Tuple[int, ...]:
+                        roots: Optional[Sequence[int]] = None,
+                        bound: Optional[Sequence[int]] = None
+                        ) -> Optional[Tuple[int, ...]]:
     """Minimal rooted traversal code of a connected map, as a tuple.
 
     Roots are the given darts, by default the darts minimizing (degree
@@ -400,6 +403,10 @@ def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
     (the mirror image).  The code describes the whole map only if the
     traversal reaches every dart, so a map with more than one component
     raises ValueError.
+
+    Given ``bound``, a code of the same map, the search starts from it
+    as the running bound: it returns the first root code found below
+    ``bound``, or None if no root's code is below it.
     """
     n = len(sigma)
     if roots is None:
@@ -412,12 +419,16 @@ def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
     sigma_inv = [0] * n
     for d in range(n):
         sigma_inv[sigma[d]] = d
-    best = reached = None
-    for rot in (sigma, sigma_inv):
-        for root in roots:
-            found = _root_code(rot, alpha, root, best)
-            if found is not None and (best is None or found[0] < best):
-                best, reached = found
+    best = None if bound is None else list(bound)
+    reached = None
+    for rot, root in product((sigma, sigma_inv), roots):
+        found = _root_code(rot, alpha, root, best)
+        if found is not None and (best is None or found[0] < best):
+            best, reached = found
+            if bound is not None:
+                break
+    if bound is not None and reached is None:
+        return None
     if reached != n:
         raise ValueError("map is not connected: the traversal reaches "
                          f"{reached} of {n} darts")

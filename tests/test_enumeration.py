@@ -1,9 +1,14 @@
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 
+from spheresys import enumeration
 from spheresys.enumeration import (
     EnumerationQuery,
     ResourceLimitError,
-    _split_vertex,
     enumerate_triangulations,
     max_min_density,
     verify_proposition,
@@ -17,6 +22,27 @@ KNOWN_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233, 11: 1249, 12: 759
 
 def classes(n, **kw):
     return list(enumerate_triangulations(EnumerationQuery(n, **kw)))
+
+
+def split_vertex(rot, v, i, j):
+    """Whole child of splitting vertex v between rotation positions i < j.
+
+    The vertex keeps the neighbour arc rot[v][i..j] and a new last vertex
+    takes the complementary arc; both also gain each other.  The shared
+    arc endpoints see the pair in the orientation-consistent order.
+    """
+    nbrs = rot[v]
+    v2 = len(rot)
+    new = [list(r) for r in rot]
+    new[v] = [*nbrs[i:j + 1], v2]
+    new.append([*nbrs[j:], *nbrs[:i + 1], v])
+    for w in nbrs[j + 1:] + nbrs[:i]:
+        new[w][new[w].index(v)] = v2
+    p = new[nbrs[i]].index(v)
+    new[nbrs[i]][p:p + 1] = [v, v2]
+    p = new[nbrs[j]].index(v)
+    new[nbrs[j]][p:p + 1] = [v2, v]
+    return [tuple(r) for r in new]
 
 
 def flip(t, e):
@@ -65,7 +91,7 @@ def naive_enumerate_count(n: int) -> int:
 
     rot = tetrahedron().simple_neighbor_lists()
     while len(rot) < n:
-        rot = _split_vertex(rot, 0, 0, 1)
+        rot = split_vertex(rot, 0, 0, 1)
     start = Triangulation.from_simple_rotations(rot)
 
     def to_graph(t):
@@ -110,7 +136,7 @@ def split_closure_codes(n_max):
             for v, nbrs in enumerate(rot):
                 for i in range(len(nbrs)):
                     for j in range(i + 1, len(nbrs)):
-                        child = _split_vertex(rot, v, i, j)
+                        child = split_vertex(rot, v, i, j)
                         code = Triangulation.from_simple_rotations(child).canonical_code()
                         nxt.setdefault(code, child)
         level = nxt
@@ -176,6 +202,73 @@ class TestStreamProperties:
             for v, nbrs in enumerate(lists):
                 if t.degree[v] == 3:
                     assert min(t.degree[w] for w in nbrs) < 7
+
+
+class TestLevels:
+    """Per-parent generation, the merge's check and the two selections."""
+
+    def test_split_lists_give_the_whole_child(self):
+        for n in range(4, 9):
+            for rot in enumeration._classes(n)[0].values():
+                for v, nbrs in enumerate(rot):
+                    for i in range(len(nbrs)):
+                        for j in range(i + 1, len(nbrs)):
+                            changed = enumeration._split_lists(rot, v, i, j)
+                            child = [changed.get(a, r) for a, r in enumerate(rot)]
+                            assert child + [changed[n]] == split_vertex(rot, v, i, j)
+                            assert all(changed[a] != rot[a] for a in changed if a < n)
+
+    def test_class_from_two_parents_raises(self, monkeypatch):
+        # with a rank test that accepts every split, a class is kept
+        # once per orbit of new edges, so the next level has isomorphic
+        # parents, which give equal codes
+        monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+        monkeypatch.setattr(
+            enumeration, "_ranked_split",
+            lambda rot, degrees, v, i, j: (enumeration._split_lists(rot, v, i, j), []))
+        with pytest.raises(ValueError, match="two parents with 6 vertices"):
+            enumeration._classes(7)
+
+    @staticmethod
+    def levels(monkeypatch, cpus):
+        monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+        monkeypatch.setattr(enumeration, "_available_cpus", lambda: cpus)
+        enumeration._classes(11)
+        return [(list(enumeration._CLASS_CACHE[n][0].items()),
+                 enumeration._CLASS_CACHE[n][1]) for n in (10, 11)]
+
+    def test_forked_levels_equal_in_process_levels(self, monkeypatch):
+        # levels 10 and 11 (50 and 233 parents) on two forked workers,
+        # then in this process: same classes, insertion order and counts
+        monkeypatch.setattr(enumeration, "PARALLEL_MIN_PARENTS", 50)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        forked = self.levels(monkeypatch, 2)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        # the workers did the work and were joined
+        assert after.ru_utime > before.ru_utime
+        assert self.levels(monkeypatch, 1) == forked
+
+    def test_daemonic_process_builds_in_process(self, monkeypatch):
+        # a pool's worker may not have children of its own
+        import multiprocessing
+        monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+        monkeypatch.setattr(enumeration, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(enumeration, "PARALLEL_MIN_PARENTS", 50)
+        proc = multiprocessing.get_context("fork").Process(
+            target=enumeration._classes, args=(11,), daemon=True)
+        proc.start()
+        proc.join(timeout=120)
+        assert proc.exitcode == 0
+
+    def test_import_leaves_multiprocessing_out(self):
+        # it takes about 23 ms to import, and only a large level needs it
+        src = os.path.dirname(os.path.dirname(enumeration.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, spheresys; print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout == "False\n"
 
 
 class TestMaxMinDensity:

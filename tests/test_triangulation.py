@@ -258,6 +258,17 @@ class TestCanonical:
             with pytest.raises(ValueError, match="not connected"):
                 t.canonical_code()
 
+    def test_traversal_bound(self):
+        # with a bound, the search reports a root code below it, or None
+        for t in enumerate_triangulations(EnumerationQuery(7)):
+            args = t.sigma, t.alpha, t.origin
+            least = canonical_traversal(*args)
+            darts = range(t.n_darts)
+            codes = {canonical_traversal(*args, [d]) for d in darts}
+            assert canonical_traversal(*args, darts, least) is None
+            for code in codes - {least}:
+                assert least <= canonical_traversal(*args, darts, code) < code
+
     def test_traversal_refuses_disconnected_darts(self):
         # the dart arrays alone, as the enumerator passes them, with the
         # default roots and with a root in either component
