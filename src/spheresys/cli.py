@@ -346,15 +346,22 @@ def cmd_enumerate(args, out):
 # arguments, the paper's published values last, and returns (ok, detail).
 
 def _max_min_density(n, value):
-    """Exhaustive over simple triangulations; the degenerate maps are only
-    the constructed ones, each shown with its exact systole trace."""
+    """Exhaustive over simple triangulations: the largest min density and
+    the systole of each extremal class, which must have trace exactly
+    D - 2.  The degenerate maps are only the constructed ones, each shown
+    with its exact systole trace."""
     report = verify_proposition(n)
     got = report["regular_max_min_density"]
+    systoles = ", ".join(f"{trace} ({count} witnesses)"
+                         for trace, count in report["extremal_systoles"])
     maps = ", ".join(f"{name} {trace}"
                      for name, trace, _ in report["degenerate_checks"])
-    return (got == value and report["degenerate_ok"],
+    return (got == value and report["extremal_ok"] and report["degenerate_ok"],
             f"max-min density {got} (expected {value}) over simple "
             f"triangulations, {report['extremal_count']} extremal; "
+            f"extremal systole traces: {systoles}, so the largest systole "
+            f"over simple triangulations is "
+            f"{fmt_float(trace_to_length(got - 2))}; "
             f"constructed degenerate maps by systole trace: {maps}")
 
 

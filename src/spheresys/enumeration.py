@@ -348,8 +348,16 @@ def verify_proposition(n: int) -> dict:
     """Measurements behind the extremal-density statement for n cusps.
 
     The regular case by enumeration: the largest minimum edge density
-    D and the number of classes attaining it.  The degenerate cases by
-    the dual walk on constructed maps with loops, duplicate edges or
+    D and the number of classes attaining it.  Every edge of a simple
+    triangulation has density at least 9, so each class has a closed
+    geodesic of |trace| at most its least density minus 2
+    (``Triangulation.a_priori_trace_bound``), hence at most D - 2.  The
+    dual walk at bound D - 2 on each extremal class gives its exact
+    systole trace and witness count ("extremal_systoles", in key
+    order); "extremal_ok" holds when every one has trace exactly D - 2,
+    so that the largest systole over simple triangulations with n
+    vertices is 2 arccosh((D - 2) / 2).  The degenerate cases by the
+    dual walk on constructed maps with loops, duplicate edges or
     low-degree vertices: each must have a closed geodesic of |trace| at
     most D - 2, and its row in "degenerate_checks" holds its exact
     systole trace (None if the walk finds no class).  The report's
@@ -359,11 +367,18 @@ def verify_proposition(n: int) -> dict:
     if not 4 <= n <= MAX_VERTICES:
         raise ValueError(f"n must be between 4 and {MAX_VERTICES}")
     value, extremal = max_min_density(EnumerationQuery(n))
+
+    def systole(t):
+        """(least |trace| up to D - 2 or None, witnesses attaining it)."""
+        witnesses = geodesics.enumerate_geodesics_combinatorial(t, value - 2)
+        best = min((int(abs(w.trace)) for w in witnesses), default=None)
+        return best, sum(1 for w in witnesses if abs(w.trace) == best)
+
+    systoles = [systole(t) for t in extremal]
     checks = []
 
     def check(name, t):
-        witnesses = geodesics.enumerate_geodesics_combinatorial(t, value - 2)
-        best = min((int(abs(w.trace)) for w in witnesses), default=None)
+        best = systole(t)[0]
         checks.append((name, best, best is not None))
 
     check("bipyramid", bipyramid_with_duplicates(n - 2))
@@ -377,6 +392,8 @@ def verify_proposition(n: int) -> dict:
         "n": n,
         "regular_max_min_density": value,
         "extremal_count": len(extremal),
+        "extremal_systoles": systoles,
+        "extremal_ok": all(trace == value - 2 for trace, _ in systoles),
         "generation": dict(_classes(n)[1]),
         "degenerate_ok": all(ok for _, _, ok in checks),
         "degenerate_checks": checks,

@@ -64,7 +64,9 @@ class GeodesicWitness:
 
 # The dual walk's word tree depends only on the trace bound: 26,311
 # words at bound 100, 294,519 at 300 and 893,085 at 500, on any map.
-# So this cap on the bound caps the work.
+# The walk visits exactly this tree, carrying a few start darts per
+# word, so this cap on the bound caps the work: at 300 the icosahedron
+# and the octahedron take about 1.2 s each (Python 3.11, 2-vCPU VM).
 MAX_WALK_TRACE_BOUND = 300
 
 
@@ -93,20 +95,29 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
     wind around a single vertex, trace 2) and are excluded.
 
     The pruning reads only the L/R word, so one depth-first search over
-    words serves every start dart; a word closes a walk at each start
-    dart it maps to itself.  It ends, by three facts about nonnegative
-    turn products: appending a turn never decreases an entry, so a
-    prefix with a + d above the bound cannot recover; X^m Y has trace
-    m + 2 (X != Y), so a pure word (trace 2) is cut past trace_bound - 2
-    letters; and once both letters occur, b and c are positive, so each
-    further turn (L adds c to the trace, R adds b) raises the trace by at
-    least 1.  No word passes 2 * (trace_bound - 2) letters.
+    words serves every start dart.  It ends, by three facts about
+    nonnegative turn products: appending a turn never decreases an
+    entry, so a prefix with a + d above the bound cannot recover; X^m Y
+    has trace m + 2 (X != Y), so a pure word (trace 2) is cut past
+    trace_bound - 2 letters; and once both letters occur, b and c are
+    positive, so each further turn (L adds c to the trace, R adds b)
+    raises the trace by at least 1.  No word passes 2 * (trace_bound - 2)
+    letters.
 
-    A class's witness is the first word in search order that closes it
-    at its least start dart, the first entry of its key: every rotation
-    of a closed word below the bound, and its reversed walk, survive the
-    pruning.  Pruning removes subtrees without reordering the rest, so
-    the witnesses do not depend on the bound.  A bound above
+    A class's key (``_cyclic_key`` of its darts and their reversed
+    twins) starts with the least dart the closed walk crosses or whose
+    twin it crosses, and its witness is the first word in search order
+    that closes it at that start dart d0 = key[0].  So the search
+    carries, down the word tree, only the live starts: pairs (d0, dart
+    reached) such that every dart x crossed so far has x >= d0 and
+    alpha[x] >= d0, starting from the darts with alpha[d0] > d0.  A
+    closure at d0 has d0 = key[0] exactly when d0 stayed live along the
+    whole word, so dropping a start loses no witness, and the keys are
+    formed only for these closures; a closure with key[0] != d0 raises
+    AssertionError.  Dart 0 is always live, so no subtree is cut.  Every
+    rotation of a closed word below the bound, and its reversed walk,
+    survive the pruning, and pruning removes subtrees without reordering
+    the rest, so the witnesses do not depend on the bound.  A bound above
     ``MAX_WALK_TRACE_BOUND`` raises ResourceLimitError before the search.
     """
     report = g.validate()
@@ -128,10 +139,11 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
              "R": [sigma[alpha[sigma[d]]] for d in range(n_darts)]}
 
     found: Dict[Tuple, GeodesicWitness] = {}
-    # iterative DFS: (matrix, word, dart reached from each start dart)
-    stack = [((1, 0, 0, 1), "", tuple(range(n_darts)))]
+    # iterative DFS: (matrix, word, live (start dart, dart reached) pairs)
+    stack = [((1, 0, 0, 1), "", [(d0, d0) for d0 in range(n_darts)
+                                 if alpha[d0] > d0])]
     while stack:
-        m, word, reached = stack.pop()
+        m, word, live = stack.pop()
         for letter in "LR":
             nm = mat_mul(m, TURNS[letter])
             tr = nm[0] + nm[3]
@@ -140,18 +152,22 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
             if tr > trace_bound or tr == 2 and len(word) >= trace_bound - 2:
                 continue
             nword = word + letter
-            nreached = tuple(map(perms[letter].__getitem__, reached))
-            for d0, d in enumerate(nreached):
+            perm = perms[letter]
+            nlive = [(d0, x) for d0, d in live
+                     if (x := perm[d]) >= d0 and alpha[x] >= d0]
+            for d0, d in nlive:
                 if d != d0 or tr == 2:
                     continue
                 darts = tuple(accumulate(
                     nword, lambda x, turn: perms[turn][x], initial=d0))[1:]
                 key = _cyclic_key(darts, tuple(alpha[x] for x in reversed(darts)))
-                if d0 == key[0] and key not in found:
+                if key[0] != d0:
+                    raise AssertionError(f"{nword} from {d0}: key {key}")
+                if key not in found:
                     mat = MoebiusMap(*nm)
                     found[key] = GeodesicWitness(
                         tuple(nword), mat, mat.trace, trace_to_length(tr))
-            stack.append((nm, nword, nreached))
+            stack.append((nm, nword, nlive))
 
     return sorted(found.values(),
                   key=lambda w: (abs(w.trace), len(w.word), w.word))

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -351,6 +352,20 @@ class TestClaimTable:
         for selector, names in expected.items():
             assert {row[0] for row in cli.PAPER_CLAIMS
                     if selector in row[1]} == names, selector
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+class TestGolden:
+    """Outputs checked in under tests/golden/; golden/rewrite.py
+    rewrites them when a change alters an answer on purpose."""
+
+    @pytest.mark.parametrize("name", list(cli.NAMED_GRAPHS))
+    def test_systole_json(self, capsys, name):
+        code, out = run(capsys, "--json", "systole", f"fixture:{name}")
+        assert code == 0
+        assert out == (GOLDEN / f"systole-{name}.json").read_text()
 
 
 class TestRender:

@@ -355,6 +355,27 @@ class TestVerifyProposition:
     def test_generation_counts_n11_n12(self, n, counts):
         assert verify_proposition(n)["generation"] == counts
 
+    def test_extremal_systoles(self):
+        """Every extremal class has systole trace exactly D - 2; the
+        witnesses per class, in key order."""
+        witnesses = {4: [3], 5: [6], 6: [12], 7: [5], 8: [12], 9: [12],
+                     10: [8, 9], 11: [6, 8, 8], 12: [30]}
+        for n, counts in witnesses.items():
+            report = verify_proposition(n)
+            d = report["regular_max_min_density"]
+            assert report["extremal_ok"]
+            assert report["extremal_systoles"] == [(d - 2, k) for k in counts]
+
+    def test_extremal_check_reads_the_walk(self, monkeypatch):
+        # the 6-vertex class with a degree-3 vertex has density 9 < 16, so
+        # a systole below 14: passed off as extremal, it fails the check
+        other = [t for t in classes(6) if min(t.degree) == 3]
+        monkeypatch.setattr(enumeration, "max_min_density",
+                            lambda q: (16, other))
+        report = verify_proposition(6)
+        assert report["extremal_systoles"] == [(10, 2)]
+        assert not report["extremal_ok"]
+
     def test_range_check(self):
         for n in (3, 13):
             with pytest.raises(ValueError):

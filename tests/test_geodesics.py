@@ -1,13 +1,16 @@
 import dataclasses
 import functools
 import math
+import random
 from fractions import Fraction as Q
+from itertools import accumulate
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spheresys import fixtures
+from spheresys.cli import NAMED_GRAPHS
 from spheresys.developing import SpanningTree, develop, generators
 from spheresys import geodesics
 from spheresys.enumeration import EnumerationQuery, enumerate_triangulations
@@ -17,12 +20,13 @@ from spheresys.geodesics import (GeodesicWitness, ResourceLimitError,
                                  polygon_diameter_proxy,
                                  systole_combinatorial,
                                  systole_matrix_group)
-from spheresys.modular import (IDENTITY, L, R, MoebiusMap, NotHyperbolicError,
-                               lr_word_value, mat_mul, schmutz_bound,
-                               trace_to_length)
+from spheresys.modular import (IDENTITY, TURNS, L, R, MoebiusMap,
+                               NotHyperbolicError, lr_word_value, mat_mul,
+                               schmutz_bound, trace_to_length)
 from spheresys.triangulation import (Triangulation, bipyramid_with_duplicates,
                                      example_loop, icosahedron, octahedron,
                                      tetrahedron)
+from test_enumeration import flip
 from test_triangulation import example_duplicate_edges
 
 
@@ -197,6 +201,82 @@ class TestBruteForceOracle:
             assert all(claim(i, set()) for i in range(len(witnesses)))
             assert {key: witnesses[i].trace for key, i in owner.items()} == {
                 key: tr for key, (tr, _, _) in found.items()}
+
+
+def all_darts_walk(g, trace_bound):
+    """The dual walk as it was before it carried only live start darts:
+    every start dart's reached dart at every word, keys formed for every
+    closure."""
+    sigma, alpha = g.sigma, g.alpha
+    n_darts = g.n_darts
+    # the turns as dart permutations; R(d) = alpha[sigma^-1[alpha[d]]] is
+    # sigma[alpha[sigma[d]]] since faces are triangles.  Swapping L and R
+    # transposes the cyclic product, so it changes only the spelling
+    perms = {"L": sigma,
+             "R": [sigma[alpha[sigma[d]]] for d in range(n_darts)]}
+
+    found = {}
+    # iterative DFS: (matrix, word, dart reached from each start dart)
+    stack = [((1, 0, 0, 1), "", tuple(range(n_darts)))]
+    while stack:
+        m, word, reached = stack.pop()
+        for letter in "LR":
+            nm = mat_mul(m, TURNS[letter])
+            tr = nm[0] + nm[3]
+            # a trace above the bound never drops back down, and a pure
+            # word past trace_bound - 2 letters closes nothing below it
+            if tr > trace_bound or tr == 2 and len(word) >= trace_bound - 2:
+                continue
+            nword = word + letter
+            nreached = tuple(map(perms[letter].__getitem__, reached))
+            for d0, d in enumerate(nreached):
+                if d != d0 or tr == 2:
+                    continue
+                darts = tuple(accumulate(
+                    nword, lambda x, turn: perms[turn][x], initial=d0))[1:]
+                key = _cyclic_key(darts, tuple(alpha[x] for x in reversed(darts)))
+                if d0 == key[0] and key not in found:
+                    mat = MoebiusMap(*nm)
+                    found[key] = GeodesicWitness(
+                        tuple(nword), mat, mat.trace, trace_to_length(tr))
+            stack.append((nm, nword, nreached))
+
+    return sorted(found.values(),
+                  key=lambda w: (abs(w.trace), len(w.word), w.word))
+
+
+def flipped_icosahedra(count, seed):
+    """``count`` distinct maps on a seeded random walk of diagonal flips
+    from the icosahedron."""
+    rng = random.Random(seed)
+    t, maps, codes = icosahedron(), [], set()
+    while len(maps) < count:
+        t = flip(t, rng.randrange(t.n_edges)) or t
+        if t.canonical_code() not in codes:
+            codes.add(t.canonical_code())
+            maps.append(t)
+    return maps
+
+
+class TestLiveStarts:
+    # the reference takes 0.1-0.2 s per map at bound 60, so that bound
+    # sees the classes up to 7 vertices and 10 flipped icosahedra
+    @pytest.mark.parametrize("bound, n_max, flips",
+                             [(10, 8, 50), (30, 8, 50), (60, 7, 10)])
+    def test_witnesses_equal_all_darts_walk(self, bound, n_max, flips):
+        """Carrying only the live starts gives the all-darts walk's
+        witnesses, words, traces, matrices and order included."""
+        maps = [*(make() for make in NAMED_GRAPHS.values()),
+                example_loop(), example_duplicate_edges(),
+                *(bipyramid_with_duplicates(m) for m in range(2, 6)),
+                three_vertex_map(),
+                *(g for n in range(4, n_max + 1)
+                  for g in enumerate_triangulations(EnumerationQuery(n))),
+                *flipped_icosahedra(flips, 17)]
+        for g in maps:
+            assert [(w.word, w.trace, w.matrix)
+                    for w in enumerate_geodesics_combinatorial(g, bound)] == \
+                [(w.word, w.trace, w.matrix) for w in all_darts_walk(g, bound)]
 
 
 class TestMatrixGroup:
@@ -663,7 +743,6 @@ class TestConsistency:
             assert (abs(length - schmutz_bound(n)) < 1e-9) == equal
 
     def test_spectrum_independent_of_tree(self):
-        import random
         rng = random.Random(7)
         g = fixtures.seven_cusp_graph()
         spectra = []
