@@ -9,6 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from golden.rewrite import CASES as GOLDEN_CASES
 from spheresys import cli, fixtures
 from spheresys.modular import MoebiusMap
 from spheresys.triangulation import Triangulation, icosahedron, tetrahedron
@@ -334,6 +335,12 @@ def perturbed(value):
     return value + 1
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+# the detail each claim printed when the golden outputs were written
+CLAIM_DETAILS = {row["claim"]: row["detail"] for row in json.loads(
+    (GOLDEN / "verify-paper-all.json").read_text())}
+
+
 class TestClaimTable:
     @pytest.mark.parametrize(
         "row", [row for row in cli.PAPER_CLAIMS if row[0] not in SLOW_CLAIMS],
@@ -341,7 +348,7 @@ class TestClaimTable:
     def test_row(self, row):
         name, selectors, check, *values = row
         assert f"n={CLAIM_N[name]}" in selectors
-        assert check(*values)[0]
+        assert check(*values) == (True, CLAIM_DETAILS[name])
         assert not check(*values[:-1], perturbed(values[-1]))[0]
 
     def test_names_and_selectors(self):
@@ -354,18 +361,26 @@ class TestClaimTable:
                     if selector in row[1]} == names, selector
 
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
 class TestGolden:
     """Outputs checked in under tests/golden/; golden/rewrite.py
     rewrites them when a change alters an answer on purpose."""
 
-    @pytest.mark.parametrize("name", list(cli.NAMED_GRAPHS))
-    def test_systole_json(self, capsys, name):
-        code, out = run(capsys, "--json", "systole", f"fixture:{name}")
+    @staticmethod
+    def check(capsys, name):
+        code, out = run(capsys, *GOLDEN_CASES[name])
         assert code == 0
-        assert out == (GOLDEN / f"systole-{name}.json").read_text()
+        assert out == (GOLDEN / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize(
+        "name", [n[len("systole-"):] for n in GOLDEN_CASES
+                 if n.startswith("systole-")])
+    def test_systole_json(self, capsys, name):
+        self.check(capsys, f"systole-{name}")
+
+    @pytest.mark.parametrize(
+        "name", [n for n in GOLDEN_CASES if not n.startswith("systole-")])
+    def test_json(self, capsys, name):
+        self.check(capsys, name)
 
 
 class TestRender:
