@@ -9,6 +9,7 @@ exact traces as integers or p/q, so outputs diff reproducibly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from .enumeration import (EnumerationQuery, enumerate_triangulations,
                           neighbor_lists, verify_proposition)
 from .geodesics import (ResourceLimitError, polygon_diameter_proxy,
                         systole_combinatorial, systole_matrix_group)
-from .modular import MoebiusMap, schmutz_bound, trace_to_length
+from .modular import Frac, MoebiusMap, schmutz_bound, trace_to_length
 from .triangulation import (Triangulation, icosahedron, octahedron,
                             tetrahedron)
 
@@ -47,6 +48,23 @@ def fmt_float(x: float) -> str:
 
 def fmt_trace(t) -> str:
     return str(Q(t))
+
+
+def _json_default(obj):
+    if isinstance(obj, MoebiusMap):
+        return [str(e) for e in obj.entries()]
+    if isinstance(obj, (Q, Frac)):
+        return str(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
+
+
+def to_json(obj) -> str:
+    """The --json form of a report: a dataclass as its fields in
+    declaration order, an exact number as p/q and a map as its four
+    entry strings; TypeError on any other type json does not know."""
+    return json.dumps(obj, indent=2, default=_json_default)
 
 
 # -- input loading -------------------------------------------------------
@@ -118,7 +136,7 @@ def parse_input(text: str):
                     f"generator {lab!r}: an entry is longer than "
                     f"{MAX_ENTRY_SIZE} characters or has a larger exponent")
             try:
-                gens[lab] = MoebiusMap.from_json(quad)
+                gens[lab] = MoebiusMap(*quad)
             except (TypeError, ZeroDivisionError, OverflowError) as exc:
                 raise ValueError(f"generator {lab!r}: {exc}")
     except ValueError as exc:
@@ -200,12 +218,7 @@ def cmd_validate(args, out):
     g = load_triangulation(args.input, check=False)
     report = g.validate()
     if args.json:
-        out(json.dumps({
-            "ok": report.ok, "diagnostics": report.diagnostics,
-            "degrees": report.degrees, "regular": report.regular,
-            "has_loops": report.has_loops,
-            "has_duplicate_edges": report.has_duplicate_edges,
-        }, indent=2))
+        out(to_json(report))
     else:
         out(f"ok: {report.ok}")
         out(f"degrees: {' '.join(str(d) for d in report.degrees)}")
@@ -221,9 +234,7 @@ def cmd_density(args, out):
     g = load_triangulation(args.input)
     dens = g.density()
     if args.json:
-        out(json.dumps({"densities": dens.densities,
-                        "min_density": dens.min_density,
-                        "witness_edge": dens.witness_edge}, indent=2))
+        out(to_json(dens))
     else:
         for e, d in enumerate(dens.densities):
             u, v = g.edge_endpoints(e)
@@ -247,10 +258,11 @@ def cmd_develop(args, out):
     dev = _build_development(args)
     ok = check_cusp_parabolics(dev)
     if args.json:
-        obj = dev.to_json_obj()
-        obj["generators"] = [m.to_json() for m in generators(dev)]
-        obj["cusp_parabolics_ok"] = ok
-        out(json.dumps(obj, indent=2))
+        fields = dict(vars(dev), generators=generators(dev),
+                      cusp_parabolics_ok=ok)
+        out(to_json({key: fields[key] for key in (
+            "seed", "polygon", "corner_labels", "side_pairings",
+            "cusp_generators", "generators", "cusp_parabolics_ok")}))
     else:
         out("polygon: " + " ".join(str(x) for x in dev.polygon))
         for e, m in sorted(dev.side_pairings.items()):
@@ -282,9 +294,7 @@ def cmd_systole(args, out):
     if isinstance(loaded, Triangulation):
         length, witnesses = systole_combinatorial(loaded, args.trace_bound)
         if args.json:
-            out(json.dumps({
-                "systole": length,
-                "witnesses": [w.to_json_obj() for w in witnesses]}, indent=2))
+            out(to_json({"systole": length, "witnesses": witnesses}))
         else:
             out(f"systole {fmt_float(length)}")
             for w in witnesses:
@@ -296,20 +306,7 @@ def cmd_systole(args, out):
     bound = Q(args.trace_bound) if args.trace_bound is not None else Q(18)
     report = systole_matrix_group(gens, bound, diameter=diameter)
     if args.json:
-        out(json.dumps({
-            "trace_bound": fmt_trace(report.trace_bound),
-            "diameter": report.diameter,
-            "horizon": report.horizon,
-            "states_explored": report.states_explored,
-            "frontier_exhausted": report.frontier_exhausted,
-            "min_trace_above_bound":
-                None if report.min_trace_above_bound is None
-                else fmt_trace(report.min_trace_above_bound),
-            "products_tried": report.products_tried,
-            "filter_rejects": report.filter_rejects,
-            "exact_rejects": report.exact_rejects,
-            "witnesses": [w.to_json_obj() for w in report.witnesses],
-        }, indent=2))
+        out(to_json(report))
     else:
         out(f"trace bound {fmt_trace(report.trace_bound)} "
             f"horizon {fmt_float(report.horizon)} "
@@ -513,7 +510,7 @@ def cmd_verify_paper(args, out):
         results.append({"claim": name, "ok": ok, "detail": detail,
                         "seconds": round(time.perf_counter() - start, 3)})
     if args.json:
-        out(json.dumps(results, indent=2))
+        out(to_json(results))
     else:
         for r in results:
             out(f"{'PASS' if r['ok'] else 'FAIL'} {r['claim']} "
@@ -532,6 +529,10 @@ def build_parser():
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
+    development = argparse.ArgumentParser(add_help=False)
+    development.add_argument("input")
+    development.add_argument("--tree", help="spanning tree as u-v,u-v,...")
+    development.add_argument("--seed-edge", help="terminal tree edge as u-v")
 
     p = sub.add_parser("validate", help="check a triangulation file")
     p.add_argument("input")
@@ -541,10 +542,8 @@ def build_parser():
     p.add_argument("input")
     p.set_defaults(fn=cmd_density)
 
-    p = sub.add_parser("develop", help="fundamental polygon and pairings")
-    p.add_argument("input")
-    p.add_argument("--tree", help="spanning tree as u-v,u-v,...")
-    p.add_argument("--seed-edge", help="terminal tree edge as u-v")
+    p = sub.add_parser("develop", parents=[development],
+                       help="fundamental polygon and pairings")
     p.set_defaults(fn=cmd_develop)
 
     p = sub.add_parser("systole",
@@ -565,10 +564,8 @@ def build_parser():
                    help="all | n=K | fixture name")
     p.set_defaults(fn=cmd_verify_paper)
 
-    p = sub.add_parser("render", help="SVG of the developed polygon")
-    p.add_argument("input")
-    p.add_argument("--tree", help="spanning tree as u-v,u-v,...")
-    p.add_argument("--seed-edge", help="terminal tree edge as u-v")
+    p = sub.add_parser("render", parents=[development],
+                       help="SVG of the developed polygon")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_render)
     return parser

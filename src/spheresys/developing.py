@@ -135,17 +135,6 @@ class Development:
         return ((self.corner_labels[d1], self.corner_labels[g.face_next(d1)]),
                 (self.corner_labels[d2], self.corner_labels[g.face_next(d2)]))
 
-    def to_json_obj(self):
-        return {
-            "seed": list(self.seed),
-            "polygon": [str(x) for x in self.polygon],
-            "corner_labels": [str(x) for x in self.corner_labels],
-            "side_pairings": {str(e): m.to_json()
-                              for e, m in sorted(self.side_pairings.items())},
-            "cusp_generators": {str(v): m.to_json()
-                                for v, m in sorted(self.cusp_generators.items())},
-        }
-
 
 def _farey_third(x: Frac, y: Frac, old: Optional[Frac]) -> Frac:
     """The Farey neighbor of edge (x, y) on the far side from `old`."""

@@ -17,6 +17,7 @@ lives in tests/test_enumeration.py.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -211,14 +212,25 @@ def _workers(parents: int) -> int:
     fork.  Fork copies only the calling thread, so a lock that another
     thread holds would stay held in the workers: a process running
     other threads forks none, and neither does a daemonic process (a
-    pool's worker), which may not have children.
+    pool's worker), which may not have children.  The fork flushes the
+    standard streams first, and a flush that fails there (a pipe whose
+    reader has gone) would raise out of the fork, so then none either.
     """
     cpus = _available_cpus()
     if (parents < PARALLEL_MIN_PARENTS or cpus < 2 or not hasattr(os, "fork")
             or threading.active_count() > 1):
         return 1
     import multiprocessing  # about 23 ms to import; small runs skip it
-    return 1 if multiprocessing.current_process().daemon else cpus
+    if multiprocessing.current_process().daemon:
+        return 1
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            return 1
+        except (AttributeError, ValueError):  # None or closed: not flushed
+            pass
+    return cpus
 
 
 def _merge(size: int, results):

@@ -50,15 +50,6 @@ class GeodesicWitness:
     trace: Q
     length: float
 
-    def to_json_obj(self):
-        return {
-            "word": list(self.word) if not self.word or isinstance(self.word[0], str)
-            else [[lab, exp] for lab, exp in self.word],
-            "matrix": self.matrix.to_json(),
-            "trace": str(self.trace),
-            "length": self.length,
-        }
-
 
 # -- combinatorial engine ------------------------------------------------
 
@@ -205,16 +196,16 @@ def systole_combinatorial(g: Triangulation,
 
 @dataclass
 class MatrixSearchReport:
-    witnesses: List[GeodesicWitness]
-    frontier_exhausted: bool
     trace_bound: Q
     diameter: Optional[float]
     horizon: float
     states_explored: int
+    frontier_exhausted: bool
     min_trace_above_bound: Optional[Q]
     products_tried: int     # element-move products the sweep formed
     filter_rejects: int     # of those, rejected by the float pre-filter
     exact_rejects: int      # rejected by the exact test ``_within``
+    witnesses: List[GeodesicWitness]
 
 
 def _within(quad, den, cap) -> bool:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 __all__ = [
     "Frac",
@@ -220,14 +220,6 @@ class MoebiusMap:
     def __call__(self, x: Frac) -> Frac:
         """Apply the map projectively to an extended rational."""
         return Frac(self.na * x.p + self.nb * x.q, self.nc * x.p + self.nd * x.q)
-
-    def to_json(self):
-        return [str(e) for e in self.entries()]
-
-    @classmethod
-    def from_json(cls, data: Iterable[str]) -> "MoebiusMap":
-        a, b, c, d = data
-        return cls(a, b, c, d)
 
     def __str__(self):
         return f"[{self.a} {self.b}; {self.c} {self.d}]"

@@ -33,9 +33,9 @@ class ValidationReport:
     ok: bool
     diagnostics: List[str]
     degrees: List[int]
+    regular: bool
     has_loops: bool
     has_duplicate_edges: bool
-    regular: bool
 
 
 @dataclass

@@ -383,6 +383,13 @@ class TestGolden:
         self.check(capsys, name)
 
 
+class TestToJson:
+    def test_unknown_type_refused(self):
+        # not its str(): every reported type has a declared JSON form
+        with pytest.raises(TypeError, match="Triangulation"):
+            cli.to_json({"map": tetrahedron()})
+
+
 class TestRender:
     def test_stdout(self, capsys, tetra_file):
         code, out = run(capsys, "render", tetra_file)

@@ -260,6 +260,29 @@ class TestLevels:
         proc.join(timeout=120)
         assert proc.exitcode == 0
 
+    def test_closed_stdout_pipe_builds_in_process(self):
+        # a fork flushes stdout first; a line still buffered for a pipe
+        # whose reader has gone makes that flush raise BrokenPipeError.
+        # PYTHONUNBUFFERED would write the line at once and hide this.
+        script = "\n".join([
+            "import os, sys",
+            "from spheresys import enumeration",
+            "enumeration._available_cpus = lambda: 2",
+            "enumeration.PARALLEL_MIN_PARENTS = 50  # level 10 would fork",
+            "print('buffered')",
+            "r, w = os.pipe()",
+            "os.close(r)",
+            "os.dup2(w, 1)",
+            "print(len(enumeration._classes(10)[0]), file=sys.stderr)",
+            "os._exit(0)  # the buffered line can never be written",
+        ])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(enumeration.__file__))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
+        assert (proc.returncode, proc.stderr) == (0, "233\n")
+
     def test_import_leaves_multiprocessing_out(self):
         # it takes about 23 ms to import, and only a large level needs it
         src = os.path.dirname(os.path.dirname(enumeration.__file__))
