@@ -268,10 +268,9 @@ class TestInvariants:
 
     def test_deterministic(self):
         g, tree, seed = fixtures.named_development("ten-compact")
-        one, two = (
-            cli.to_json({key: value for key, value in vars(dev).items()
-                         if key not in ("g", "tree")})
-            for dev in (develop(g, tree, seed=seed) for _ in range(2)))
+        # g and tree are inputs, with no JSON form
+        one, two = (cli.to_json(dict(vars(develop(g, tree, seed=seed)),
+                                     g=None, tree=None)) for _ in range(2))
         assert one == two
 
     def test_sweep_small_triangulations(self):
