@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction as Q
 
 from . import fixtures
@@ -22,20 +23,15 @@ from .developing import SpanningTree, develop, generators, \
     check_cusp_parabolics, render_polygon
 from .enumeration import (EnumerationQuery, enumerate_triangulations,
                           neighbor_lists, verify_proposition)
-from .geodesics import (ResourceLimitError, polygon_diameter_proxy,
-                        systole_combinatorial, systole_matrix_group)
+from .geodesics import (ResourceLimitError, systole_combinatorial,
+                        systole_matrix_group)
 from .modular import Frac, MoebiusMap, schmutz_bound, trace_to_length
-from .triangulation import (Triangulation, icosahedron, octahedron,
-                            tetrahedron)
+from .triangulation import Triangulation
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
-
-
-class InputError(Exception):
-    pass
 
 
 class ClaimFailure(Exception):
@@ -69,34 +65,6 @@ def to_json(obj) -> str:
 
 # -- input loading -------------------------------------------------------
 
-NAMED_GRAPHS = {
-    "tetrahedron": tetrahedron,
-    "octahedron": octahedron,
-    "icosahedron": icosahedron,
-    "seven": fixtures.seven_cusp_graph,
-    "ten": fixtures.ten_cusp_graph,
-    "eleven": fixtures.eleven_cusp_graph,
-}
-
-# generator fixtures with the development whose polygon supplies the
-# certified search diameter; a sweep needs a free basis, so the 11-cusp
-# sets are generators 1-10 of the published 13
-NAMED_GENERATOR_SETS = {
-    "a7": ("seven", fixtures.A7),
-    "b7": ("seven", fixtures.B7),
-    "gamma10": ("ten-long", fixtures.GAMMA10),
-    "alpha10": ("ten-long", fixtures.ALPHA10),
-    "gamma11": ("eleven", fixtures.GAMMA11_BASIS),
-    "alpha11": ("eleven", fixtures.ALPHA11_BASIS),
-}
-
-
-def fixture_diameter(dev_name: str) -> float:
-    """Certified search diameter from a named published development."""
-    g, tree, seed = fixtures.named_development(dev_name)
-    return polygon_diameter_proxy(develop(g, tree, seed=seed))
-
-
 # A generator entry longer than this, or with a decimal exponent beyond
 # it, is refused before Fraction builds its exact value: "1e3000000"
 # would be a 3-million-digit integer.
@@ -115,101 +83,92 @@ def _oversized(entry) -> bool:
 
 def parse_input(text: str):
     """A Triangulation from rotation text, or (generators, diameter|None)
-    from generator JSON; malformed input raises InputError."""
-    try:
-        if not text.lstrip().startswith("{"):
-            return Triangulation.from_text(text)
-        data = json.loads(text)
-        quads = data.get("generators") if isinstance(data, dict) else None
-        if not isinstance(quads, dict) or not quads:
-            raise ValueError('expected {"generators": {label: [a, b, c, d]}}'
-                             " with at least one generator")
-        gens = {}
-        for lab, quad in quads.items():
-            if not isinstance(quad, list) or len(quad) != 4:
-                raise ValueError(f"generator {lab!r}: expected four entries")
-            if any(isinstance(entry, bool) for entry in quad):
-                raise ValueError(f"generator {lab!r}: entries are strings "
-                                 f"or numbers, not booleans")
-            if any(_oversized(entry) for entry in quad):
-                raise ValueError(
-                    f"generator {lab!r}: an entry is longer than "
-                    f"{MAX_ENTRY_SIZE} characters or has a larger exponent")
-            try:
-                gens[lab] = MoebiusMap(*quad)
-            except (TypeError, ZeroDivisionError, OverflowError) as exc:
-                raise ValueError(f"generator {lab!r}: {exc}")
-    except ValueError as exc:
-        raise InputError(exc)
-    return gens, data.get("diameter")
+    from generator JSON, whose numbers are read exactly from their decimal
+    text (0.1 is 1/10); malformed input raises ValueError."""
+    if not text.lstrip().startswith("{"):
+        return Triangulation.from_text(text)
+    data = json.loads(text, parse_float=Decimal)
+    quads = data.get("generators") if isinstance(data, dict) else None
+    if not isinstance(quads, dict) or not quads:
+        raise ValueError('expected {"generators": {label: [a, b, c, d]}}'
+                         " with at least one generator")
+    gens = {}
+    for lab, quad in quads.items():
+        if not isinstance(quad, list) or len(quad) != 4:
+            raise ValueError(f"generator {lab!r}: expected four entries")
+        if any(isinstance(entry, bool) for entry in quad):
+            raise ValueError(f"generator {lab!r}: entries are strings "
+                             f"or numbers, not booleans")
+        if any(_oversized(entry) for entry in quad):
+            raise ValueError(
+                f"generator {lab!r}: an entry is longer than "
+                f"{MAX_ENTRY_SIZE} characters or has a larger exponent")
+        try:
+            gens[lab] = MoebiusMap(*quad)
+        except (TypeError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"generator {lab!r}: {exc}")
+    diameter = data.get("diameter")
+    return gens, float(diameter) if isinstance(diameter, Decimal) else diameter
 
 
 def load_input(spec: str, check: bool = True):
     """Load a fixture:NAME or a file; see parse_input for the result.
 
     A triangulation file that is not a valid sphere triangulation raises
-    InputError naming its diagnostics, unless ``check`` is False (the
-    validate command reports them itself).
+    ValueError naming its diagnostics, unless ``check`` is False (the
+    validate command reports them itself).  Every error but an unreadable
+    file's is prefixed with the file name.
     """
     if spec.startswith("fixture:"):
         name = spec.split(":", 1)[1]
-        if name in NAMED_GRAPHS:
-            return NAMED_GRAPHS[name]()
-        if name in NAMED_GENERATOR_SETS:
-            dev_name, gens = NAMED_GENERATOR_SETS[name]
-            return gens, fixture_diameter(dev_name)
-        names = sorted(NAMED_GRAPHS) + sorted(NAMED_GENERATOR_SETS)
-        raise InputError(f"unknown fixture {name!r}; "
+        if name in fixtures.GRAPHS:
+            return fixtures.GRAPHS[name]()
+        if name in fixtures.GENERATOR_SETS:
+            return fixtures.generator_set(name)
+        names = sorted(fixtures.GRAPHS) + sorted(fixtures.GENERATOR_SETS)
+        raise ValueError(f"unknown fixture {name!r}; "
                          f"choices: {', '.join(names)}")
     try:
         with open(spec) as fh:
-            text = fh.read()
+            loaded = parse_input(fh.read())
+        if check and isinstance(loaded, Triangulation):
+            report = loaded.validate()
+            if not report.ok:
+                raise ValueError("not a valid sphere triangulation: "
+                                 + "; ".join(report.diagnostics))
     except OSError as exc:
-        raise InputError(str(exc))
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{spec}: {exc}")
-    try:
-        loaded = parse_input(text)
-    except InputError as exc:
-        raise InputError(f"{spec}: {exc}")
-    if check and isinstance(loaded, Triangulation):
-        report = loaded.validate()
-        if not report.ok:
-            raise InputError(f"{spec}: not a valid sphere triangulation: "
-                             + "; ".join(report.diagnostics))
+        raise ValueError(str(exc))
+    except ValueError as exc:
+        raise ValueError(f"{spec}: {exc}")
     return loaded
 
 
 def load_triangulation(spec: str, check: bool = True) -> Triangulation:
     loaded = load_input(spec, check)
     if not isinstance(loaded, Triangulation):
-        raise InputError(f"{spec}: a generator set, not a triangulation")
+        raise ValueError(f"{spec}: a generator set, not a triangulation")
     return loaded
 
 
-def parse_tree(g: Triangulation, spec: str) -> SpanningTree:
-    pairs = []
-    for part in spec.split(","):
-        try:
-            u, v = part.split("-")
-            pairs.append((int(u), int(v)))
-        except ValueError:
-            raise InputError(f"bad tree edge {part!r}; expected u-v")
+def _vertex_pair(spec: str, what: str):
     try:
-        return SpanningTree.from_vertex_pairs(g, pairs)
-    except ValueError as exc:
-        raise InputError(str(exc))
+        u, v = spec.split("-")
+        return int(u), int(v)
+    except ValueError:
+        raise ValueError(f"bad {what} {spec!r}; expected u-v")
+
+
+def parse_tree(g: Triangulation, spec: str) -> SpanningTree:
+    return SpanningTree.from_vertex_pairs(
+        g, [_vertex_pair(part, "tree edge") for part in spec.split(",")])
 
 
 def parse_seed(g: Triangulation, tree: SpanningTree, spec: str):
-    try:
-        u, v = (int(x) for x in spec.split("-"))
-    except ValueError:
-        raise InputError(f"bad seed edge {spec!r}; expected u-v")
+    u, v = _vertex_pair(spec, "seed edge")
     for e in tree.terminal_edges():
         if set(g.edge_endpoints(e)) == {u, v}:
             return e, min(g.face_of_dart[d] for d in g.edges[e])
-    raise InputError(f"{spec} is not a terminal edge of the spanning tree")
+    raise ValueError(f"{spec} is not a terminal edge of the spanning tree")
 
 
 # -- subcommands ---------------------------------------------------------
@@ -226,7 +185,7 @@ def cmd_validate(args, out):
         for diag in report.diagnostics:
             out(f"diagnostic: {diag}")
     if not report.ok:
-        raise InputError("triangulation is invalid")
+        raise ValueError("triangulation is invalid")
     return EXIT_OK
 
 
@@ -245,12 +204,8 @@ def cmd_density(args, out):
 
 def _build_development(args):
     g = load_triangulation(args.input)
-    tree = parse_tree(g, args.tree) if args.tree else None
-    seed = None
-    if args.seed_edge:
-        if tree is None:
-            tree = SpanningTree.bfs_tree(g)
-        seed = parse_seed(g, tree, args.seed_edge)
+    tree = parse_tree(g, args.tree) if args.tree else SpanningTree.bfs_tree(g)
+    seed = parse_seed(g, tree, args.seed_edge) if args.seed_edge else None
     return develop(g, tree, seed=seed)
 
 
@@ -283,7 +238,7 @@ def cmd_render(args, out):
             with open(args.output, "w") as fh:
                 fh.write(svg)
         except OSError as exc:
-            raise InputError(str(exc))
+            raise ValueError(str(exc))
     else:
         out(svg)
     return EXIT_OK
@@ -362,8 +317,8 @@ def _max_min_density(n, value):
             f"constructed degenerate maps by systole trace: {maps}")
 
 
-def _systole(graph_fn, trace, count, schmutz_n=None):
-    length, witnesses = systole_combinatorial(graph_fn())
+def _systole(graph, trace, count, schmutz_n=None):
+    length, witnesses = systole_combinatorial(fixtures.GRAPHS[graph]())
     ok = (abs(length - trace_to_length(trace)) < 1e-12
           and len(witnesses) == count)
     detail = f"length {fmt_float(length)}, {len(witnesses)} witnesses"
@@ -409,8 +364,7 @@ def _basis_words(gens, words, rank):
 def _certified_sweep(gens_name, bound, classes):
     """A certified matrix-group sweep finds exactly ``classes`` classes,
     each of |trace| ``bound``."""
-    dev_name, gens = NAMED_GENERATOR_SETS[gens_name]
-    diam = fixture_diameter(dev_name)
+    gens, diam = fixtures.generator_set(gens_name)
     report = systole_matrix_group(gens, bound, diameter=diam)
     found = report.witnesses
     ok = (report.frontier_exhausted and len(found) == classes
@@ -455,12 +409,11 @@ PAPER_CLAIMS = [
                        11: 20, 12: 25}.items()),
     ("schmutz-equality-n12", {"n=12"}, _schmutz_equality, 12,
      Q(5, 2), Q(23, 2)),
-    ("systole-tetrahedron", {"n=4"}, _systole, tetrahedron, 7, 3, 4),
-    ("systole-octahedron", {"n=6"}, _systole, octahedron, 14, 12, 6),
-    ("systole-icosahedron", {"n=12"}, _systole, icosahedron, 23, 30, 12),
-    ("systole-ten-cusp", {"n=10"}, _systole, fixtures.ten_cusp_graph, 18, 8),
-    ("systole-eleven-cusp", {"n=11"}, _systole, fixtures.eleven_cusp_graph,
-     18, 6),
+    ("systole-tetrahedron", {"n=4"}, _systole, "tetrahedron", 7, 3, 4),
+    ("systole-octahedron", {"n=6"}, _systole, "octahedron", 14, 12, 6),
+    ("systole-icosahedron", {"n=12"}, _systole, "icosahedron", 23, 30, 12),
+    ("systole-ten-cusp", {"n=10"}, _systole, "ten", 18, 8),
+    ("systole-eleven-cusp", {"n=11"}, _systole, "eleven", 18, 6),
     ("a7-determinants", {"a7", "n=7"}, _determinants, fixtures.A7, 1),
     ("a7-word-traces", {"a7", "n=7"}, _word_traces, fixtures.A7,
      fixtures.SEVEN_CUSP_TRACE14_WORDS, [14]),
@@ -502,7 +455,7 @@ def cmd_verify_paper(args, out):
     rows = [row for row in PAPER_CLAIMS
             if args.selector == "all" or args.selector in row[1]]
     if not rows:
-        raise InputError(f"unknown selector {args.selector!r}")
+        raise ValueError(f"unknown selector {args.selector!r}")
     results = []
     for name, _, check, *values in rows:
         start = time.perf_counter()
@@ -590,7 +543,7 @@ def main(argv=None) -> int:
     message = None
     try:
         code = args.fn(args, _out)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         code, message = EXIT_INPUT, f"error: {exc}"
     except ClaimFailure as exc:
         code, message = EXIT_CLAIM, f"failure: {exc}"

@@ -4,7 +4,8 @@ The matrix lists reproduce the published generator sets for the 7-, 10-
 and 11-cusp examples, together with their perturbed (non-arithmetic)
 variants and the designated short-geodesic words.  One printed matrix
 has determinant 449; the sign-corrected determinant-one version is
-stored (see the d entry of GAMMA10[5] / GAMMA11[5]).
+stored (see the d entry of GAMMA10[5] / GAMMA11[5]).  ``GRAPHS`` and
+``GENERATOR_SETS`` are the command line's ``fixture:NAME`` inputs.
 """
 
 from __future__ import annotations
@@ -13,16 +14,17 @@ from fractions import Fraction as Q
 from typing import Dict
 
 from .modular import IDENTITY, MoebiusMap
-from .triangulation import Triangulation
-from .developing import SpanningTree
+from .triangulation import Triangulation, icosahedron, octahedron, tetrahedron
+from .developing import SpanningTree, develop
+from .geodesics import polygon_diameter_proxy
 
 __all__ = [
-    "seven_cusp_graph", "ten_cusp_graph", "eleven_cusp_graph",
-    "DEVELOPMENTS", "named_development",
+    "seven_cusp_graph", "ten_cusp_graph", "eleven_cusp_graph", "GRAPHS",
+    "DEVELOPMENTS", "named_development", "GENERATOR_SETS", "generator_set",
     "A7", "B7", "SEVEN_CUSP_TRACE14_WORDS",
     "GAMMA10", "P10", "ALPHA10", "TEN_CUSP_SYSTOLE_WORDS",
     "GAMMA11", "TAU11", "ALPHA11", "ELEVEN_CUSP_SYSTOLE_WORDS",
-    "ELEVEN_CUSP_BASIS_WORDS", "GAMMA11_BASIS", "ALPHA11_BASIS",
+    "ELEVEN_CUSP_BASIS_WORDS",
     "EXAMPLE2_PAIRINGS",
     "word_matrix",
 ]
@@ -81,6 +83,11 @@ def eleven_cusp_graph() -> Triangulation:
         [7, 10, 4, 1, 5],
         [4, 9, 7, 8, 3],
     ])
+
+
+GRAPHS = {"tetrahedron": tetrahedron, "octahedron": octahedron,
+          "icosahedron": icosahedron, "seven": seven_cusp_graph,
+          "ten": ten_cusp_graph, "eleven": eleven_cusp_graph}
 
 
 # -- 7-cusp generators ---------------------------------------------------
@@ -210,8 +217,6 @@ ELEVEN_CUSP_BASIS_WORDS = [
     [(2, 1), (8, -1), (4, -1)],
     [(7, 1), (9, 1), (5, 1)],
 ]
-GAMMA11_BASIS = {k: GAMMA11[k] for k in range(1, 11)}
-ALPHA11_BASIS = {k: ALPHA11[k] for k in range(1, 11)}
 
 
 # -- worked-development side pairings (compact 10-cusp tree) -------------
@@ -226,22 +231,22 @@ EXAMPLE2_PAIRINGS = {
 
 # -- published developments ----------------------------------------------
 
-# name: (graph, spanning tree as vertex pairs, seed edge, seed face)
+# name: (GRAPHS key, spanning tree as vertex pairs, seed edge, seed face)
 DEVELOPMENTS = {
-    "seven": (seven_cusp_graph,
+    "seven": ("seven",
               [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (0, 3)],
               (0, 3), (0, 3, 2)),
     # the worked development (polygon from 0 to 5)
-    "ten-compact": (ten_cusp_graph,
+    "ten-compact": ("ten",
                     [(0, 2), (2, 1), (2, 3), (3, 4), (5, 2), (2, 6), (7, 6),
                      (8, 5), (5, 9)],
                     (3, 4), (0, 3, 4)),
     # the development that yields the printed 10-cusp generators
-    "ten-long": (ten_cusp_graph,
+    "ten-long": ("ten",
                  [(0, 2), (2, 6), (1, 5), (3, 7), (4, 8), (9, 5), (9, 6),
                   (9, 7), (9, 8)],
                  (0, 2), (0, 1, 2)),
-    "eleven": (eleven_cusp_graph,
+    "eleven": ("eleven",
                [(0, 3), (3, 8), (8, 2), (6, 8), (9, 1), (7, 5), (10, 4),
                 (8, 7), (9, 7), (10, 7)],
                (0, 3), (0, 2, 3)),
@@ -254,13 +259,30 @@ def named_development(name: str):
     if name not in DEVELOPMENTS:
         raise ValueError(f"unknown development name {name!r}")
     graph, pairs, seed_edge, seed_face = DEVELOPMENTS[name]
-    g = graph()
+    g = GRAPHS[graph]()
     tree = SpanningTree.from_vertex_pairs(g, pairs)
     edge = next(e for e in tree.edges
                 if set(g.edge_endpoints(e)) == set(seed_edge))
     face = next(f for f in range(g.n_faces)
                 if sorted(g.face_vertices(f)) == sorted(seed_face))
     return g, tree, (edge, face)
+
+
+# name: (generators, the development whose polygon gives the certified
+# search diameter); the 11-cusp sets are the free basis 1-10
+GENERATOR_SETS = {
+    "a7": (A7, "seven"), "b7": (B7, "seven"),
+    "gamma10": (GAMMA10, "ten-long"), "alpha10": (ALPHA10, "ten-long"),
+    "gamma11": ({k: GAMMA11[k] for k in range(1, 11)}, "eleven"),
+    "alpha11": ({k: ALPHA11[k] for k in range(1, 11)}, "eleven"),
+}
+
+
+def generator_set(name: str):
+    """(generators, certified search diameter) of a ``GENERATOR_SETS``
+    entry: the diameter is the polygon proxy of its development."""
+    gens, dev_name = GENERATOR_SETS[name]
+    return gens, polygon_diameter_proxy(develop(*named_development(dev_name)))
 
 
 def word_matrix(gens: Dict[int, MoebiusMap], word) -> MoebiusMap:

@@ -22,7 +22,7 @@ from itertools import accumulate
 from numbers import Real
 from typing import Dict, List, Optional, Tuple
 
-from .modular import (TURNS, MoebiusMap, canonical_entries, mat_mul,
+from .modular import (INF, TURNS, MoebiusMap, canonical_entries, mat_mul,
                       trace_to_length)
 from .triangulation import Triangulation
 
@@ -176,17 +176,21 @@ def systole_combinatorial(g: Triangulation,
     some k >= 1, with trace above 2.  The search returns every class up
     to its bound, so a start above the systole (possible on maps with
     loops or duplicate edges) still gives the least trace.  A given bound
-    below the systole raises ValueError; a bound, given or doubled, above
-    ``MAX_WALK_TRACE_BOUND`` raises ResourceLimitError.
+    below the systole raises ValueError.  The start and each doubling
+    stop at ``MAX_WALK_TRACE_BOUND``; a bound given above it, or a walk
+    at it that finds nothing, raises ResourceLimitError.
     """
     bound = trace_bound
     if bound is None:
-        bound = g.a_priori_trace_bound() or 3
+        bound = min(g.a_priori_trace_bound() or 3, MAX_WALK_TRACE_BOUND)
     while not (witnesses := enumerate_geodesics_combinatorial(g, bound)):
         if trace_bound is not None:
             raise ValueError(f"no hyperbolic class with |trace| <= {bound}; "
                              f"the systole lies above the trace bound")
-        bound *= 2
+        if bound == MAX_WALK_TRACE_BOUND:
+            raise ResourceLimitError(f"no hyperbolic class with |trace| <= "
+                                     f"{bound}, the dual walk's limit")
+        bound = min(2 * bound, MAX_WALK_TRACE_BOUND)
     best = min(abs(w.trace) for w in witnesses)
     systoles = [w for w in witnesses if abs(w.trace) == best]
     return trace_to_length(best), systoles
@@ -216,6 +220,26 @@ def _within(quad, den, cap) -> bool:
     """
     a, b, c, d = quad
     return (a * a + b * b + c * c + d * d) * cap[1] <= den * den * cap[0]
+
+
+def _horizon_and_cap(trace_bound: Q, diam: float) -> Tuple[float, float]:
+    """The horizon 2 arccosh(b/2) + 2 diam (b = trace_bound) in floats,
+    and the sweep's cap, a float at least 2 cosh of its exact value h*.
+
+    b/2 is rounded up: rounded down it could cost u / sqrt((b/2)^2 - 1)
+    of the arccosh, unbounded as b nears 2 (u = 2^-53).  With arccosh and
+    cosh within 2 ulp (4u) of their values, as glibc documents, the
+    arccosh loses at most 4u, a diameter's conversion to float u and the
+    sum u, so the horizon is at least h* (1 - 5u); as cosh(x - e) >=
+    cosh(x) exp(-e), the cap loses at most 5u h* + 5u.  A finite cap has
+    h* < 711, so that is below 3600u < 2^-41: the factor 1 + 2^-40 covers
+    it.  A cap too large for a float is inf.
+    """
+    half = float(trace_bound) / 2.0
+    if half < trace_bound / 2:
+        half = math.nextafter(half, math.inf)
+    horizon = 2.0 * math.acosh(half) + 2.0 * diam
+    return horizon, 2.0 * math.cosh(horizon) * (1.0 + 2.0 ** -40)
 
 
 def _gram(quad, den) -> Tuple[float, float, float]:
@@ -308,7 +332,8 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     An element W is explored only while the displacement d(i, W i) stays
     below the horizon 2 arccosh(bound/2) + 2 * diameter: any class below
     the bound has an axis passing within the covering radius of the base
-    point's orbit, hence a representative inside the horizon.  Without a
+    point's orbit, hence a representative inside the horizon, whose
+    float cap ``_horizon_and_cap`` rounds outward.  Without a
     diameter the search is a labeled non-exhaustive sweep to the same
     horizon with diameter 0 plus one unit of slack.  A diameter must be
     a finite real >= 0, and a horizon too large for a float is refused.
@@ -347,9 +372,8 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
         diam = float(diameter) if certified else 1.0
         if not math.isfinite(diam) or diam < 0:
             raise ValueError(bad_diameter)
-        horizon = 2.0 * math.acosh(float(trace_bound) / 2.0) + 2.0 * diam
+        horizon, cap_float = _horizon_and_cap(trace_bound, diam)
         # displacement test: 2 cosh d(i, Wi) = (a^2+b^2+c^2+d^2) / den^2
-        cap_float = 2.0 * math.cosh(horizon)
         cap = cap_float.as_integer_ratio()
     except OverflowError:
         raise ValueError(f"trace bound {trace_bound} and diameter {diameter!r} "
@@ -458,8 +482,6 @@ def polygon_diameter_proxy(dev) -> float:
     any moderate trace bound stay in the complement of these horoballs,
     so the maximum is a usable fundamental-domain diameter.
     """
-    from .modular import INF
-
     finite = [x.as_rational() for x in dev.polygon if x != INF]
     x0 = float(finite[0] + finite[-1]) / 2.0
     y0 = 1.0

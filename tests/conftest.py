@@ -43,28 +43,30 @@ def diameters(developments):
             for name, dev in developments.items()}
 
 
-@pytest.fixture(scope="session")
-def gamma10_search(diameters):
-    return systole_matrix_group(fixtures.GAMMA10, 18,
-                                diameter=diameters["ten-long"])
+def certified_sweep(name):
+    """The bound-18 sweep of a named generator set at its diameter."""
+    gens, diameter = fixtures.generator_set(name)
+    return systole_matrix_group(gens, 18, diameter=diameter)
 
 
 @pytest.fixture(scope="session")
-def alpha10_search(diameters):
-    return systole_matrix_group(fixtures.ALPHA10, 18,
-                                diameter=diameters["ten-long"])
+def gamma10_search():
+    return certified_sweep("gamma10")
 
 
 @pytest.fixture(scope="session")
-def gamma11_search(diameters):
-    return systole_matrix_group(fixtures.GAMMA11_BASIS, 18,
-                                diameter=diameters["eleven"])
+def alpha10_search():
+    return certified_sweep("alpha10")
 
 
 @pytest.fixture(scope="session")
-def alpha11_search(diameters):
-    return systole_matrix_group(fixtures.ALPHA11_BASIS, 18,
-                                diameter=diameters["eleven"])
+def gamma11_search():
+    return certified_sweep("gamma11")
+
+
+@pytest.fixture(scope="session")
+def alpha11_search():
+    return certified_sweep("alpha11")
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
-from spheresys import cli  # noqa: E402
+from spheresys import cli, fixtures  # noqa: E402
 
 INPUTS = HERE / "inputs"
 TEN_TREE = "0-2,2-1,2-3,3-4,5-2,2-6,7-6,8-5,5-9"
@@ -30,7 +30,7 @@ TEN_TREE = "0-2,2-1,2-3,3-4,5-2,2-6,7-6,8-5,5-9"
 CASES = {
     **{f"{command}-{name}": ["--json", command, f"fixture:{name}"]
        for command in ("validate", "density", "develop", "systole")
-       for name in cli.NAMED_GRAPHS},
+       for name in fixtures.GRAPHS},
     **{f"systole-{name}": ["--json", "systole", f"fixture:{name}",
                            "--trace-bound", "14"] for name in ("a7", "b7")},
     # a two-generator file, swept without and with a "diameter"

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import pathlib
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -383,6 +385,20 @@ class TestGolden:
         self.check(capsys, name)
 
 
+class TestConsoleScripts:
+    def test_entry_points_run(self, capsys):
+        """Each [project.scripts] entry resolves to a working main."""
+        tomllib = pytest.importorskip("tomllib")     # Python 3.11 and up
+        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts
+        for target in scripts.values():
+            module, _, name = target.partition(":")
+            main = getattr(importlib.import_module(module), name)
+            assert main(["verify-paper", "n=4"]) == 0
+            assert "PASS density-n4 " in capsys.readouterr().out
+
+
 class TestToJson:
     def test_unknown_type_refused(self):
         # not its str(): every reported type has a declared JSON form
@@ -516,11 +532,11 @@ class TestParseInput:
     @settings(max_examples=300, deadline=None)
     @given(_text_lines | _generator_docs | _json.map(json.dumps))
     def test_value_or_input_error(self, text):
-        """Rotation text and generator JSON: a value or InputError, never
+        """Rotation text and generator JSON: a value or ValueError, never
         another exception."""
         try:
             loaded = cli.parse_input(text)
-        except cli.InputError:
+        except ValueError:
             return
         if not isinstance(loaded, Triangulation):
             gens, _ = loaded
@@ -531,12 +547,23 @@ class TestParseInput:
         assert gens["1"].den == 10 ** 400
         for entries in (["1e3000000", "0", "0", "1e-3000000"],
                         ["1" + "0" * 1000, "0", "0", "1/1" + "0" * 1000]):
-            with pytest.raises(cli.InputError, match="longer than"):
+            with pytest.raises(ValueError, match="longer than"):
                 cli.parse_input(json.dumps({"generators": {"1": entries}}))
+
+    def test_json_numbers_exact(self):
+        gens, diameter = cli.parse_input(
+            '{"generators": {"1": [1, 0.1, 0, 1]}, "diameter": 1.5}')
+        assert gens["1"].b == Q(1, 10)
+        assert diameter == 1.5 and isinstance(diameter, float)
+        # the size check reads the number's text before any exact value
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="longer than"):
+            cli.parse_input('{"generators": {"1": [1e3000000, 0, 0, 1]}}')
+        assert time.perf_counter() - start < 1
 
     def test_boolean_entry_refused(self):
         # JSON true would otherwise read as 1: the parabolic (1 1; 0 1)
-        with pytest.raises(cli.InputError, match="booleans"):
+        with pytest.raises(ValueError, match="booleans"):
             cli.parse_input(json.dumps(
                 {"generators": {"1": [True, 1, 0, 1]}, "diameter": 1}))
 
@@ -546,3 +573,71 @@ class TestParseInput:
         gens, diameter = cli.parse_input(json.dumps(
             {"generators": GENS_14, "diameter": 1.5}))
         assert set(gens) == {"1", "2"} and diameter == 1.5
+
+
+def seven_vertex_torus():
+    """The 7-vertex torus: a connected map whose Euler characteristic
+    is 0, not 2."""
+    return Triangulation.from_oriented_faces(
+        [face for i in range(7)
+         for a, b, c, d in [[(i + s) % 7 for s in range(4)]]
+         for face in ((a, b, d), (a, d, c))])
+
+
+class TestErrorPaths:
+    """Each refused command exits with its code and one stderr line."""
+
+    @staticmethod
+    def one_line(capsys, code, prefix, *argv):
+        assert cli.main(list(argv)) == code
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(prefix)
+        return line
+
+    def test_unknown_fixture(self, capsys):
+        line = self.one_line(capsys, 2, "error: ", "systole", "fixture:nope")
+        assert line == ("error: unknown fixture 'nope'; choices: eleven, "
+                        "icosahedron, octahedron, seven, ten, tetrahedron, "
+                        "a7, alpha10, alpha11, b7, gamma10, gamma11")
+
+    def test_generator_set_where_a_map_is_needed(self, capsys):
+        line = self.one_line(capsys, 2, "error: ", "validate", "fixture:a7")
+        assert line == "error: fixture:a7: a generator set, not a triangulation"
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--tree", "0-1,x", "error: bad tree edge 'x'; expected u-v"),
+        ("--seed-edge", "1", "error: bad seed edge '1'; expected u-v")])
+    def test_bad_edge_syntax(self, capsys, option, value, message):
+        assert self.one_line(capsys, 2, "error: ", "develop",
+                             "fixture:tetrahedron", option, value) == message
+
+    def test_validate_non_sphere(self, capsys, tmp_path):
+        path = tmp_path / "torus.txt"
+        path.write_text(seven_vertex_torus().to_text())
+        line = self.one_line(capsys, 2, "error: ", "validate", str(path))
+        assert line == "error: triangulation is invalid"
+
+    def test_seed_edge_without_tree(self, capsys):
+        # the breadth-first tree of the octahedron is the star at 0 and
+        # the edge 1-5, so 0-1 is not terminal and 0-2 is
+        line = self.one_line(capsys, 2, "error: ", "develop",
+                             "fixture:octahedron", "--seed-edge", "0-1")
+        assert line == "error: 0-1 is not a terminal edge of the spanning tree"
+        code, out = run(capsys, "develop", "fixture:octahedron",
+                        "--seed-edge", "0-2")
+        assert code == 0 and "cusp parabolic check: pass" in out
+
+    def test_develop_claim_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_cusp_parabolics", lambda dev: False)
+        line = self.one_line(capsys, 1, "failure: ", "develop",
+                             "fixture:tetrahedron")
+        assert line == "failure: cusp parabolic check failed"
+
+    def test_systole_claim_failure(self, capsys, monkeypatch):
+        sweep = cli.systole_matrix_group
+        monkeypatch.setattr(cli, "systole_matrix_group",
+                            lambda *args, **kw: sweep(*args, **kw,
+                                                      max_states=10))
+        line = self.one_line(capsys, 1, "failure: ", "systole", "fixture:a7",
+                             "--trace-bound", "14")
+        assert line == "failure: search frontier not exhausted"

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import functools
 import json
 import math
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spheresys import cli, fixtures
-from spheresys.cli import NAMED_GRAPHS
 from spheresys.developing import SpanningTree, develop, generators
 from spheresys import geodesics
 from spheresys.enumeration import EnumerationQuery, enumerate_triangulations
@@ -116,6 +116,14 @@ class TestCombinatorialSystole:
                             lambda self: a_priori)
         with pytest.raises(ResourceLimitError):
             systole_combinatorial(tetrahedron())
+
+    def test_start_capped_at_limit(self, monkeypatch):
+        # the a-priori bound 18 lies above the limit, the systole 14 not
+        g = bipyramid_with_duplicates(5)
+        assert g.a_priori_trace_bound() == 18
+        expected = systole_combinatorial(g, 14)
+        monkeypatch.setattr(geodesics, "MAX_WALK_TRACE_BOUND", 14)
+        assert systole_combinatorial(g) == expected
 
     def test_json_roundtrip_fields(self):
         _, witnesses = systole_combinatorial(tetrahedron())
@@ -268,7 +276,7 @@ class TestLiveStarts:
     def test_witnesses_equal_all_darts_walk(self, bound, n_max, flips):
         """Carrying only the live starts gives the all-darts walk's
         witnesses, words, traces, matrices and order included."""
-        maps = [*(make() for make in NAMED_GRAPHS.values()),
+        maps = [*(make() for make in fixtures.GRAPHS.values()),
                 example_loop(), example_duplicate_edges(),
                 *(bipyramid_with_duplicates(m) for m in range(2, 6)),
                 three_vertex_map(),
@@ -357,7 +365,7 @@ class TestMatrixGroup:
         with pytest.raises(ValueError):
             systole_matrix_group(gens, 14, diameter=1.0, max_states=0)
 
-    def test_relation_refused(self, diameters):
+    def test_relation_refused(self):
         """Two words giving one element prove the generators are not a
         free basis; the error names both words."""
         with pytest.raises(ValueError, match="relation") as err:
@@ -365,9 +373,9 @@ class TestMatrixGroup:
                                  diameter=1.0)
         assert "1^1" in str(err.value) and "2^1" in str(err.value)
         # the 13 published GAMMA11 matrices: 12 = 2 8^-1 4^-1
+        _, diameter = fixtures.generator_set("gamma11")
         with pytest.raises(ValueError, match="relation"):
-            systole_matrix_group(fixtures.GAMMA11, 18,
-                                 diameter=diameters["eleven"])
+            systole_matrix_group(fixtures.GAMMA11, 18, diameter=diameter)
 
     @pytest.mark.parametrize("diameter", [math.nan, math.inf, -5, "abc",
                                           True])
@@ -376,11 +384,10 @@ class TestMatrixGroup:
         with pytest.raises(ValueError):
             systole_matrix_group(gens, 14, diameter=diameter)
 
-    def test_witness_words_reproduce_matrices(self, gamma11_search,
-                                              diameters):
+    def test_witness_words_reproduce_matrices(self, gamma11_search):
         # a rational generator set too: its states carry denominators
-        b7 = systole_matrix_group(fixtures.B7, Q(351, 25),
-                                  diameter=diameters["seven"])
+        gens, diameter = fixtures.generator_set("b7")
+        b7 = systole_matrix_group(gens, Q(351, 25), diameter=diameter)
         assert b7.frontier_exhausted
         assert (len(b7.witnesses), b7.states_explored) == (5, 5805)
         for gens, rep in ((fixtures.GAMMA11, gamma11_search),
@@ -448,8 +455,7 @@ def reference_sweep(gens, bound, diameter, max_states):
     it stops at the first new element found once max_states are held,
     so nothing past that point is recorded.
     """
-    horizon = 2.0 * math.acosh(bound / 2.0) + 2.0 * diameter
-    cap = Q(2.0 * math.cosh(horizon))
+    cap = Q(geodesics._horizon_and_cap(Q(bound), diameter)[1])
     steps = {}
     for lab, m in gens.items():
         steps[(lab, 1)] = m
@@ -493,11 +499,45 @@ def reference_sweep(gens, bound, diameter, max_states):
 def diameter_for_cap(bound, norm):
     """The least diameter whose sweep cap, as the engine rounds it, is
     at least norm (and 0 when the bound alone gives a larger cap)."""
+    def cap(d):
+        return geodesics._horizon_and_cap(Q(bound), d)[1]
+
     base = 2.0 * math.acosh(bound / 2.0)
-    d = max(0.0, (math.acosh(norm / 2.0) - base) / 2.0)
-    while 2.0 * math.cosh(base + 2.0 * d) < norm:
-        d = math.nextafter(d, math.inf)
-    return d
+    lo, hi = 0.0, max(0.0, (math.acosh(norm / 2.0) - base) / 2.0)
+    if cap(lo) >= norm:
+        return lo
+    while cap(hi) < norm:
+        hi = math.nextafter(hi, math.inf)
+    # the cap is widened outward, so the least diameter may lie below hi
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (lo, mid) if cap(mid) >= norm else (mid, hi)
+    return hi
+
+
+def exact_cap(bound, diameter):
+    """2 cosh(2 arccosh(bound/2) + 2 diameter) to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = decimal.Decimal(bound.numerator) / bound.denominator / 2
+        h = 2 * (x + (x * x - 1).sqrt()).ln() + 2 * decimal.Decimal(diameter)
+        return Q(h.exp() + (-h).exp())
+
+
+class TestSweepCap:
+    @pytest.mark.parametrize("bound", [
+        Q(2) + Q(1, 2 ** 60), Q(201, 100), Q(3), Q(7, 2), Q(351, 25), Q(14),
+        Q(18), Q(30)], ids=str)
+    def test_cap_rounded_outward(self, bound):
+        """The float cap is at least the exact one; rounded to nearest,
+        it fell below in 29 of these 62 cases."""
+        cases = [(bound, d) for d in (0.0, 0.25, 1.0, 1.5, 3.0, 10.0, 300.0)]
+        if bound == 18:
+            cases += [(Q(14) if name in ("a7", "b7") else bound,
+                       fixtures.generator_set(name)[1])
+                      for name in fixtures.GENERATOR_SETS]
+        for b, d in cases:
+            assert geodesics._horizon_and_cap(b, d)[1] >= exact_cap(b, d)
 
 
 def unimodular(a, b, c):
