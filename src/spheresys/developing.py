@@ -166,7 +166,7 @@ def _pairing_from_pairs(src: Tuple[Frac, Frac], dst: Tuple[Frac, Frac]) -> Moebi
     return m
 
 
-def develop(g: Triangulation, tree: Optional[SpanningTree] = None,
+def develop(g: Triangulation, tree: SpanningTree,
             seed: Optional[Tuple[int, int]] = None) -> Development:
     """Label every face corner with a Farey vertex and derive the group data.
 
@@ -179,8 +179,6 @@ def develop(g: Triangulation, tree: Optional[SpanningTree] = None,
     report = g.validate()
     if not report.ok:
         raise ValueError("invalid triangulation: " + "; ".join(report.diagnostics))
-    if tree is None:
-        tree = SpanningTree.bfs_tree(g)
     if tree.g is not g:
         raise ValueError("tree does not belong to this triangulation")
     if seed is None:

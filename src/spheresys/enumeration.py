@@ -131,14 +131,14 @@ def _edge_code(child, darts, edges, bound=None):
     reflection maps onto each other.  Given ``bound``, returns a code
     below it, or None if there is none (see ``canonical_traversal``).
     """
-    sigma, alpha, origin, index = darts
+    sigma, alpha, _, index = darts
     roots = []
     for a, b in edges:
         if len(child[a]) <= len(child[b]):
             roots.append(index[a, b])
         if len(child[b]) <= len(child[a]):
             roots.append(index[b, a])
-    return canonical_traversal(sigma, alpha, origin, roots, bound)
+    return canonical_traversal(sigma, alpha, roots, bound)
 
 
 _COUNT_KEYS = ("children", "rejected_by_rank", "edge_codes",
@@ -369,15 +369,13 @@ def verify_proposition(n: int) -> dict:
     order); "extremal_ok" holds when every one has trace exactly D - 2,
     so that the largest systole over simple triangulations with n
     vertices is 2 arccosh((D - 2) / 2).  The degenerate cases by the
-    dual walk on constructed maps with loops, duplicate edges or
-    low-degree vertices: each must have a closed geodesic of |trace| at
-    most D - 2, and its row in "degenerate_checks" holds its exact
-    systole trace (None if the walk finds no class).  The report's
-    "generation" entry holds the enumeration's counts for level n (see
-    ``_classes``).
+    dual walk on constructed maps with n vertices and loops, duplicate
+    edges or low-degree vertices: each must have a closed geodesic of
+    |trace| at most D - 2, and its row in "degenerate_checks" holds its
+    exact systole trace (None if the walk finds no class).  "generation"
+    holds the enumeration's counts for level n (see ``_classes``).  An n
+    below 4 raises ValueError, one above ``MAX_VERTICES`` ResourceLimitError.
     """
-    if not 4 <= n <= MAX_VERTICES:
-        raise ValueError(f"n must be between 4 and {MAX_VERTICES}")
     value, extremal = max_min_density(EnumerationQuery(n))
 
     def systole(t):
@@ -390,13 +388,16 @@ def verify_proposition(n: int) -> dict:
     checks = []
 
     def check(name, t):
+        if t.n_vertices != n:
+            raise AssertionError(f"{name} has {t.n_vertices} vertices, not {n}")
         best = systole(t)[0]
         checks.append((name, best, best is not None))
 
     check("bipyramid", bipyramid_with_duplicates(n - 2))
     if n == 4:
+        check("loop-with-pendant", example_loop())
+    if n == 5:
         t = example_loop()
-        check("loop-with-pendant", t)
         inner = [f for f in range(t.n_faces)
                  if sorted(t.face_vertices(f)) == [0, 0, 1]]
         check("stellated-loop", t.stellate(inner))

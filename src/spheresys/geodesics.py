@@ -60,6 +60,8 @@ class GeodesicWitness:
 # and the octahedron take about 1.2 s each (Python 3.11, 2-vCPU VM).
 MAX_WALK_TRACE_BOUND = 300
 
+MAX_SWEEP_STATES = 2_000_000  # the most elements a sweep explores
+
 
 def _cyclic_key(seq: Tuple, rev: Tuple) -> Tuple:
     """Least rotation of a cyclic sequence or of its reversed inverse.
@@ -169,28 +171,26 @@ def systole_combinatorial(g: Triangulation,
                           ) -> Tuple[float, List[GeodesicWitness]]:
     """Systole length and all witnesses attaining it.
 
-    Without a ``trace_bound`` the bound starts at the a-priori bound
-    (the least density walk, ``Triangulation.a_priori_trace_bound``), or
-    3 if there is none, and doubles until a class is found.  That ends:
-    d -> R(L(d)) permutes the darts, so (LR)^k closes at every dart for
-    some k >= 1, with trace above 2.  The search returns every class up
-    to its bound, so a start above the systole (possible on maps with
-    loops or duplicate edges) still gives the least trace.  A given bound
-    below the systole raises ValueError.  The start and each doubling
-    stop at ``MAX_WALK_TRACE_BOUND``; a bound given above it, or a walk
-    at it that finds nothing, raises ResourceLimitError.
+    Without a ``trace_bound`` the walk runs once, at the a-priori bound
+    (``Triangulation.a_priori_trace_bound`` proves a class there) or 6
+    if there is none, capped at ``MAX_WALK_TRACE_BOUND``.  The walk
+    returns every class up to its bound, so a start above the systole
+    (possible on maps with loops or duplicate edges) still gives the
+    least trace.  A walk that finds nothing raises ValueError at a given
+    bound, ResourceLimitError at the limit and AssertionError below it.
+    A bound given above the limit raises ResourceLimitError.
     """
     bound = trace_bound
     if bound is None:
-        bound = min(g.a_priori_trace_bound() or 3, MAX_WALK_TRACE_BOUND)
-    while not (witnesses := enumerate_geodesics_combinatorial(g, bound)):
+        bound = min(g.a_priori_trace_bound() or 6, MAX_WALK_TRACE_BOUND)
+    if not (witnesses := enumerate_geodesics_combinatorial(g, bound)):
         if trace_bound is not None:
             raise ValueError(f"no hyperbolic class with |trace| <= {bound}; "
                              f"the systole lies above the trace bound")
         if bound == MAX_WALK_TRACE_BOUND:
             raise ResourceLimitError(f"no hyperbolic class with |trace| <= "
                                      f"{bound}, the dual walk's limit")
-        bound = min(2 * bound, MAX_WALK_TRACE_BOUND)
+        raise AssertionError(f"no class up to the proved start {bound}")
     best = min(abs(w.trace) for w in witnesses)
     systoles = [w for w in witnesses if abs(w.trace) == best]
     return trace_to_length(best), systoles
@@ -314,8 +314,8 @@ def _class_key(word: Tuple) -> Tuple:
 
 
 def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
-                         diameter: Optional[float] = None,
-                         max_states: int = 2_000_000) -> MatrixSearchReport:
+                         diameter: Optional[float] = None
+                         ) -> MatrixSearchReport:
     """Sweep all conjugacy classes with |trace| <= trace_bound.
 
     Breadth-first search over reduced words in the generators: no move
@@ -338,11 +338,11 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     horizon with diameter 0 plus one unit of slack.  A diameter must be
     a finite real >= 0, and a horizon too large for a float is refused.
 
-    At most max_states elements (the identity included) are explored; a
-    sweep that needs more stops at the cap and is not certified.  Each
-    product first meets the float pre-filter of ``_prefilter``, which
-    rejects only products the exact test would reject, so the filter
-    changes no explored element, witness or trace.
+    At most ``MAX_SWEEP_STATES`` elements (the identity included) are
+    explored; a sweep that needs more stops at the cap and is not
+    certified.  Each product first meets the float pre-filter of
+    ``_prefilter``, which rejects only products the exact test would
+    reject, so the filter changes no explored element, witness or trace.
 
     An explored element is kept as its ``canonical_entries`` tuple, and
     maps are built only for the witnesses.  Each product tried is
@@ -361,8 +361,6 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     trace_bound = Q(trace_bound)
     if trace_bound <= 2:
         raise ValueError("trace bound must exceed 2")
-    if max_states < 1:
-        raise ValueError(f"max_states must be at least 1, not {max_states}")
     certified = diameter is not None
     bad_diameter = f"diameter must be a finite real >= 0, not {diameter!r}"
     if certified and (isinstance(diameter, bool)
@@ -394,6 +392,7 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     for lab, exp in steps:
         moves_after[lab, exp] = [m for m in moves if m[0] != (lab, -exp)]
 
+    state_limit = MAX_SWEEP_STATES  # a local: read once per call
     identity = (1, 0, 0, 1, 1)
     seen = {identity: ()}
     frontier = [(identity, ())]
@@ -425,7 +424,7 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
                         f"the generators satisfy a relation, so they are "
                         f"not a free basis: the words {_spell(seen[ns])} and "
                         f"{_spell(nword)} give the same element")
-                if len(seen) >= max_states:
+                if len(seen) >= state_limit:
                     exhausted = False
                     # the moves after this one were never tried
                     tried -= len(follow) - 1 - [m[0] for m in follow].index(tok)

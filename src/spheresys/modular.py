@@ -72,10 +72,6 @@ class Frac:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.q == 0
-
     def as_rational(self) -> Q:
         if self.q == 0:
             raise ZeroDivisionError("infinity has no rational value")

@@ -264,10 +264,18 @@ class Triangulation:
         parabolics P1, P2 give |trace(P1 P2^-1)| = D - 2 (see
         ``parabolic_product_trace``): the walk L R^(m1-2) L R^(m2-2) unless
         an end has degree 1, where R^-1 makes the word no walk.  So the
-        least such trace bounds the systole's from above.  It equals it on
-        every simple class with up to 10 vertices and on the fixture
-        graphs; a map with loops or duplicate edges can have shorter
-        walks, which only the dual walk finds.
+        least such trace bounds the systole's from above, and the dual
+        walk finds a class there.  It equals the systole's on every simple
+        class with up to 10 vertices and on the fixture graphs; a map with
+        loops or duplicate edges can have shorter walks.
+
+        A valid map with n >= 4 vertices has such an edge.  The non-loop
+        edges span the vertices.  Were each non-loop density at most 4,
+        either a vertex of degree >= 3 has only degree-1 neighbours, so
+        the map is a star with centre degree 5n - 11 <= 4, or every
+        degree is at most 2, so 6n - 12 <= 2n (2E = 6n - 12).  Either way
+        n <= 3.  The valid maps on 6 darts have degrees (2, 2, 2) and
+        (1, 1, 4): neither has a bound, and both have least trace 6.
         """
         densities = self.density().densities
         return min((densities[e] - 2 for e in range(self.n_edges)
@@ -314,13 +322,17 @@ class Triangulation:
     # -- canonical code ------------------------------------------------
 
     def canonical_code(self) -> Tuple[int, ...]:
-        """Least traversal code over the default roots of
-        ``canonical_traversal`` and both orientations.
+        """Least traversal code rooted at the darts minimizing (degree of
+        origin, degree of head), over both orientations.
 
         Two maps have equal codes iff they are isomorphic as maps up to
         orientation-preserving or -reversing homeomorphism.
         """
-        return canonical_traversal(self.sigma, self.alpha, self.origin)
+        key = [(self.degree[self.origin[d]], self.degree[self.head(d)])
+               for d in range(self.n_darts)]
+        least = min(key)
+        return canonical_traversal(self.sigma, self.alpha,
+                                   [d for d, k in enumerate(key) if k == least])
 
     # -- serialization ---------------------------------------------------
 
@@ -392,30 +404,21 @@ def neighbor_darts(neighbors: Sequence[Sequence[int]]):
 
 
 def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
-                        origin: Sequence[int],
-                        roots: Optional[Sequence[int]] = None,
+                        roots: Sequence[int],
                         bound: Optional[Sequence[int]] = None
                         ) -> Optional[Tuple[int, ...]]:
     """Minimal rooted traversal code of a connected map, as a tuple.
 
-    Roots are the given darts, by default the darts minimizing (degree
-    of origin, degree of head), read with sigma and with its inverse
-    (the mirror image).  The code describes the whole map only if the
-    traversal reaches every dart, so a map with more than one component
-    raises ValueError.
+    The roots are read with sigma and with its inverse (the mirror
+    image).  The code describes the whole map only if the traversal
+    reaches every dart, so a map with more than one component raises
+    ValueError.
 
     Given ``bound``, a code of the same map, the search starts from it
     as the running bound: it returns the first root code found below
     ``bound``, or None if no root's code is below it.
     """
     n = len(sigma)
-    if roots is None:
-        deg = [0] * (max(origin) + 1)
-        for v in origin:
-            deg[v] += 1
-        key = [(deg[origin[d]], deg[origin[alpha[d]]]) for d in range(n)]
-        best_key = min(key)
-        roots = [d for d in range(n) if key[d] == best_key]
     sigma_inv = [0] * n
     for d in range(n):
         sigma_inv[sigma[d]] = d

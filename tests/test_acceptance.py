@@ -153,7 +153,7 @@ def test_criterion_5_algebraic_identities():
         for g in enumerate_triangulations(EnumerationQuery(n)):
             ok &= sum(6 - d for d in g.degree) == 12
             cases += 1
-            dev = develop(g)
+            dev = develop(g, SpanningTree.bfs_tree(g))
             for f in range(g.n_faces):
                 x, y, z = dev.face_labels(f)
                 ok &= (farey_adjacent(x, y) and farey_adjacent(y, z)
@@ -164,7 +164,8 @@ def test_criterion_5_algebraic_identities():
 
 
 def test_criterion_6_developing_correctness(developments):
-    dev = develop(tetrahedron())
+    t = tetrahedron()
+    dev = develop(t, SpanningTree.bfs_tree(t))
     ok = [str(x) for x in dev.polygon] == ["0/1", "1/1", "3/2", "2/1",
                                            "3/1", "1/0"]
 
@@ -180,7 +181,8 @@ def test_criterion_6_developing_correctness(developments):
     checked = 0
     for n in range(4, 9):
         for g in enumerate_triangulations(EnumerationQuery(n)):
-            for tree in (None, SpanningTree.random_tree(g, rng),
+            for tree in (SpanningTree.bfs_tree(g),
+                         SpanningTree.random_tree(g, rng),
                          SpanningTree.random_tree(g, rng)):
                 ok &= check_cusp_parabolics(develop(g, tree))
                 checked += 1

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from golden.rewrite import CASES as GOLDEN_CASES
-from spheresys import cli, fixtures
+from spheresys import cli, fixtures, geodesics
 from spheresys.modular import MoebiusMap
 from spheresys.triangulation import Triangulation, icosahedron, tetrahedron
 from test_triangulation import tetrahedron_and_torus
@@ -264,8 +264,7 @@ class TestVerifyPaper:
         (density,) = [l for l in lines if l.startswith("PASS density-n4 ")]
         assert "over simple triangulations" in density
         assert density.endswith("constructed degenerate maps by systole "
-                                "trace: bipyramid 6, loop-with-pendant 4, "
-                                "stellated-loop 4")
+                                "trace: bipyramid 6, loop-with-pendant 4")
 
     def test_gamma5_report(self, capsys):
         code, out = run(capsys, "verify-paper", "gamma5-n10")
@@ -634,10 +633,7 @@ class TestErrorPaths:
         assert line == "failure: cusp parabolic check failed"
 
     def test_systole_claim_failure(self, capsys, monkeypatch):
-        sweep = cli.systole_matrix_group
-        monkeypatch.setattr(cli, "systole_matrix_group",
-                            lambda *args, **kw: sweep(*args, **kw,
-                                                      max_states=10))
+        monkeypatch.setattr(geodesics, "MAX_SWEEP_STATES", 10)
         line = self.one_line(capsys, 1, "failure: ", "systole", "fixture:a7",
                              "--trace-bound", "14")
         assert line == "failure: search frontier not exhausted"

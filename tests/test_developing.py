@@ -309,8 +309,9 @@ class TestErrors:
 
     def test_invalid_triangulation_rejected(self):
         torus = Triangulation.from_rotation_lists([[0, 2, 1, 3]], [(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            develop(torus)
+        tree = SpanningTree.bfs_tree(torus)
+        with pytest.raises(ValueError, match="invalid triangulation"):
+            develop(torus, tree)
 
 
 class TestRender:
@@ -324,6 +325,6 @@ class TestRender:
 
     def test_tetrahedron_vertical_side(self):
         t = tetrahedron()
-        dev = develop(t)
+        dev = develop(t, SpanningTree.bfs_tree(t))
         svg = render_polygon(dev)
         assert "<line" in svg

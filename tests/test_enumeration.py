@@ -346,10 +346,12 @@ class TestVerifyProposition:
             4: 9, 5: 12, 6: 16, 7: 16, 8: 18, 9: 20}[n]
         assert report["degenerate_ok"]
         # exact dual-walk systole traces of the degenerate maps
+        # (the stellated loop has 5 vertices)
         degenerate = [("bipyramid", {4: 6, 5: 10}.get(n, 14), True)]
         if n == 4:
-            degenerate += [("loop-with-pendant", 4, True),
-                           ("stellated-loop", 4, True)]
+            degenerate.append(("loop-with-pendant", 4, True))
+        if n == 5:
+            degenerate.append(("stellated-loop", 4, True))
         assert report["degenerate_checks"] == degenerate
         counts = report["generation"]
         assert counts["classes"] == KNOWN_COUNTS[n]
@@ -400,6 +402,14 @@ class TestVerifyProposition:
         assert not report["extremal_ok"]
 
     def test_range_check(self):
-        for n in (3, 13):
-            with pytest.raises(ValueError):
-                verify_proposition(n)
+        # one cap, one error: the query refuses n < 4, the enumerator n > 12
+        with pytest.raises(ValueError):
+            verify_proposition(3)
+        with pytest.raises(ResourceLimitError):
+            verify_proposition(13)
+
+    def test_degenerate_map_has_n_vertices(self, monkeypatch):
+        # a degenerate map is checked in the row of its own vertex count
+        monkeypatch.setattr(enumeration, "example_loop", octahedron)
+        with pytest.raises(AssertionError, match="6 vertices, not 4"):
+            verify_proposition(4)

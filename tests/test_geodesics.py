@@ -5,7 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction as Q
-from itertools import accumulate
+from itertools import accumulate, permutations
 from unittest import mock
 
 import pytest
@@ -28,7 +28,7 @@ from spheresys.triangulation import (Triangulation, bipyramid_with_duplicates,
                                      example_loop, icosahedron, octahedron,
                                      tetrahedron)
 from test_enumeration import flip
-from test_triangulation import example_duplicate_edges
+from test_triangulation import example_duplicate_edges, stellated_loop
 
 
 def cyclic_words_equal(w1, w2):
@@ -61,14 +61,56 @@ class TestCombinatorialSystole:
         assert all(abs(w.trace) == 23 for w in witnesses)
 
     @pytest.mark.parametrize("a_priori", [3, None])
-    def test_default_bound_doubles_until_found(self, a_priori):
-        expected = systole_combinatorial(icosahedron())[1]
+    def test_start_below_systole_raises(self, a_priori):
+        # the start is proved, so one walk there that finds nothing (the
+        # icosahedron's systole trace is 23) is a fault, not a cue to
+        # search higher; without a bound the start is 6
         with mock.patch.object(Triangulation, "a_priori_trace_bound",
                                lambda self: a_priori):
-            _, witnesses = systole_combinatorial(icosahedron())
-        assert len(witnesses) == 30
-        assert all(abs(w.trace) == 23 for w in witnesses)
-        assert witnesses == expected
+            with pytest.raises(AssertionError, match="proved start"):
+                systole_combinatorial(icosahedron())
+
+    def test_three_vertex_maps(self):
+        """The n = 3 case of the lemma in ``a_priori_trace_bound``.  Every
+        map is, after relabelling its darts, one with alpha = (0 1)(2 3)
+        (4 5); of all sigma on 6 darts, the valid maps are the triangle
+        and the loop with two pendant edges.  Neither has an a-priori
+        bound, and both have least trace 6, the default start."""
+        alpha = (1, 0, 3, 2, 5, 4)
+        maps = []
+        for sigma in permutations(range(6)):
+            origin, vertices = [None] * 6, 0
+            for d in range(6):
+                if origin[d] is None:
+                    x = d
+                    while origin[x] is None:
+                        origin[x], x = vertices, sigma[x]
+                    vertices += 1
+            g = Triangulation(sigma, alpha, origin)
+            if g.validate().ok:
+                maps.append(g)
+        assert len({g.canonical_code() for g in maps}) == 2
+        assert {tuple(sorted(g.degree)) for g in maps} == {(2, 2, 2),
+                                                           (1, 1, 4)}
+        for g in maps:
+            assert g.a_priori_trace_bound() is None
+            assert {abs(w.trace) for w in systole_combinatorial(g)[1]} == {6}
+
+    def test_every_built_map_has_a_proved_start(self):
+        """The n >= 4 case of the lemma: every map the suite builds has an
+        a-priori bound, and the one walk at it (capped at the limit)
+        finds a class."""
+        limit = geodesics.MAX_WALK_TRACE_BOUND
+        maps = [*(g for n in range(4, 10)
+                  for g in enumerate_triangulations(EnumerationQuery(n))),
+                *(make() for make in fixtures.GRAPHS.values()),
+                *(bipyramid_with_duplicates(m) for m in range(2, 11)),
+                example_loop(), stellated_loop(), example_duplicate_edges(),
+                *flipped_icosahedra(50, 17)]
+        for g in maps:
+            bound = g.a_priori_trace_bound()
+            assert bound is not None
+            assert enumerate_geodesics_combinatorial(g, min(bound, limit))
 
     def test_seven_cusp_five_systoles(self):
         length, witnesses = systole_combinatorial(fixtures.seven_cusp_graph())
@@ -109,8 +151,8 @@ class TestCombinatorialSystole:
 
     @pytest.mark.parametrize("a_priori", [7, None])
     def test_doubling_stops_at_limit(self, monkeypatch, a_priori):
-        # the tetrahedron's systole trace is 7; from 3 the bound doubles
-        # to 6, then to 12, above the limit
+        # the tetrahedron's systole trace is 7; the start is capped at
+        # the limit 6, where the walk finds nothing
         monkeypatch.setattr(geodesics, "MAX_WALK_TRACE_BOUND", 6)
         monkeypatch.setattr(Triangulation, "a_priori_trace_bound",
                             lambda self: a_priori)
@@ -345,25 +387,25 @@ class TestMatrixGroup:
     def test_state_cap_reported_as_partial(self):
         # a cap is checked as each element is added, not once per level
         for cap in (100, 1000, 20000):
-            rep = systole_matrix_group(fixtures.GAMMA10, 18, diameter=4.5,
-                                       max_states=cap)
+            with mock.patch.object(geodesics, "MAX_SWEEP_STATES", cap):
+                rep = systole_matrix_group(fixtures.GAMMA10, 18,
+                                           diameter=4.5)
             assert not rep.frontier_exhausted
             assert rep.states_explored == cap
 
-    def test_sweep_finishing_at_its_cap(self):
+    def test_sweep_finishing_at_its_cap(self, monkeypatch):
         gens = {2: fixtures.A7[2], 3: fixtures.A7[3]}
         full = systole_matrix_group(gens, 14, diameter=1.0)
         assert full.frontier_exhausted
         n = full.states_explored
-        exact = systole_matrix_group(gens, 14, diameter=1.0, max_states=n)
+        monkeypatch.setattr(geodesics, "MAX_SWEEP_STATES", n)
+        exact = systole_matrix_group(gens, 14, diameter=1.0)
         assert exact.frontier_exhausted and exact.states_explored == n
         assert exact.witnesses == full.witnesses
-        short = systole_matrix_group(gens, 14, diameter=1.0,
-                                     max_states=n - 1)
+        monkeypatch.setattr(geodesics, "MAX_SWEEP_STATES", n - 1)
+        short = systole_matrix_group(gens, 14, diameter=1.0)
         assert not short.frontier_exhausted
         assert short.states_explored == n - 1
-        with pytest.raises(ValueError):
-            systole_matrix_group(gens, 14, diameter=1.0, max_states=0)
 
     def test_relation_refused(self):
         """Two words giving one element prove the generators are not a
@@ -434,7 +476,8 @@ class TestMatrixGroup:
                 exact.filter_rejects, exact.exact_rejects) == (39, 118, 0, 80)
         # at the cap, the product that found it full is tried but is
         # neither rejected nor explored, and no later move is tried
-        capped = systole_matrix_group(gens, 14, diameter=1.0, max_states=38)
+        with mock.patch.object(geodesics, "MAX_SWEEP_STATES", 38):
+            capped = systole_matrix_group(gens, 14, diameter=1.0)
         assert (capped.states_explored, capped.products_tried,
                 capped.filter_rejects, capped.exact_rejects) == (38, 110, 72, 0)
 
@@ -597,8 +640,9 @@ class TestFloatPrefilter:
 
         def sweep():
             try:
-                return systole_matrix_group(gens, bound, diameter=diameter,
-                                            max_states=max_states)
+                with mock.patch.object(geodesics, "MAX_SWEEP_STATES",
+                                       max_states):
+                    return systole_matrix_group(gens, bound, diameter=diameter)
             except ValueError as exc:
                 assert "relation" in str(exc) or "not discrete" in str(exc)
                 return None
@@ -798,9 +842,9 @@ class TestConsistency:
         assert spectra[0] == spectra[1] == spectra[2]
 
     def test_pattern_certificates_confirmed(self):
-        """The doubling search from the density bound finds the least
-        trace on the bipyramids, also for m >= 5, where that bound
-        4m - 2 lies above the systole 14."""
+        """The walk from the density bound finds the least trace on the
+        bipyramids, also for m >= 5, where that bound 4m - 2 lies above
+        the systole 14."""
         for m in range(2, 11):
             g = bipyramid_with_duplicates(m)
             _, witnesses = systole_combinatorial(g)

@@ -39,7 +39,7 @@ class TestFrac:
     def test_infinity(self):
         assert Frac(3, 0) == INF
         assert Frac(-1, 0) == INF
-        assert INF.is_infinite
+        assert INF.q == 0
         with pytest.raises(ValueError):
             Frac(0, 0)
 

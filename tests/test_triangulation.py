@@ -17,6 +17,14 @@ from spheresys.triangulation import (
 from test_enumeration import flip
 
 
+def stellated_loop() -> Triangulation:
+    """``example_loop`` with a degree-3 vertex in the face around its
+    pendant edge: 5 vertices, degrees 8, 2, 2, 3, 3."""
+    t = example_loop()
+    return t.stellate([f for f in range(t.n_faces)
+                       if sorted(t.face_vertices(f)) == [0, 0, 1]])
+
+
 def example_duplicate_edges() -> Triangulation:
     """Five-vertex triangulation with a duplicate pair and a degree-2 vertex.
 
@@ -190,10 +198,7 @@ class TestPatternCertificates:
         assert systole_words(example_loop()) == (4, ["LRL"])
 
     def test_loop_walk_after_stellation(self):
-        t = example_loop()
-        inner = [f for f in range(t.n_faces)
-                 if sorted(t.face_vertices(f)) == [0, 0, 1]]
-        s = t.stellate(inner)
+        s = stellated_loop()
         assert s.validate().ok
         trace, words = systole_words(s)
         assert trace == 4 and len(words) == 2
@@ -261,8 +266,8 @@ class TestCanonical:
     def test_traversal_bound(self):
         # with a bound, the search reports a root code below it, or None
         for t in enumerate_triangulations(EnumerationQuery(7)):
-            args = t.sigma, t.alpha, t.origin
-            least = canonical_traversal(*args)
+            args = t.sigma, t.alpha
+            least = t.canonical_code()
             darts = range(t.n_darts)
             codes = {canonical_traversal(*args, [d]) for d in darts}
             assert canonical_traversal(*args, darts, least) is None
@@ -270,14 +275,14 @@ class TestCanonical:
                 assert least <= canonical_traversal(*args, darts, code) < code
 
     def test_traversal_refuses_disconnected_darts(self):
-        # the dart arrays alone, as the enumerator passes them, with the
-        # default roots and with a root in either component
+        # the dart arrays alone, as the enumerator passes them, with a
+        # root in either component
         t = Triangulation.from_simple_rotations(
             tetrahedron().simple_neighbor_lists()
             + [[w + 4 for w in r] for r in octahedron().simple_neighbor_lists()])
-        for roots in (None, [0], [t.n_darts - 1]):
+        for roots in ([0], [t.n_darts - 1]):
             with pytest.raises(ValueError, match="not connected"):
-                canonical_traversal(t.sigma, t.alpha, t.origin, roots)
+                canonical_traversal(t.sigma, t.alpha, roots)
 
 
 class TestSerialization:
