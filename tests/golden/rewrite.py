@@ -33,9 +33,11 @@ CASES = {
        for name in fixtures.GRAPHS},
     **{f"systole-{name}": ["--json", "systole", f"fixture:{name}",
                            "--trace-bound", "14"] for name in ("a7", "b7")},
-    # a two-generator file, swept without and with a "diameter"
+    # a two-generator file, swept without a "diameter", with one and with
+    # a decimal one (0.3) that no binary float holds
     **{f"systole-{stem}": ["--json", "systole", str(INPUTS / f"{stem}.json")]
-       for stem in ("two-generators", "two-generators-diameter")},
+       for stem in ("two-generators", "two-generators-diameter",
+                    "two-generators-decimal-diameter")},
     "develop-ten-tree": ["--json", "develop", "fixture:ten",
                          "--tree", TEN_TREE, "--seed-edge", "3-4"],
 }
