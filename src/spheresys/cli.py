@@ -65,9 +65,9 @@ def to_json(obj) -> str:
 
 # -- input loading -------------------------------------------------------
 
-# A generator entry longer than this, or with a decimal exponent beyond
-# it, is refused before Fraction builds its exact value: "1e3000000"
-# would be a 3-million-digit integer.
+# A generator entry or diameter longer than this, or with a decimal
+# exponent beyond it, is refused before Fraction builds its exact value:
+# "1e3000000" would be a 3-million-digit integer.
 MAX_ENTRY_SIZE = 1000
 
 
@@ -107,8 +107,10 @@ def parse_input(text: str):
             gens[lab] = MoebiusMap(*quad)
         except (TypeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"generator {lab!r}: {exc}")
-    diameter = data.get("diameter")
-    return gens, float(diameter) if isinstance(diameter, Decimal) else diameter
+    if _oversized(diameter := data.get("diameter")):
+        raise ValueError(f"the diameter is longer than {MAX_ENTRY_SIZE} "
+                         f"characters or has a larger exponent")
+    return gens, Q(diameter) if isinstance(diameter, Decimal) else diameter
 
 
 def load_input(spec: str, check: bool = True):

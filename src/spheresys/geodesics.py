@@ -5,8 +5,8 @@ group correspond to closed left/right turn sequences on the dual
 trivalent ribbon graph; the enumerator walks all such cycles below an
 exact trace bound.  For an explicitly given matrix group (possibly
 non-arithmetic), a breadth-first search over reduced words with
-displacement pruning sweeps every conjugacy class below the bound, with
-the pruning horizon derived from a fundamental-domain diameter proxy.
+displacement pruning sweeps every conjugacy class below the bound, up to
+an exact integer cap derived from a fundamental-domain diameter proxy.
 The generators must be a free basis: then each element has one reduced
 word, and a class is named by its cyclically reduced word up to
 rotation and inversion.  Two words found to give the same element prove
@@ -222,24 +222,35 @@ def _within(quad, den, cap) -> bool:
     return (a * a + b * b + c * c + d * d) * cap[1] <= den * den * cap[0]
 
 
-def _horizon_and_cap(trace_bound: Q, diam: float) -> Tuple[float, float]:
-    """The horizon 2 arccosh(b/2) + 2 diam (b = trace_bound) in floats,
-    and the sweep's cap, a float at least 2 cosh of its exact value h*.
+def _cosh_above(diam: Q) -> Tuple[int, int]:
+    """(p, q) with cosh x <= p / q <= cosh x + 2^-63 sinh x, x = diam
+    rounded up to a multiple of 2^-64.  The terms t_k = x^2k / (2k)! fall
+    by ratios x^2 / ((2k + 1)(2k + 2)) that fall, so once one is at most
+    1/2 the terms after t_k sum to at most 2 t_{k+1}; the sum stops there
+    once 2^64 t_{k+1} <= t_1 = x^2 / 2 <= sinh x too."""
+    x = -(-diam.numerator * 2 ** 64 // diam.denominator)
+    u, k, p, q, n = x * x, 0, 1, 1, 1  # x^2 = u/2^128, t_k = p/q, sum n/q
+    while True:
+        step = (2 * k + 1) * (2 * k + 2) * 2 ** 128
+        p, q, n = p * u, q * step, n * step     # now t_{k+1} = p / q
+        if 2 * u <= step and 2 ** 193 * p <= u * q:
+            return n + 2 * p, q
+        k, n = k + 1, n + p
 
-    b/2 is rounded up: rounded down it could cost u / sqrt((b/2)^2 - 1)
-    of the arccosh, unbounded as b nears 2 (u = 2^-53).  With arccosh and
-    cosh within 2 ulp (4u) of their values, as glibc documents, the
-    arccosh loses at most 4u, a diameter's conversion to float u and the
-    sum u, so the horizon is at least h* (1 - 5u); as cosh(x - e) >=
-    cosh(x) exp(-e), the cap loses at most 5u h* + 5u.  A finite cap has
-    h* < 711, so that is below 3600u < 2^-41: the factor 1 + 2^-40 covers
-    it.  A cap too large for a float is inf.
-    """
-    half = float(trace_bound) / 2.0
-    if half < trace_bound / 2:
-        half = math.nextafter(half, math.inf)
-    horizon = 2.0 * math.acosh(half) + 2.0 * diam
-    return horizon, 2.0 * math.cosh(horizon) * (1.0 + 2.0 ** -40)
+
+def _sweep_cap(trace_bound: Q, diam: Q) -> Tuple[int, int]:
+    """(M, K) with M / K >= 2 cosh(2 arccosh(b/2) + 2 diam), b =
+    trace_bound, within a relative 2^-60.  As cosh 2a = b^2/2 - 1 and
+    sinh 2a = (b/2) sqrt(b^2 - 4) for a = arccosh(b/2), that is
+    2 (b^2/2 - 1)(2 C^2 - 1) + 2 b C sqrt((b^2 - 4)(C^2 - 1)) at C =
+    cosh(diam), increasing in C >= 1: here C = ``_cosh_above(diam)``, and
+    each term is rounded up to a multiple of 1 / K = 2^-64."""
+    (bn, bd), (cn, cd) = trace_bound.as_integer_ratio(), _cosh_above(diam)
+    b2, c2, d = bn * bn, cn * cn, (bd * cd) ** 2    # b^2 C^2 = b2 c2 / d
+    root = math.isqrt(-(-b2 * c2 * (b2 - 4 * bd * bd) * (c2 - cd * cd)
+                        * 2 ** 130 // (d * d))) + 1
+    first = -(-(b2 - 2 * bd * bd) * (2 * c2 - cd * cd) * 2 ** 64 // d)
+    return first + root, 2 ** 64
 
 
 def _gram(quad, den) -> Tuple[float, float, float]:
@@ -270,9 +281,10 @@ def _prefilter(t: MoebiusMap, cap: float):
     not apply; a product whose float value exceeds the threshold fails
     the exact test ``_within`` too, and any other product goes on to it.
 
-    The bound.  Every S the filter sees has ||S||^2 <= cap exactly (each
-    element the search explores passed ``_within`` at this cap), and
-    ||S||^2, ||t||^2 >= 2 since the determinant is 1.
+    The bound.  ``cap`` is the exact cap of ``_within`` rounded up to a
+    float, so every S the filter sees has ||S||^2 <= cap exactly (each
+    element the search explores passed ``_within``), and ||S||^2,
+    ||t||^2 >= 2 since the determinant is 1.
     Let u = 2^-53.  Entries of S and t are rounded once; each entry of
     G or H then carries at most four roundings (two inputs, a product, a
     sum) and each term of the trace form three more (a product and two
@@ -332,11 +344,11 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     An element W is explored only while the displacement d(i, W i) stays
     below the horizon 2 arccosh(bound/2) + 2 * diameter: any class below
     the bound has an axis passing within the covering radius of the base
-    point's orbit, hence a representative inside the horizon, whose
-    float cap ``_horizon_and_cap`` rounds outward.  Without a
-    diameter the search is a labeled non-exhaustive sweep to the same
-    horizon with diameter 0 plus one unit of slack.  A diameter must be
-    a finite real >= 0, and a horizon too large for a float is refused.
+    point's orbit, hence a representative inside the horizon, whose cap
+    ``_sweep_cap`` bounds exactly (the float horizon is for display).
+    Without a diameter the search is a labeled non-exhaustive sweep to
+    the same horizon with diameter 0 plus one unit of slack.  A diameter
+    must be a finite real >= 0; a horizon above 709 is refused.
 
     At most ``MAX_SWEEP_STATES`` elements (the identity included) are
     explored; a sweep that needs more stops at the cap and is not
@@ -362,20 +374,19 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     if trace_bound <= 2:
         raise ValueError("trace bound must exceed 2")
     certified = diameter is not None
-    bad_diameter = f"diameter must be a finite real >= 0, not {diameter!r}"
-    if certified and (isinstance(diameter, bool)
-                      or not isinstance(diameter, Real)):
-        raise ValueError(bad_diameter)
-    try:
-        diam = float(diameter) if certified else 1.0
-        if not math.isfinite(diam) or diam < 0:
-            raise ValueError(bad_diameter)
-        horizon, cap_float = _horizon_and_cap(trace_bound, diam)
-        # displacement test: 2 cosh d(i, Wi) = (a^2+b^2+c^2+d^2) / den^2
-        cap = cap_float.as_integer_ratio()
-    except OverflowError:
-        raise ValueError(f"trace bound {trace_bound} and diameter {diameter!r} "
-                         "give a search horizon too large for a float")
+    if certified and (isinstance(diameter, bool) or not isinstance(
+            diameter, Real) or not 0 <= diameter < math.inf):
+        raise ValueError(f"diameter must be a finite real >= 0, "
+                         f"not {diameter}")
+    diam = Q(diameter if certified else 1)
+    # floats below 2^1000 convert; below 709, 2 cosh(horizon) < 2^1023
+    if max(trace_bound, diam) > 2 ** 1000 or (horizon := 2 * math.acosh(
+            trace_bound / 2) + 2 * float(diam)) > 709:
+        raise ValueError("the trace bound and diameter give a search "
+                         "horizon above 709, too large for a float")
+    # displacement test: 2 cosh d(i, Wi) = (a^2+b^2+c^2+d^2) / den^2
+    cap = _sweep_cap(trace_bound, diam)
+    cap_float = math.nextafter(cap[0] / cap[1], math.inf)    # rounded up
     steps = {}
     for lab, m in gens.items():
         steps[(lab, 1)] = m
@@ -462,7 +473,7 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
         witnesses=witnesses,
         frontier_exhausted=exhausted and certified,
         trace_bound=trace_bound,
-        diameter=diameter,
+        diameter=float(diam) if certified else None,
         horizon=horizon,
         states_explored=len(seen),
         min_trace_above_bound=None if min_above is None else Q(*min_above),

@@ -446,12 +446,18 @@ class TestBadInput:
         json.dumps({"generators": GENS_14, "diameter": float("nan")}),
         json.dumps({"generators": GENS_14, "diameter": 400}),
         json.dumps({"generators": {"1": ["1e3000000", "0", "0", "1"]}}),
+        # diameters refused by their size before any exact value is built
+        *(pytest.param(f'{{"generators": {json.dumps(GENS_14)}, '
+                       f'"diameter": {d}}}', id=f"diameter-{d}")
+          for d in ("1e3000000", "1e-3000000")),
         # the icosahedron's systole has |trace| 23, above the bound
         pytest.param(icosahedron().to_text(), id="bound-below-systole"),
     ])
     def test_one_line_error(self, capsys, tmp_path, content):
+        start = time.perf_counter()
         one_line_error(capsys, tmp_path, content,
                        "systole", "--trace-bound", "14")
+        assert time.perf_counter() - start < 1
 
     def test_undecodable_file_named(self, capsys, tmp_path):
         path = tmp_path / "input"
@@ -553,7 +559,10 @@ class TestParseInput:
         gens, diameter = cli.parse_input(
             '{"generators": {"1": [1, 0.1, 0, 1]}, "diameter": 1.5}')
         assert gens["1"].b == Q(1, 10)
-        assert diameter == 1.5 and isinstance(diameter, float)
+        assert diameter == Q(3, 2) and isinstance(diameter, Q)
+        # a diameter no binary float holds is read exactly too
+        assert cli.parse_input('{"generators": {"1": [1, 0, 0, 1]}, '
+                               '"diameter": 0.3}')[1] == Q(3, 10)
         # the size check reads the number's text before any exact value
         start = time.perf_counter()
         with pytest.raises(ValueError, match="longer than"):

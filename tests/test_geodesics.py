@@ -481,6 +481,22 @@ class TestMatrixGroup:
         assert (capped.states_explored, capped.products_tried,
                 capped.filter_rejects, capped.exact_rejects) == (38, 110, 72, 0)
 
+    def test_no_cosh_on_certified_path(self):
+        """The cap is exact arithmetic: with math.cosh and math.exp
+        raising, the A7 pair and B7 still certify, with their counts."""
+        def refuse(*args):
+            raise AssertionError("cosh or exp on the certified path")
+
+        with mock.patch.object(math, "cosh", refuse), \
+                mock.patch.object(math, "exp", refuse):
+            rep = systole_matrix_group({2: fixtures.A7[2], 3: fixtures.A7[3]},
+                                       14, diameter=1.0)
+            gens, diameter = fixtures.generator_set("b7")
+            b7 = systole_matrix_group(gens, Q(351, 25), diameter=diameter)
+        assert rep.frontier_exhausted and rep.states_explored == 39
+        assert b7.frontier_exhausted
+        assert (len(b7.witnesses), b7.states_explored) == (5, 5805)
+
 
 def norm2(m):
     """The exact a^2 + b^2 + c^2 + d^2, summed over the integers: adding
@@ -498,7 +514,7 @@ def reference_sweep(gens, bound, diameter, max_states):
     it stops at the first new element found once max_states are held,
     so nothing past that point is recorded.
     """
-    cap = Q(geodesics._horizon_and_cap(Q(bound), diameter)[1])
+    cap = Q(*geodesics._sweep_cap(Q(bound), Q(diameter)))
     steps = {}
     for lab, m in gens.items():
         steps[(lab, 1)] = m
@@ -543,7 +559,7 @@ def diameter_for_cap(bound, norm):
     """The least diameter whose sweep cap, as the engine rounds it, is
     at least norm (and 0 when the bound alone gives a larger cap)."""
     def cap(d):
-        return geodesics._horizon_and_cap(Q(bound), d)[1]
+        return Q(*geodesics._sweep_cap(Q(bound), Q(d)))
 
     base = 2.0 * math.acosh(bound / 2.0)
     lo, hi = 0.0, max(0.0, (math.acosh(norm / 2.0) - base) / 2.0)
@@ -551,7 +567,6 @@ def diameter_for_cap(bound, norm):
         return lo
     while cap(hi) < norm:
         hi = math.nextafter(hi, math.inf)
-    # the cap is widened outward, so the least diameter may lie below hi
     while math.nextafter(lo, hi) < hi:
         mid = (lo + hi) / 2.0
         lo, hi = (lo, mid) if cap(mid) >= norm else (mid, hi)
@@ -567,20 +582,42 @@ def exact_cap(bound, diameter):
         return Q(h.exp() + (-h).exp())
 
 
+# the trace bounds and diameters the cap is checked at
+CAP_BOUNDS = [Q(2) + Q(1, 2 ** 60), Q(201, 100), Q(3), Q(7, 2), Q(351, 25),
+              Q(14), Q(18), Q(30)]
+
+
+def cap_cases(bound):
+    cases = [(bound, d) for d in (0.0, 0.25, 1.0, 1.5, 3.0, 10.0, 300.0)]
+    if bound == 18:
+        cases += [(Q(14) if name in ("a7", "b7") else bound,
+                   fixtures.generator_set(name)[1])
+                  for name in fixtures.GENERATOR_SETS]
+    return cases
+
+
 class TestSweepCap:
-    @pytest.mark.parametrize("bound", [
-        Q(2) + Q(1, 2 ** 60), Q(201, 100), Q(3), Q(7, 2), Q(351, 25), Q(14),
-        Q(18), Q(30)], ids=str)
+    @pytest.mark.parametrize("bound", CAP_BOUNDS, ids=str)
     def test_cap_rounded_outward(self, bound):
-        """The float cap is at least the exact one; rounded to nearest,
-        it fell below in 29 of these 62 cases."""
-        cases = [(bound, d) for d in (0.0, 0.25, 1.0, 1.5, 3.0, 10.0, 300.0)]
-        if bound == 18:
-            cases += [(Q(14) if name in ("a7", "b7") else bound,
-                       fixtures.generator_set(name)[1])
-                      for name in fixtures.GENERATOR_SETS]
-        for b, d in cases:
-            assert geodesics._horizon_and_cap(b, d)[1] >= exact_cap(b, d)
+        """The exact cap M / K is at least 2 cosh of the horizon and within
+        a relative 2^-60 of it; the 60-digit oracle is itself good to
+        about 10^-55, so it is allowed 10^-50 below."""
+        for b, d in cap_cases(bound):
+            cap, exact = Q(*geodesics._sweep_cap(b, Q(d))), exact_cap(b, d)
+            assert exact * (1 - Q(1, 10 ** 50)) <= cap
+            assert cap <= exact * (1 + Q(1, 2 ** 60)), (b, d)
+
+    @pytest.mark.parametrize("bound", CAP_BOUNDS, ids=str)
+    def test_closed_form_bounds_its_square(self, bound):
+        """In rationals alone: at the C the cap is built from, y = M/(2K) -
+        (b^2/2 - 1)(2 C^2 - 1) >= 0 and y^2 >= b^2 C^2 (b^2 - 4)(C^2 - 1),
+        so M / K is at least the closed form's exact value; and C >= 1."""
+        for b, d in cap_cases(bound):
+            m, k = geodesics._sweep_cap(b, Q(d))
+            c = Q(*geodesics._cosh_above(Q(d)))
+            y = Q(m, 2 * k) - (b * b / 2 - 1) * (2 * c * c - 1)
+            assert c >= 1 and y >= 0
+            assert y * y >= b * b * c * c * (b * b - 4) * (c * c - 1)
 
 
 def unimodular(a, b, c):
