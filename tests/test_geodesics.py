@@ -582,12 +582,13 @@ def exact_cap(bound, diameter):
         return Q(h.exp() + (-h).exp())
 
 
-# the trace bounds and diameters the cap is checked at
 CAP_BOUNDS = [Q(2) + Q(1, 2 ** 60), Q(201, 100), Q(3), Q(7, 2), Q(351, 25),
               Q(14), Q(18), Q(30)]
 
 
 def cap_cases(bound):
+    """(bound, diameter) pairs for the cap checks: seven diameters, and at
+    bound 18 the named sets' proxy diameters (A7 and B7 at 14)."""
     cases = [(bound, d) for d in (0.0, 0.25, 1.0, 1.5, 3.0, 10.0, 300.0)]
     if bound == 18:
         cases += [(Q(14) if name in ("a7", "b7") else bound,
