@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import accumulate
+from itertools import accumulate, count
 from numbers import Real
 from typing import Dict, List, Optional, Tuple
 
@@ -229,13 +229,13 @@ def _cosh_above(diam: Q) -> Tuple[int, int]:
     1/2 the terms after t_k sum to at most 2 t_{k+1}; the sum stops there
     once 2^64 t_{k+1} <= t_1 = x^2 / 2 <= sinh x too."""
     x = -(-diam.numerator * 2 ** 64 // diam.denominator)
-    u, k, p, q, n = x * x, 0, 1, 1, 1  # x^2 = u/2^128, t_k = p/q, sum n/q
-    while True:
+    u, p, q, n = x * x, 1, 1, 1     # x^2 = u / 2^128, t_k = p / q, sum n / q
+    for k in count():
         step = (2 * k + 1) * (2 * k + 2) * 2 ** 128
         p, q, n = p * u, q * step, n * step     # now t_{k+1} = p / q
         if 2 * u <= step and 2 ** 193 * p <= u * q:
             return n + 2 * p, q
-        k, n = k + 1, n + p
+        n += p
 
 
 def _sweep_cap(trace_bound: Q, diam: Q) -> Tuple[int, int]:
@@ -282,9 +282,8 @@ def _prefilter(t: MoebiusMap, cap: float):
     the exact test ``_within`` too, and any other product goes on to it.
 
     The bound.  ``cap`` is the exact cap of ``_within`` rounded up to a
-    float, so every S the filter sees has ||S||^2 <= cap exactly (each
-    element the search explores passed ``_within``), and ||S||^2,
-    ||t||^2 >= 2 since the determinant is 1.
+    float, and every S the filter sees passed ``_within``, so ||S||^2 <=
+    cap exactly; and ||S||^2, ||t||^2 >= 2 since the determinant is 1.
     Let u = 2^-53.  Entries of S and t are rounded once; each entry of
     G or H then carries at most four roundings (two inputs, a product, a
     sum) and each term of the trace form three more (a product and two
