@@ -373,10 +373,11 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     if trace_bound <= 2:
         raise ValueError("trace bound must exceed 2")
     certified = diameter is not None
-    if certified and (isinstance(diameter, bool) or not isinstance(
-            diameter, Real) or not 0 <= diameter < math.inf):
-        raise ValueError(f"diameter must be a finite real >= 0, "
-                         f"not {diameter}")
+    if certified and (isinstance(diameter, bool)
+                      or not isinstance(diameter, Real)):
+        raise ValueError(f"diameter must be a real number, not {diameter!r}")
+    if certified and not 0 <= diameter < math.inf:
+        raise ValueError(f"diameter must be finite and >= 0, not {diameter}")
     diam = Q(diameter if certified else 1)
     # floats below 2^1000 convert; below 709, 2 cosh(horizon) < 2^1023
     if max(trace_bound, diam) > 2 ** 1000 or (horizon := 2 * math.acosh(
