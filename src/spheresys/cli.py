@@ -117,8 +117,8 @@ def load_input(spec: str, check: bool = True):
     """Load a fixture:NAME or a file; see parse_input for the result.
 
     A triangulation file that is not a valid sphere triangulation raises
-    ValueError naming its diagnostics, unless ``check`` is False (the
-    validate command reports them itself).  Every error but an unreadable
+    ValueError naming its diagnostics (``Triangulation.require_valid``),
+    unless ``check`` is False (the validate command reports them itself).  Every error but an unreadable
     file's is prefixed with the file name.
     """
     if spec.startswith("fixture:"):
@@ -134,10 +134,7 @@ def load_input(spec: str, check: bool = True):
         with open(spec) as fh:
             loaded = parse_input(fh.read())
         if check and isinstance(loaded, Triangulation):
-            report = loaded.validate()
-            if not report.ok:
-                raise ValueError("not a valid sphere triangulation: "
-                                 + "; ".join(report.diagnostics))
+            loaded.require_valid()
     except OSError as exc:
         raise ValueError(str(exc))
     except ValueError as exc:

@@ -136,12 +136,12 @@ class Development:
                 (self.corner_labels[d2], self.corner_labels[g.face_next(d2)]))
 
 
-def _farey_third(x: Frac, y: Frac, old: Optional[Frac]) -> Frac:
+def _farey_third(x: Frac, y: Frac, old: Frac) -> Frac:
     """The Farey neighbor of edge (x, y) on the far side from `old`."""
     mediant = Frac(x.p + y.p, x.q + y.q)
     difference = Frac(x.p - y.p, x.q - y.q)
     candidates = [c for c in (mediant, difference) if c != old]
-    if old is not None and len(candidates) != 1:
+    if len(candidates) != 1:
         raise AssertionError(f"ambiguous development across ({x}, {y})")
     third = candidates[0]
     assert farey_adjacent(third, x) and farey_adjacent(third, y)
@@ -176,9 +176,7 @@ def develop(g: Triangulation, tree: SpanningTree,
     labels follow by crossing non-tree edges, each new face being the
     Farey triangle adjacent across the crossed edge.
     """
-    report = g.validate()
-    if not report.ok:
-        raise ValueError("invalid triangulation: " + "; ".join(report.diagnostics))
+    g.require_valid()
     if tree.g is not g:
         raise ValueError("tree does not belong to this triangulation")
     if seed is None:

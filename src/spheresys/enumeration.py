@@ -122,14 +122,13 @@ def _ranked_split(rot, degrees, v, i, j):
     return changed, ties
 
 
-def _edge_code(child, darts, edges, bound=None):
+def _edge_code(child, darts, edges):
     """Least traversal code rooted at a dart of one of the given edges.
 
     ``darts`` is ``neighbor_darts(child)``.  The roots are the edges'
     darts leaving a lower-degree end, read with sigma and with its
     inverse, so the code is the same for edges that an isomorphism or a
-    reflection maps onto each other.  Given ``bound``, returns a code
-    below it, or None if there is none (see ``canonical_traversal``).
+    reflection maps onto each other.
     """
     sigma, alpha, _, index = darts
     roots = []
@@ -138,7 +137,7 @@ def _edge_code(child, darts, edges, bound=None):
             roots.append(index[a, b])
         if len(child[b]) <= len(child[a]):
             roots.append(index[b, a])
-    return canonical_traversal(sigma, alpha, roots, bound)
+    return canonical_traversal(sigma, alpha, roots)
 
 
 _COUNT_KEYS = ("children", "rejected_by_rank", "edge_codes",
@@ -187,7 +186,7 @@ def _children(size: int, part: slice):
                     child.append(changed[size])  # the new vertex
                     darts = neighbor_darts(child)
                     code = _edge_code(child, darts, [(v, size)])
-                    if ties and _edge_code(child, darts, ties, code):
+                    if ties and _edge_code(child, darts, ties) < code:
                         continue
                     if code in codes:
                         counts["sibling_duplicates"] += 1

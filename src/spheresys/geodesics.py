@@ -113,9 +113,7 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
     the rest, so the witnesses do not depend on the bound.  A bound above
     ``MAX_WALK_TRACE_BOUND`` raises ResourceLimitError before the search.
     """
-    report = g.validate()
-    if not report.ok:
-        raise ValueError("invalid triangulation: " + "; ".join(report.diagnostics))
+    g.require_valid()
     if trace_bound < 3:
         raise ValueError("trace bound must be at least 3")
     if trace_bound > MAX_WALK_TRACE_BOUND:

@@ -94,7 +94,7 @@ class Triangulation:
 
     @classmethod
     def from_oriented_faces(cls, faces: Sequence[Tuple[int, int, int]]) -> "Triangulation":
-        """Build from consistently oriented triangles (each directed edge once)."""
+        """Build from oriented triangles: each directed edge once, and its reverse."""
         face_of_dart = {}
         for f in faces:
             k = len(f)
@@ -103,6 +103,9 @@ class Triangulation:
                 if key in face_of_dart:
                     raise ValueError(f"directed edge {key} appears twice; orientation inconsistent")
                 face_of_dart[key] = (f[(i + 2) % k],)
+        for u, v in face_of_dart:
+            if (v, u) not in face_of_dart:
+                raise ValueError(f"directed edge {(u, v)} has no reverse; the faces do not close up")
         ids = {key: i for i, key in enumerate(sorted(face_of_dart))}
         n = len(ids)
         sigma = [0] * n
@@ -135,6 +138,8 @@ class Triangulation:
         for d in range(n):
             if not seen[d]:
                 v = self.origin[d]
+                if self.vertex_darts[v]:
+                    raise ValueError(f"vertex {v}'s darts form more than one rotation cycle")
                 x = d
                 while not seen[x]:
                     seen[x] = True
@@ -229,6 +234,12 @@ class Triangulation:
             regular=(not diagnostics and min(self.degree) >= 3
                      and not has_loops and not has_dups),
         )
+
+    def require_valid(self) -> None:
+        """Raise ValueError naming the diagnostics unless ``validate`` is ok."""
+        report = self.validate()
+        if not report.ok:
+            raise ValueError("invalid triangulation: " + "; ".join(report.diagnostics))
 
     def _component_count(self) -> int:
         seen = [False] * self.n_darts
@@ -404,34 +415,23 @@ def neighbor_darts(neighbors: Sequence[Sequence[int]]):
 
 
 def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
-                        roots: Sequence[int],
-                        bound: Optional[Sequence[int]] = None
-                        ) -> Optional[Tuple[int, ...]]:
+                        roots: Sequence[int]) -> Tuple[int, ...]:
     """Minimal rooted traversal code of a connected map, as a tuple.
 
     The roots are read with sigma and with its inverse (the mirror
     image).  The code describes the whole map only if the traversal
     reaches every dart, so a map with more than one component raises
     ValueError.
-
-    Given ``bound``, a code of the same map, the search starts from it
-    as the running bound: it returns the first root code found below
-    ``bound``, or None if no root's code is below it.
     """
     n = len(sigma)
     sigma_inv = [0] * n
     for d in range(n):
         sigma_inv[sigma[d]] = d
-    best = None if bound is None else list(bound)
-    reached = None
+    best = reached = None
     for rot, root in product((sigma, sigma_inv), roots):
         found = _root_code(rot, alpha, root, best)
-        if found is not None and (best is None or found[0] < best):
+        if found is not None:
             best, reached = found
-            if bound is not None:
-                break
-    if bound is not None and reached is None:
-        return None
     if reached != n:
         raise ValueError("map is not connected: the traversal reaches "
                          f"{reached} of {n} darts")

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from golden.rewrite import CASES as GOLDEN_CASES
 from spheresys import cli, fixtures, geodesics
+from spheresys.developing import SpanningTree, develop
 from spheresys.modular import MoebiusMap
 from spheresys.triangulation import Triangulation, icosahedron, tetrahedron
 from test_triangulation import tetrahedron_and_torus
@@ -618,6 +619,22 @@ class TestErrorPaths:
     def test_bad_edge_syntax(self, capsys, option, value, message):
         assert self.one_line(capsys, 2, "error: ", "develop",
                              "fixture:tetrahedron", option, value) == message
+
+    def test_one_refusal_for_an_invalid_map(self, tmp_path):
+        # the loader, the development and the dual walk give one message
+        torus = Triangulation.from_rotation_lists([[0, 2, 1, 3]], [(0, 1), (2, 3)])
+        path = tmp_path / "torus.txt"
+        path.write_text(torus.to_text())
+        messages = []
+        for refuse in (lambda: cli.load_input(str(path)),
+                       lambda: develop(torus, SpanningTree.bfs_tree(torus)),
+                       lambda: geodesics.enumerate_geodesics_combinatorial(torus, 10)):
+            with pytest.raises(ValueError) as exc:
+                refuse()
+            messages.append(str(exc.value))
+        assert messages == [f"{path}: {messages[1]}"] + [
+            "invalid triangulation: non-triangular face 0 with 4 sides; "
+            "euler characteristic 0 != 2"] * 2
 
     def test_validate_non_sphere(self, capsys, tmp_path):
         path = tmp_path / "torus.txt"

@@ -160,6 +160,24 @@ class TestDegenerateExamples:
         with pytest.raises(ValueError):
             Triangulation.from_simple_rotations([[1, 1], [0, 0]])
 
+    def test_vertex_with_two_rotation_cycles_rejected(self):
+        # one vertex label on two sigma cycles would read back from its
+        # text as one cycle, a different map
+        with pytest.raises(ValueError, match="vertex 0's darts form more"):
+            Triangulation([1, 0, 3, 2], [2, 3, 0, 1], [0, 0, 0, 0])
+        # two tetrahedra that share only vertex 0
+        tetra = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+        other = [tuple(v and v + 3 for v in f) for f in tetra]
+        with pytest.raises(ValueError, match="vertex 0's darts form more"):
+            Triangulation.from_oriented_faces(tetra + other)
+
+    def test_faces_that_do_not_close_up_rejected(self):
+        # one triangle, and the tetrahedron without its face (1, 3, 2)
+        for faces, edge in (([(0, 1, 2)], r"\(0, 1\)"),
+                            ([(0, 1, 2), (0, 2, 3), (0, 3, 1)], r"\(1, 2\)")):
+            with pytest.raises(ValueError, match=f"directed edge {edge} has no reverse"):
+                Triangulation.from_oriented_faces(faces)
+
     def test_euler_failure_reported(self):
         # a map on the torus: one vertex, two loops, one square face, and
         # two components whose Euler characteristics sum to 2
@@ -262,17 +280,6 @@ class TestCanonical:
         for t in (a, b, tetrahedron_and_torus()):
             with pytest.raises(ValueError, match="not connected"):
                 t.canonical_code()
-
-    def test_traversal_bound(self):
-        # with a bound, the search reports a root code below it, or None
-        for t in enumerate_triangulations(EnumerationQuery(7)):
-            args = t.sigma, t.alpha
-            least = t.canonical_code()
-            darts = range(t.n_darts)
-            codes = {canonical_traversal(*args, [d]) for d in darts}
-            assert canonical_traversal(*args, darts, least) is None
-            for code in codes - {least}:
-                assert least <= canonical_traversal(*args, darts, code) < code
 
     def test_traversal_refuses_disconnected_darts(self):
         # the dart arrays alone, as the enumerator passes them, with a
