@@ -117,8 +117,8 @@ def load_input(spec: str, check: bool = True):
     """Load a fixture:NAME or a file; see parse_input for the result.
 
     A triangulation file that is not a valid sphere triangulation raises
-    ValueError naming its diagnostics (``Triangulation.require_valid``),
-    unless ``check`` is False (the validate command reports them itself).  Every error but an unreadable
+    ValueError naming its diagnostics, unless ``check`` is False (the
+    validate command reports them itself).  Every error but an unreadable
     file's is prefixed with the file name.
     """
     if spec.startswith("fixture:"):
