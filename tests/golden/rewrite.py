@@ -33,6 +33,10 @@ CASES = {
        for name in fixtures.GRAPHS},
     **{f"systole-{name}": ["--json", "systole", f"fixture:{name}",
                            "--trace-bound", "14"] for name in ("a7", "b7")},
+    # the certified ten-cusp sweeps: witness words and prune counters
+    **{f"systole-{name}": ["--json", "systole", f"fixture:{name}",
+                           "--trace-bound", "18"]
+       for name in ("gamma10", "alpha10")},
     # a two-generator file, swept without a "diameter", with one and with
     # a decimal one (0.3) that no binary float holds
     **{f"systole-{stem}": ["--json", "systole", str(INPUTS / f"{stem}.json")]

@@ -419,6 +419,28 @@ class TestMatrixGroup:
         with pytest.raises(ValueError, match="relation"):
             systole_matrix_group(fixtures.GAMMA11, 18, diameter=diameter)
 
+    @pytest.mark.parametrize("gens,bound,message", [
+        # the 13 published GAMMA11 matrices: 12 = 2 8^-1 4^-1
+        (fixtures.GAMMA11, 18, "the generators satisfy a relation, so they "
+         "are not a free basis: the words 4^-1 12^-1 and 8^1 2^-1 give the "
+         "same element"),
+        ({1: fixtures.A7[2], 2: fixtures.A7[2]}, 14, "the generators satisfy "
+         "a relation, so they are not a free basis: the words 1^1 and 2^1 "
+         "give the same element"),
+        # 1^1 1^1 2^1 is the rotation (3/5, -4/5; 4/5, 3/5)
+        ({1: MoebiusMap(4, 0, 0, Q(1, 4)),
+          2: MoebiusMap(Q(3, 80), Q(-1, 20), Q(64, 5), Q(48, 5))}, 18,
+         "the group is not discrete: the word 1^1 1^1 2^1 has trace 6/5, "
+         "an elliptic of infinite order"),
+    ], ids=["gamma11-relation", "repeated-generator", "infinite-order"])
+    def test_refusal_spells_words_in_full(self, gens, bound, message):
+        """The words in a refusal are spelled letter for letter."""
+        diameter = (fixtures.generator_set("gamma11")[1]
+                    if gens is fixtures.GAMMA11 else 1.0)
+        with pytest.raises(ValueError) as err:
+            systole_matrix_group(gens, bound, diameter=diameter)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("diameter", [math.nan, math.inf, -5, "abc",
                                           True])
     def test_diameter_must_be_finite_nonnegative(self, diameter):
