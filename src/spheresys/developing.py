@@ -144,7 +144,8 @@ def _farey_third(x: Frac, y: Frac, old: Frac) -> Frac:
     if len(candidates) != 1:
         raise AssertionError(f"ambiguous development across ({x}, {y})")
     third = candidates[0]
-    assert farey_adjacent(third, x) and farey_adjacent(third, y)
+    if not (farey_adjacent(third, x) and farey_adjacent(third, y)):
+        raise AssertionError(f"{third} is not a Farey neighbor of {x} and {y}")
     return third
 
 
@@ -155,14 +156,16 @@ def _pairing_from_pairs(src: Tuple[Frac, Frac], dst: Tuple[Frac, Frac]) -> Moebi
     b = (x2.p, y2.p, x2.q, y2.q)
     det_a = a[0] * a[3] - a[1] * a[2]
     det_b = b[0] * b[3] - b[1] * b[2]
-    assert abs(det_a) == 1 and abs(det_b) == 1
+    if abs(det_a) != 1 or abs(det_b) != 1:
+        raise AssertionError(f"{src} or {dst} is not a Farey edge")
     if det_a != det_b:
         b = (-b[0], b[1], -b[2], b[3])
         det_b = -det_b
     # m = B * A^{-1} with A = (a0 a1; a2 a3)
     inv = (det_a * a[3], -det_a * a[1], -det_a * a[2], det_a * a[0])
     m = MoebiusMap(*mat_mul(b, inv))
-    assert m(x1) == x2 and m(y1) == y2
+    if m(x1) != x2 or m(y1) != y2:
+        raise AssertionError(f"the pairing does not send {src} to {dst}")
     return m
 
 
@@ -237,20 +240,26 @@ def develop(g: Triangulation, tree: SpanningTree,
         set_label(qq, third)
         face_done[f] = True
         queue.extend([dd, pp, qq])
-    assert all(face_done), "development did not reach every face"
-    assert all(l is not None for l in labels)
+    if not all(face_done) or any(l is None for l in labels):
+        raise AssertionError("development did not reach every face")
 
     # each face must be a Farey triangle
     for cycle in g.faces:
         a, b, c = (labels[d] for d in cycle)
-        assert farey_adjacent(a, b) and farey_adjacent(b, c) and farey_adjacent(a, c)
+        if not (farey_adjacent(a, b) and farey_adjacent(b, c)
+                and farey_adjacent(a, c)):
+            raise AssertionError(f"face {cycle}: ({a}, {b}, {c}) is not a "
+                                 f"Farey triangle")
 
     # label-count invariant: distinct labels per vertex = tree degree
     per_vertex: Dict[int, set] = {w: set() for w in range(g.n_vertices)}
     for d in range(g.n_darts):
         per_vertex[g.origin[d]].add(labels[d])
     for w in range(g.n_vertices):
-        assert len(per_vertex[w]) == tree.tree_degree[w]
+        if len(per_vertex[w]) != tree.tree_degree[w]:
+            raise AssertionError(f"vertex {w} has {len(per_vertex[w])} "
+                                 f"labels, not its tree degree "
+                                 f"{tree.tree_degree[w]}")
 
     polygon = sorted(l for l in set(labels) if l != INF) + [INF]
 

@@ -60,7 +60,13 @@ class GeodesicWitness:
 # and the octahedron take about 1.2 s each (Python 3.11, 2-vCPU VM).
 MAX_WALK_TRACE_BOUND = 300
 
-MAX_SWEEP_STATES = 2_000_000  # the most elements a sweep explores
+# The most elements a sweep explores.  An element costs its canonical
+# tuple, its seen-set slot, and its list and parent-array entries.  As
+# growth of the peak RSS that is 218 B for GAMMA10 at bound 18, 253 B for
+# the 893,969-element eleven-cusp sweep at bound 30 and 302 B for
+# ALPHA10's rationals, so the cap costs 0.45-0.6 GB (Python 3.11, 64-bit
+# Linux).
+MAX_SWEEP_STATES = 2_000_000
 
 
 def _cyclic_key(seq: Tuple, rev: Tuple) -> Tuple:
@@ -353,11 +359,17 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     ``_prefilter``, which rejects only products the exact test would
     reject, so the filter changes no explored element, witness or trace.
 
-    An explored element is kept as its ``canonical_entries`` tuple, and
-    maps are built only for the witnesses.  Each product tried is
-    rejected by the filter or the exact test, or explored, or finds the
-    cap full (at most once).  An empty generator set raises ValueError:
-    the trivial group has no class to sweep, so nothing to certify.
+    An explored element is kept as its ``canonical_entries`` tuple, in
+    the seen set and in a list in BFS order, with two array entries: its
+    parent's index and its last move's index.  So a BFS level is a range
+    of indices, the moves that may follow an element are looked up by
+    its last move, and a word is rebuilt from the parent chain only
+    where it is printed or compared: for the candidates below the bound
+    and in the two errors.  Maps are built only for the witnesses.  Each
+    product tried is rejected by the filter or the exact test, or
+    explored, or finds the cap full (at most once).  An empty generator
+    set raises ValueError: the trivial group has no class to sweep, so
+    nothing to certify.
 
     An explored element with |trace| < 2 other than 0 or 1 raises
     ValueError: by Niven's theorem it has infinite order, since a
@@ -390,34 +402,49 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
         steps[(lab, 1)] = m
         steps[(lab, -1)] = m.inverse()
     bound_num, bound_den = trace_bound.numerator, trace_bound.denominator
-    # (token, its integer entries, its float pre-filter); a move the
+    tokens = list(steps)
+    # (move index, its integer entries, its float pre-filter); a move the
     # filter does not apply to gets H = 0 and an infinite threshold, so
     # it never rejects
-    moves = [(tok, t.quad, t.den, *(_prefilter(t, cap_float)
-                                    or (0.0, 0.0, 0.0, math.inf)))
-             for tok, t in steps.items()]
-    # the moves that may follow a word's last token: all but its inverse
-    moves_after = {None: moves}
-    for lab, exp in steps:
-        moves_after[lab, exp] = [m for m in moves if m[0] != (lab, -exp)]
+    moves = [(k, t.quad, t.den, *(_prefilter(t, cap_float)
+                                  or (0.0, 0.0, 0.0, math.inf)))
+             for k, t in enumerate(steps.values())]
+    # the moves that may follow move k: all but its inverse; the
+    # identity's entry (last move -1) allows every move
+    moves_after = [[m for m in moves if tokens[m[0]] != (lab, -exp)]
+                   for lab, exp in tokens] + [moves]
+
+    from array import array     # about 160 kB to load; only a sweep needs it
 
     state_limit = MAX_SWEEP_STATES  # a local: read once per call
     identity = (1, 0, 0, 1, 1)
-    seen = {identity: ()}
-    frontier = [(identity, ())]
+    # explored element i is states[i]; its word is its parent's word
+    # followed by tokens[last_move[i]]
+    states = [identity]
+    seen = {identity}
+    parent, last_move = array("i", [0]), array("i", [-1])
+
+    def word(i: int) -> Tuple:
+        letters = []
+        while i:
+            letters.append(tokens[last_move[i]])
+            i = parent[i]
+        return tuple(reversed(letters))
+
     exhausted = True
-    candidates: Dict[Tuple, Tuple] = {}
+    candidates = []         # explored hyperbolics below the bound, by index
     min_above = None        # least |trace| above the bound, as (num, den)
     tried = passed = exact_rejects = 0      # passed: past the float filter
+    start, stop = 0, 1      # the current level is states[start:stop]
 
-    while frontier and exhausted:
-        nxt = []
-        for s, word in frontier:
-            follow = moves_after[word[-1] if word else None]
+    while start < stop and exhausted:
+        for i in range(start, stop):
+            follow = moves_after[last_move[i]]
             tried += len(follow)
+            s = states[i]
             quad, den = s[:4], s[4]
             g11, g12, g22 = _gram(quad, den)
-            for tok, t_quad, t_den, h11, h12x2, h22, threshold in follow:
+            for k, t_quad, t_den, h11, h12x2, h22, threshold in follow:
                 if g11 * h11 + g12 * h12x2 + g22 * h22 > threshold:
                     continue
                 passed += 1
@@ -427,44 +454,48 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
                     exact_rejects += 1
                     continue
                 ns = canonical_entries(*prod, prod_den)
-                nword = word + (tok,)
                 if ns in seen:
                     raise ValueError(
                         f"the generators satisfy a relation, so they are "
-                        f"not a free basis: the words {_spell(seen[ns])} and "
-                        f"{_spell(nword)} give the same element")
-                if len(seen) >= state_limit:
+                        f"not a free basis: the words "
+                        f"{_spell(word(states.index(ns)))} and "
+                        f"{_spell(word(i) + (tokens[k],))} give the same "
+                        f"element")
+                if len(states) >= state_limit:
                     exhausted = False
                     # the moves after this one were never tried
-                    tried -= len(follow) - 1 - [m[0] for m in follow].index(tok)
+                    tried -= len(follow) - 1 - [m[0] for m in follow].index(k)
                     break
-                seen[ns] = nword
-                nxt.append((ns, nword))
+                seen.add(ns)
+                states.append(ns)
+                parent.append(i)
+                last_move.append(k)
                 na, _, _, nd, nden = ns
                 tr = abs(na + nd)
                 if tr > 2 * nden:
                     if tr * bound_den <= bound_num * nden:
-                        candidates[nword] = ns
+                        candidates.append(len(states) - 1)
                     elif (min_above is None
                           or tr * min_above[1] < min_above[0] * nden):
                         min_above = (tr, nden)
                 elif tr < 2 * nden and tr not in (0, nden):
                     raise ValueError(
-                        f"the group is not discrete: the word {_spell(nword)} "
-                        f"has trace {Q(na + nd, nden)}, an elliptic of "
-                        f"infinite order")
+                        f"the group is not discrete: the word "
+                        f"{_spell(word(len(states) - 1))} has trace "
+                        f"{Q(na + nd, nden)}, an elliptic of infinite order")
             if not exhausted:
                 break
-        frontier = nxt
+        start, stop = stop, len(states)
 
     # each class's witness is its shortest word, ties broken by spelling
+    words = {word(i): states[i] for i in candidates}
     classes: Dict[Tuple, Tuple] = {}
-    for word in sorted(candidates, key=lambda w: (len(w), str(w))):
-        classes.setdefault(_class_key(word), word)
+    for w in sorted(words, key=lambda w: (len(w), str(w))):
+        classes.setdefault(_class_key(w), w)
     witnesses = []
-    for word in classes.values():
-        s = MoebiusMap(*candidates[word])
-        witnesses.append(GeodesicWitness(word, s, s.trace,
+    for w in classes.values():
+        s = MoebiusMap(*words[w])
+        witnesses.append(GeodesicWitness(w, s, s.trace,
                                          trace_to_length(abs(s.trace))))
     witnesses.sort(key=lambda w: (abs(w.trace), len(w.word), str(w.word)))
     return MatrixSearchReport(
@@ -473,7 +504,7 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
         trace_bound=trace_bound,
         diameter=float(diam) if certified else None,
         horizon=horizon,
-        states_explored=len(seen),
+        states_explored=len(states),
         min_trace_above_bound=None if min_above is None else Q(*min_above),
         products_tried=tried,
         filter_rejects=tried - passed,

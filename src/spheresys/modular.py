@@ -252,7 +252,9 @@ def parabolic_product_trace(m1: int, m2: int) -> int:
     closed_form = abs(m1 * m2 - 2)
     product = cusp_parabolic(INF, m1) * cusp_parabolic(Frac(0), m2)
     by_matrix = abs(product.trace)
-    assert by_matrix == closed_form, (m1, m2, by_matrix, closed_form)
+    if by_matrix != closed_form:
+        raise AssertionError(f"widths {m1}, {m2}: trace {by_matrix} by "
+                             f"matrices, {closed_form} in closed form")
     return closed_form
 
 
@@ -281,6 +283,7 @@ def cusp_parabolic(cusp: Frac, width: int) -> MoebiusMap:
     p, q = cusp.p, cusp.q
     result = MoebiusMap(1 - width * p * q, width * p * p,
                         -width * q * q, 1 + width * p * q)
-    assert result.is_parabolic
-    assert result(cusp) == cusp
+    if not result.is_parabolic or result(cusp) != cusp:
+        raise AssertionError(f"the width-{width} map at {cusp} is not a "
+                             f"parabolic fixing it")
     return result

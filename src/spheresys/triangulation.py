@@ -97,12 +97,13 @@ class Triangulation:
         """Build from oriented triangles: each directed edge once, and its reverse."""
         face_of_dart = {}
         for f in faces:
-            k = len(f)
-            for i in range(k):
-                key = (f[i], f[(i + 1) % k])
+            if len(f) != 3:
+                raise ValueError(f"face {tuple(f)} has {len(f)} vertices, not 3")
+            for i in range(3):
+                key = (f[i], f[(i + 1) % 3])
                 if key in face_of_dart:
                     raise ValueError(f"directed edge {key} appears twice; orientation inconsistent")
-                face_of_dart[key] = (f[(i + 2) % k],)
+                face_of_dart[key] = (f[(i + 2) % 3],)
         for u, v in face_of_dart:
             if (v, u) not in face_of_dart:
                 raise ValueError(f"directed edge {(u, v)} has no reverse; the faces do not close up")

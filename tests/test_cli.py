@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -383,6 +384,18 @@ class TestGolden:
         "name", [n for n in GOLDEN_CASES if not n.startswith("systole-")])
     def test_json(self, capsys, name):
         self.check(capsys, name)
+
+
+class TestNoAssertStatements:
+    def test_package_checks_survive_optimize(self):
+        """``python -O`` drops assert statements, so every check in the
+        package raises AssertionError explicitly instead."""
+        package = pathlib.Path(cli.__file__).parent
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
 
 
 class TestConsoleScripts:

@@ -3,7 +3,10 @@ import decimal
 import functools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 from itertools import accumulate, permutations
 from unittest import mock
@@ -502,6 +505,35 @@ class TestMatrixGroup:
             capped = systole_matrix_group(gens, 14, diameter=1.0)
         assert (capped.states_explored, capped.products_tried,
                 capped.filter_rejects, capped.exact_rejects) == (38, 110, 72, 0)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the peak RSS from /proc/self/status")
+    def test_memory_per_explored_element(self):
+        """The GAMMA10 sweep at bound 18 raises the peak RSS of a fresh
+        process by at most 260 bytes per explored element: the element's
+        canonical tuple with its place in the seen set and the BFS list,
+        and two array entries for its parent and last move (about 220 B).
+        Keeping a word tuple per element as well takes it past 310.
+        The peak is VmHWM, not ru_maxrss, which a child process inherits
+        from the test process that forked it."""
+        script = "\n".join([
+            "import pathlib, re",
+            "from spheresys import fixtures, geodesics",
+            "def peak():",
+            "    text = pathlib.Path('/proc/self/status').read_text()",
+            "    return int(re.search(r'VmHWM:\\s*(\\d+) kB', text)[1])",
+            "gens, diameter = fixtures.generator_set('gamma10')",
+            "before = peak()",
+            "rep = geodesics.systole_matrix_group(gens, 18, diameter=diameter)",
+            "print(rep.states_explored, (peak() - before) * 1024)",
+        ])
+        src = os.path.dirname(os.path.dirname(geodesics.__file__))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        states, grown = map(int, proc.stdout.split())
+        assert states == 124766
+        assert grown / states <= 260
 
     def test_no_cosh_on_certified_path(self):
         """The cap is exact arithmetic: with math.cosh and math.exp

@@ -178,6 +178,12 @@ class TestDegenerateExamples:
             with pytest.raises(ValueError, match=f"directed edge {edge} has no reverse"):
                 Triangulation.from_oriented_faces(faces)
 
+    def test_face_that_is_not_a_triangle_rejected(self):
+        for faces, face in (([(0, 1, 2, 3), (3, 2, 1, 0)], r"\(0, 1, 2, 3\)"),
+                            ([(0, 1), (1, 0)], r"\(0, 1\)")):
+            with pytest.raises(ValueError, match=f"face {face} has"):
+                Triangulation.from_oriented_faces(faces)
+
     def test_euler_failure_reported(self):
         # a map on the torus: one vertex, two loops, one square face, and
         # two components whose Euler characteristics sum to 2
