@@ -1,3 +1,4 @@
+import hashlib
 import os
 import resource
 import subprocess
@@ -217,6 +218,21 @@ class TestLevels:
                             child = [changed.get(a, r) for a, r in enumerate(rot)]
                             assert child + [changed[n]] == split_vertex(rot, v, i, j)
                             assert all(changed[a] != rot[a] for a in changed if a < n)
+
+    def test_levels_digest(self):
+        # every class of levels 4..11 by value, in insertion order, with
+        # the level's counts and neighbor_lists' order: a change to how
+        # a level is stored leaves this digest as it is
+        digest = hashlib.sha256()
+        for n in range(4, 12):
+            level, counts = enumeration._classes(n)
+            rows = [[tuple(r) for r in rot]
+                    for rot in enumeration.neighbor_lists(EnumerationQuery(n))]
+            digest.update(repr(([(tuple(code), [tuple(r) for r in rot])
+                                 for code, rot in level.items()],
+                                counts, rows)).encode())
+        assert digest.hexdigest() == (
+            "80d4e8c82b5bfcb33ef84aae16eb82a6d9fceb673a17bd4d50713660ede0afc9")
 
     def test_class_from_two_parents_raises(self, monkeypatch):
         # with a rank test that accepts every split, a class is kept
