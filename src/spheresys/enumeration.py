@@ -60,21 +60,18 @@ def _split_lists(rot, v, i, j):
     The vertex keeps the neighbour arc rot[v][i..j] and a new last vertex
     takes the complementary arc; both also gain each other.  The shared
     arc endpoints see the pair in the orientation-consistent order.
-    Returns {vertex: new tuple} for v, the new vertex, the two shared
-    endpoints and the vertices of the complementary arc, which now see
-    the new vertex in place of v; every other list is unchanged.
+    The lists are bytes.  Returns {vertex: new list} for v, the new
+    vertex, the two shared endpoints and the vertices of the
+    complementary arc, which now see the new vertex in place of v; every
+    other list is unchanged.
     """
     nbrs = rot[v]
-    v2 = len(rot)
-    changed = {v: (*nbrs[i:j + 1], v2), v2: (*nbrs[j:], *nbrs[:i + 1], v)}
+    old, new = bytes((v,)), bytes((len(rot),))
+    changed = {v: nbrs[i:j + 1] + new, len(rot): nbrs[j:] + nbrs[:i + 1] + old}
     for w in nbrs[j + 1:] + nbrs[:i]:
-        r = rot[w]
-        p = r.index(v)
-        changed[w] = r[:p] + (v2,) + r[p + 1:]
-    for w, pair in ((nbrs[i], (v, v2)), (nbrs[j], (v2, v))):
-        r = rot[w]
-        p = r.index(v)
-        changed[w] = r[:p] + pair + r[p + 1:]
+        changed[w] = rot[w].replace(old, new)
+    changed[nbrs[i]] = rot[nbrs[i]].replace(old, old + new)
+    changed[nbrs[j]] = rot[nbrs[j]].replace(old, new + old)
     return changed
 
 
@@ -82,10 +79,11 @@ def _ranked_split(rot, degrees, v, i, j):
     """Split v at (i, j) if no contractible edge ranks below the new edge.
 
     Edges are ranked by the sorted degrees of their ends, then the
-    sorted degrees of their two apexes.  ``degrees`` are the parent's.
-    Returns None, without splitting when the degrees already decide, as
-    soon as a contractible edge ranks strictly lower than the new edge
-    {v, v2}.  Otherwise returns (changed, ties): the split's changed
+    sorted degrees of their two apexes.  ``degrees`` are the parent's,
+    and the caller has checked that no vertex of the child has degree
+    below both ends of the new edge {v, v2} (see _children).  Returns
+    None as soon as a contractible edge ranks strictly lower than the
+    new edge.  Otherwise returns (changed, ties): the split's changed
     lists (see _split_lists) and the child's other contractible edges of
     equal rank as (a, b) pairs.
     """
@@ -97,8 +95,6 @@ def _ranked_split(rot, degrees, v, i, j):
     deg[nbrs[i]] += 1
     deg[nbrs[j]] += 1
     lo, hi = sorted((deg[v], deg[v2]))
-    if lo > min(deg):
-        return None  # every vertex has a contractible edge (see _classes)
     new_key = (lo, hi, *sorted((deg[nbrs[i]], deg[nbrs[j]])))
     new_edge = (v, v2)
     changed = _split_lists(rot, v, i, j)
@@ -122,13 +118,21 @@ def _ranked_split(rot, degrees, v, i, j):
     return changed, ties
 
 
-def _edge_code(child, darts, edges):
+def _edge_code(child, darts, edges) -> bytes:
     """Least traversal code rooted at a dart of one of the given edges.
 
     ``darts`` is ``neighbor_darts(child)``.  The roots are the edges'
     darts leaving a lower-degree end, read with sigma and with its
     inverse, so the code is the same for edges that an isomorphism or a
     reflection maps onto each other.
+
+    The code is bytes, one per traversal label.  A simple triangulation
+    with n vertices has 3n - 6 edges (Euler: n - e + 2e/3 = 2), so
+    6n - 12 darts, and each label is the index of a dart in the
+    traversal order, below 6n - 12 <= 60 for n <= MAX_VERTICES.  Bytes
+    of values below 256 compare lexicographically, as the tuples of
+    ``canonical_traversal`` do, so codes order and tie as those tuples
+    would.  A label past 255 makes bytes() raise ValueError.
     """
     sigma, alpha, _, index = darts
     roots = []
@@ -137,14 +141,15 @@ def _edge_code(child, darts, edges):
             roots.append(index[a, b])
         if len(child[b]) <= len(child[a]):
             roots.append(index[b, a])
-    return canonical_traversal(sigma, alpha, roots)
+    return bytes(canonical_traversal(sigma, alpha, roots))
 
 
 _COUNT_KEYS = ("children", "rejected_by_rank", "edge_codes",
                "sibling_duplicates", "classes")
 
-# Per vertex count: (classes keyed by edge code, generation counts)
-_CLASS_CACHE: Dict[int, Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]] = {}
+# Per vertex count: (classes keyed by edge code, generation counts); a
+# class is its list of neighbour lists, each code and list as bytes
+_CLASS_CACHE: Dict[int, Tuple[Dict[bytes, List[bytes]], Dict[str, int]]] = {}
 
 # A level is generated on one worker per available CPU when its parent
 # level has at least this many classes.  Medians of 5 builds on a 2-CPU
@@ -165,6 +170,14 @@ def _children(size: int, part: slice):
     Returns ([(code, child)], counts) in the order the parents and their
     splits are tried.  Two splits of one parent can give one class;
     only the first is kept and the rest count as sibling duplicates.
+
+    A split whose child has a vertex of degree below lo, the lesser
+    degree of the new edge's ends, is rejected by rank from the parent's
+    degrees alone: every vertex has a contractible edge (see _classes),
+    so one ranks below the new edge.  Only the two shared arc endpoints
+    nbrs[i] and nbrs[j] gain a degree, so with m the least parent degree
+    over w != v, such a vertex exists iff m < lo - 1, or m = lo - 1 and
+    some w of degree m is neither endpoint.
     """
     counts = dict.fromkeys(_COUNT_KEYS, 0)
     kept = []
@@ -173,9 +186,17 @@ def _children(size: int, part: slice):
         codes = set()
         for v in range(size):
             k = degrees[v]
+            m = min(degrees[:v] + degrees[v + 1:])
+            lows = {w for w, d in enumerate(degrees) if d == m and w != v}
+            nbrs = rot[v]
             for i in range(k):
                 for j in range(i + 1, k):
                     counts["children"] += 1
+                    lo = min(j - i, k - j + i) + 2
+                    if m < lo - 1 or (m == lo - 1
+                                      and not lows <= {nbrs[i], nbrs[j]}):
+                        counts["rejected_by_rank"] += 1
+                        continue
                     ranked = _ranked_split(rot, degrees, v, i, j)
                     if ranked is None:
                         counts["rejected_by_rank"] += 1
@@ -234,7 +255,7 @@ def _workers(parents: int) -> int:
 
 def _merge(size: int, results):
     """One level from the (kept, counts) of its slices, in parent order."""
-    nxt: Dict[Tuple, List[Tuple]] = {}
+    nxt: Dict[bytes, List[bytes]] = {}
     counts = dict.fromkeys(_COUNT_KEYS, 0)
     for kept, part_counts in results:
         for key, value in part_counts.items():
@@ -272,7 +293,7 @@ def _level(size: int):
     return level
 
 
-def _classes(n: int) -> Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]:
+def _classes(n: int) -> Tuple[Dict[bytes, List[bytes]], Dict[str, int]]:
     """All simple triangulation classes with n vertices, keyed by edge code.
 
     Canonical construction path (McKay 1998): a child of a vertex split
@@ -316,7 +337,7 @@ def _classes(n: int) -> Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]:
     rest of those lose on code), sibling duplicates and classes.
     """
     if 4 not in _CLASS_CACHE:
-        k4 = [tuple(r) for r in tetrahedron().simple_neighbor_lists()]
+        k4 = [bytes(r) for r in tetrahedron().simple_neighbor_lists()]
         _CLASS_CACHE[4] = ({_edge_code(k4, neighbor_darts(k4), [(0, 1)]): k4},
                            dict.fromkeys(_COUNT_KEYS, 0) | {"classes": 1})
     built = max(s for s in _CLASS_CACHE if s <= n)
@@ -325,8 +346,11 @@ def _classes(n: int) -> Tuple[Dict[Tuple, List[Tuple]], Dict[str, int]]:
     return _CLASS_CACHE[n]
 
 
-def neighbor_lists(q: EnumerationQuery) -> Iterator[List[Tuple]]:
-    """Neighbour lists of the classes that q admits, in key order."""
+def neighbor_lists(q: EnumerationQuery) -> Iterator[List[bytes]]:
+    """Neighbour lists of the classes that q admits, in key order.
+
+    Each class is a list of bytes, vertex w's neighbours in cyclic order.
+    """
     if q.n > MAX_VERTICES:
         raise ResourceLimitError(
             f"simple triangulations enumerated up to {MAX_VERTICES} vertices")

@@ -422,25 +422,31 @@ def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
     The roots are read with sigma and with its inverse (the mirror
     image).  The code describes the whole map only if the traversal
     reaches every dart, so a map with more than one component raises
-    ValueError.
+    ValueError, and so does an empty list of roots.
     """
+    if not roots:
+        raise ValueError("no root dart was given for the traversal")
     n = len(sigma)
     sigma_inv = [0] * n
     for d in range(n):
         sigma_inv[sigma[d]] = d
     best = reached = None
     for rot, root in product((sigma, sigma_inv), roots):
-        found = _root_code(rot, alpha, root, best)
-        if found is not None:
-            best, reached = found
+        code, count = _root_code(rot, alpha, root)
+        if best is None or code < best:
+            best, reached = code, count
     if reached != n:
         raise ValueError("map is not connected: the traversal reaches "
                          f"{reached} of {n} darts")
     return tuple(best)
 
 
-def _root_code(sigma, alpha, root, best):
-    """(code, darts reached) for one rooted, oriented map; None if > best."""
+def _root_code(sigma, alpha, root):
+    """(code, darts reached) for one rooted, oriented map, as a list.
+
+    Lists compare lexicographically, so a code that is a prefix of
+    another (its root's component is smaller) compares lower.
+    """
     label = [-1] * len(sigma)
     label[root] = 0
     order = [root]
@@ -451,14 +457,6 @@ def _root_code(sigma, alpha, root, best):
             if lab < 0:
                 lab = label[nxt] = len(order)
                 order.append(nxt)
-            if best is not None:
-                if len(code) >= len(best):
-                    return None
-                b = best[len(code)]
-                if lab > b:
-                    return None
-                if lab < b:
-                    best = None  # strictly better; stop comparing
             code.append(lab)
     return code, len(order)
 

@@ -216,7 +216,9 @@ class TestLevels:
                         for j in range(i + 1, len(nbrs)):
                             changed = enumeration._split_lists(rot, v, i, j)
                             child = [changed.get(a, r) for a, r in enumerate(rot)]
-                            assert child + [changed[n]] == split_vertex(rot, v, i, j)
+                            child.append(changed[n])
+                            assert ([tuple(r) for r in child]
+                                    == split_vertex(rot, v, i, j))
                             assert all(changed[a] != rot[a] for a in changed if a < n)
 
     def test_levels_digest(self):
@@ -298,6 +300,35 @@ class TestLevels:
                               capture_output=True, text=True, timeout=120,
                               env=env)
         assert (proc.returncode, proc.stderr) == (0, "233\n")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the peak RSS from /proc/self/status")
+    def test_memory_per_class(self):
+        """Building level 11 in process raises the peak RSS of a fresh
+        process by at most 750 bytes per class: its edge code and its
+        neighbour lists as bytes, with the list and the dict entry that
+        hold them (about 560 B).  Tuples of ints take it to 880.  The
+        peak is VmHWM, not ru_maxrss, which a child process inherits
+        from the test process that forked it."""
+        script = "\n".join([
+            "import pathlib, re",
+            "from spheresys import enumeration",
+            "enumeration.PARALLEL_MIN_PARENTS = 10 ** 9  # in process",
+            "def peak():",
+            "    text = pathlib.Path('/proc/self/status').read_text()",
+            "    return int(re.search(r'VmHWM:\\s*(\\d+) kB', text)[1])",
+            "enumeration._classes(10)",
+            "before = peak()",
+            "level = enumeration._classes(11)[0]",
+            "print(len(level), (peak() - before) * 1024)",
+        ])
+        src = os.path.dirname(os.path.dirname(enumeration.__file__))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        classes, grown = map(int, proc.stdout.split())
+        assert classes == KNOWN_COUNTS[11]
+        assert grown / classes <= 750
 
     def test_import_leaves_multiprocessing_out(self):
         # it takes about 23 ms to import, and only a large level needs it

@@ -297,6 +297,13 @@ class TestCanonical:
             with pytest.raises(ValueError, match="not connected"):
                 canonical_traversal(t.sigma, t.alpha, roots)
 
+    def test_traversal_refuses_no_roots(self):
+        # a connected map with no root: the refusal names the roots,
+        # not the connectivity
+        t = tetrahedron()
+        with pytest.raises(ValueError, match="no root dart"):
+            canonical_traversal(t.sigma, t.alpha, [])
+
 
 class TestSerialization:
     def test_text_roundtrip(self):
