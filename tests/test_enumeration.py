@@ -237,9 +237,9 @@ class TestLevels:
             "80d4e8c82b5bfcb33ef84aae16eb82a6d9fceb673a17bd4d50713660ede0afc9")
 
     def test_class_from_two_parents_raises(self, monkeypatch):
-        # with a rank test that accepts every split, a class is kept
-        # once per orbit of new edges, so the next level has isomorphic
-        # parents, which give equal codes
+        # with a rank test that accepts every split the degrees allow,
+        # a class is kept once per orbit of new edges, so the next level
+        # has isomorphic parents, which give equal codes
         monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
         monkeypatch.setattr(
             enumeration, "_ranked_split",
