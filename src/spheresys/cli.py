@@ -23,8 +23,8 @@ from .developing import SpanningTree, develop, generators, \
     check_cusp_parabolics, render_polygon
 from .enumeration import (EnumerationQuery, enumerate_triangulations,
                           neighbor_lists, verify_proposition)
-from .geodesics import (ResourceLimitError, systole_combinatorial,
-                        systole_matrix_group)
+from .geodesics import (ResourceLimitError, check_diameter,
+                        systole_combinatorial, systole_matrix_group)
 from .modular import Frac, MoebiusMap, schmutz_bound, trace_to_length
 from .triangulation import Triangulation
 
@@ -105,12 +105,18 @@ def parse_input(text: str):
                 f"{MAX_ENTRY_SIZE} characters or has a larger exponent")
         try:
             gens[lab] = MoebiusMap(*quad)
-        except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        except ZeroDivisionError:
+            raise ValueError(f"generator {lab!r}: an entry has denominator 0")
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"generator {lab!r}: {exc}")
     if _oversized(diameter := data.get("diameter")):
         raise ValueError(f"the diameter is longer than {MAX_ENTRY_SIZE} "
                          f"characters or has a larger exponent")
-    return gens, Q(diameter) if isinstance(diameter, Decimal) else diameter
+    if isinstance(diameter, Decimal):
+        diameter = Q(diameter)
+    if diameter is not None:
+        check_diameter(diameter)
+    return gens, diameter
 
 
 def load_input(spec: str, check: bool = True):

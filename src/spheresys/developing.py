@@ -326,11 +326,9 @@ def check_cusp_parabolics(dev: Development) -> bool:
 def render_polygon(dev: Development) -> str:
     """Upper-half-plane SVG of the developed Farey triangles."""
     width, height = 800, 400
-    if not dev.polygon:
-        raise ValueError("empty development")
     finite = [x.as_rational() for x in dev.polygon if x != INF]
     lo, hi = min(finite), max(finite)
-    span = float(hi - lo) or 1.0
+    span = float(hi - lo)
     margin = 0.05 * span
     scale = width / (span + 2 * margin)
 

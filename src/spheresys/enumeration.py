@@ -153,11 +153,11 @@ _CLASS_CACHE: Dict[int, Tuple[Dict[bytes, List[bytes]], Dict[str, int]]] = {}
 
 # A level is generated on one worker per available CPU when its parent
 # level has at least this many classes.  Medians of 5 builds on a 2-CPU
-# host (Python 3.11), in this process -> on two forked workers: level 9
-# (14 parents) 31 -> 45-51 ms, level 10 (50 parents) 97 -> 90-101 ms,
-# level 11 (233 parents) 484 -> 297 ms, level 12 (1,249 parents)
-# 2.35 -> 1.48 s.  Starting the pool costs about as much as level 10
-# saves, so levels up to 10 stay in process.
+# host (Python 3.11), in this process -> on two forked workers, over two
+# runs: level 9 (14 parents) 21-30 -> 39-50 ms, level 10 (50 parents)
+# 64-90 -> 90-117 ms, level 11 (233 parents) 276-278 -> 195-218 ms,
+# level 12 (1,249 parents) 1.68-1.97 -> 0.98-1.03 s.  Starting the pool
+# costs more than level 10 saves, so levels up to 10 stay in process.
 PARALLEL_MIN_PARENTS = 200
 # Contiguous slices per worker, so that the last slice to finish leaves
 # the other workers idle only briefly (4 and 8 timed the same).

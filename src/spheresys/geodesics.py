@@ -30,6 +30,7 @@ __all__ = [
     "GeodesicWitness",
     "MatrixSearchReport",
     "ResourceLimitError",
+    "check_diameter",
     "enumerate_geodesics_combinatorial",
     "systole_combinatorial",
     "systole_matrix_group",
@@ -328,6 +329,14 @@ def _class_key(word: Tuple) -> Tuple:
     return _cyclic_key(word, tuple((lab, -exp) for lab, exp in reversed(word)))
 
 
+def check_diameter(diameter) -> None:
+    """Raise ValueError unless the diameter is a finite real number >= 0."""
+    if isinstance(diameter, bool) or not isinstance(diameter, Real):
+        raise ValueError(f"diameter must be a real number, not {diameter!r}")
+    if not 0 <= diameter < math.inf:
+        raise ValueError(f"diameter must be finite and >= 0, not {diameter}")
+
+
 def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
                          diameter: Optional[float] = None
                          ) -> MatrixSearchReport:
@@ -383,11 +392,8 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     if trace_bound <= 2:
         raise ValueError("trace bound must exceed 2")
     certified = diameter is not None
-    if certified and (isinstance(diameter, bool)
-                      or not isinstance(diameter, Real)):
-        raise ValueError(f"diameter must be a real number, not {diameter!r}")
-    if certified and not 0 <= diameter < math.inf:
-        raise ValueError(f"diameter must be finite and >= 0, not {diameter}")
+    if certified:
+        check_diameter(diameter)
     diam = Q(diameter if certified else 1)
     # floats below 2^1000 convert; below 709, 2 cosh(horizon) < 2^1023
     if max(trace_bound, diam) > 2 ** 1000 or (horizon := 2 * math.acosh(

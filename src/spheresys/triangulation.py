@@ -202,13 +202,10 @@ class Triangulation:
 
     def simple_neighbor_lists(self) -> List[List[int]]:
         """Per-vertex cyclic neighbour lists; requires a simple graph."""
-        out = []
-        for v, rot in enumerate(self.vertex_darts):
-            nbrs = [self.head(d) for d in rot]
-            if len(set(nbrs)) != len(nbrs) or v in nbrs:
-                raise ValueError("graph is not simple")
-            out.append(nbrs)
-        return out
+        report = self.validate()
+        if report.has_loops or report.has_duplicate_edges:
+            raise ValueError("graph is not simple")
+        return [[self.head(d) for d in rot] for rot in self.vertex_darts]
 
     # -- validation ----------------------------------------------------
 
@@ -217,7 +214,13 @@ class Triangulation:
         for f, cycle in enumerate(self.faces):
             if len(cycle) != 3:
                 diagnostics.append(f"non-triangular face {f} with {len(cycle)} sides")
-        components = self._component_count()
+        # each traversal from the least unvisited dart spans one component
+        unvisited = set(range(self.n_darts))
+        components = 0
+        while unvisited:
+            components += 1
+            unvisited.difference_update(
+                _root_code(self.sigma, self.alpha, min(unvisited))[1])
         if components != 1:
             diagnostics.append(f"{components} connected components; a sphere has 1")
         euler = self.n_vertices - self.n_edges + self.n_faces
@@ -241,23 +244,6 @@ class Triangulation:
         report = self.validate()
         if not report.ok:
             raise ValueError("invalid triangulation: " + "; ".join(report.diagnostics))
-
-    def _component_count(self) -> int:
-        seen = [False] * self.n_darts
-        count = 0
-        for start in range(self.n_darts):
-            if seen[start]:
-                continue
-            count += 1
-            seen[start] = True
-            stack = [start]
-            while stack:
-                d = stack.pop()
-                for x in (self.sigma[d], self.alpha[d]):
-                    if not seen[x]:
-                        seen[x] = True
-                        stack.append(x)
-        return count
 
     # -- densities ------------------------------------------------------
 
@@ -432,9 +418,9 @@ def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
         sigma_inv[sigma[d]] = d
     best = reached = None
     for rot, root in product((sigma, sigma_inv), roots):
-        code, count = _root_code(rot, alpha, root)
+        code, order = _root_code(rot, alpha, root)
         if best is None or code < best:
-            best, reached = code, count
+            best, reached = code, len(order)
     if reached != n:
         raise ValueError("map is not connected: the traversal reaches "
                          f"{reached} of {n} darts")
@@ -442,7 +428,8 @@ def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
 
 
 def _root_code(sigma, alpha, root):
-    """(code, darts reached) for one rooted, oriented map, as a list.
+    """(code, darts in the order visited) for one rooted, oriented map,
+    as two lists; the darts are the root's component.
 
     Lists compare lexicographically, so a code that is a prefix of
     another (its root's component is smaller) compares lower.
@@ -458,7 +445,7 @@ def _root_code(sigma, alpha, root):
                 lab = label[nxt] = len(order)
                 order.append(nxt)
             code.append(lab)
-    return code, len(order)
+    return code, order
 
 
 # -- fixed small builders -----------------------------------------------

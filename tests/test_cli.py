@@ -354,6 +354,18 @@ class TestClaimTable:
         assert check(*values) == (True, CLAIM_DETAILS[name])
         assert not check(*values[:-1], perturbed(values[-1]))[0]
 
+    # the certified-sweep check, whose rows in the table are all slow
+    @pytest.mark.parametrize("gens_name, classes, detail", [
+        ("a7", 5, "5777 states, 5 classes of |trace| 14, minimum above: 18"),
+        ("b7", 0, "5775 states, 0 classes of |trace| 14, "
+                  "minimum above: 33959/2425"),
+    ])
+    def test_certified_sweep(self, gens_name, classes, detail):
+        assert cli._certified_sweep(gens_name, 14, classes) == (
+            True, "bound 14, diameter 2.99573227355, horizon 11.2592961348, "
+            + detail)
+        assert not cli._certified_sweep(gens_name, 14, classes + 1)[0]
+
     def test_names_and_selectors(self):
         assert [row[0] for row in cli.PAPER_CLAIMS] == list(CLAIM_N)
         expected = {f"n={n}": {name for name, k in CLAIM_N.items() if k == n}
@@ -472,6 +484,23 @@ class TestBadInput:
         one_line_error(capsys, tmp_path, content,
                        "systole", "--trace-bound", "14")
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("content, message", [
+        *(pytest.param(json.dumps({"generators": GENS_14, "diameter": d}),
+                       "diameter must be a real number", id=f"diameter-{d}")
+          for d in ("abc", [1], True)),
+        *(pytest.param(f'{{"generators": {json.dumps(GENS_14)}, '
+                       f'"diameter": {d}}}',
+                       "diameter must be finite and >= 0", id=f"diameter-{d}")
+          for d in ("NaN", "-1")),
+        pytest.param(json.dumps({"generators": {"1": ["1/0", 0, 0, 1]}}),
+                     "generator '1': an entry has denominator 0",
+                     id="zero-denominator"),
+    ])
+    def test_parse_refusal_names_file(self, capsys, tmp_path, content,
+                                      message):
+        err = one_line_error(capsys, tmp_path, content, "systole")
+        assert err.startswith(f"error: {tmp_path / 'input'}: {message}")
 
     def test_undecodable_file_named(self, capsys, tmp_path):
         path = tmp_path / "input"

@@ -153,7 +153,7 @@ class TestCombinatorialSystole:
             enumerate_geodesics_combinatorial(tetrahedron(), limit + 1)
 
     @pytest.mark.parametrize("a_priori", [7, None])
-    def test_doubling_stops_at_limit(self, monkeypatch, a_priori):
+    def test_empty_walk_at_limit_raises(self, monkeypatch, a_priori):
         # the tetrahedron's systole trace is 7; the start is capped at
         # the limit 6, where the walk finds nothing
         monkeypatch.setattr(geodesics, "MAX_WALK_TRACE_BOUND", 6)

@@ -3,8 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spheresys.developing import SpanningTree, develop
 from spheresys.enumeration import EnumerationQuery, enumerate_triangulations
 from spheresys.geodesics import systole_combinatorial
+from spheresys.modular import (INF, cusp_parabolic, lr_word_value,
+                               parabolic_product_trace)
 from spheresys.triangulation import (
     Triangulation,
     bipyramid_with_duplicates,
@@ -193,6 +196,61 @@ class TestDegenerateExamples:
             report = t.validate()
             assert not report.ok and not report.regular
             assert any(diagnostic in d for d in report.diagnostics)
+
+    def test_component_count_diagnostic(self):
+        # the three Platonic maps side by side, and the map with no darts
+        lists = []
+        for t in (tetrahedron(), octahedron(), icosahedron()):
+            lists += [[w + len(lists) for w in r]
+                      for r in t.simple_neighbor_lists()]
+        for t, count in ((Triangulation.from_simple_rotations(lists), 3),
+                         (Triangulation([], [], []), 0)):
+            assert (f"{count} connected components; a sphere has 1"
+                    in t.validate().diagnostics)
+
+
+@pytest.mark.parametrize("call, exception, fragment", [
+    pytest.param(lambda: Triangulation([0], [0, 1], [0]), ValueError,
+                 "must have equal length", id="unequal-arrays"),
+    pytest.param(lambda: Triangulation.from_oriented_faces(
+        [(0, 1, 2), (0, 1, 2)]), ValueError, "appears twice",
+        id="face-twice"),
+    pytest.param(lambda: Triangulation([1, 0], [1, 0], [0, 1]), ValueError,
+                 "preserve dart origins", id="sigma-moves-origin"),
+    pytest.param(lambda: Triangulation([1, 0, 3, 2], [2, 3, 0, 1],
+                                       [0, 0, 2, 2]), ValueError,
+                 "vertex 1 has no darts", id="vertex-without-darts"),
+    pytest.param(lambda: example_loop().simple_neighbor_lists(), ValueError,
+                 "graph is not simple", id="loop-not-simple"),
+    pytest.param(lambda: bipyramid_with_duplicates(2).simple_neighbor_lists(),
+                 ValueError, "graph is not simple", id="duplicate-not-simple"),
+    pytest.param(lambda: tetrahedron().stellate([0, 0]), ValueError,
+                 "must be distinct", id="stellate-repeated-face"),
+    pytest.param(lambda: tetrahedron().stellate([4]), ValueError,
+                 "unknown face id 4", id="stellate-unknown-face"),
+    # the torus map with one vertex, two loops and one square face
+    pytest.param(lambda: Triangulation.from_rotation_lists(
+        [[0, 2, 1, 3]], [(0, 1), (2, 3)]).stellate([0]), ValueError,
+        "only stellate triangular", id="stellate-square"),
+    pytest.param(lambda: bipyramid_with_duplicates(1), ValueError,
+                 "at least two parallel edges", id="bipyramid-one-edge"),
+    pytest.param(lambda: EnumerationQuery(4, min_degree=0), ValueError,
+                 "min_degree must be >= 1", id="min-degree-zero"),
+    pytest.param(lambda: develop(tetrahedron(),
+                                 SpanningTree.bfs_tree(tetrahedron())),
+                 ValueError, "does not belong", id="develop-foreign-tree"),
+    pytest.param(lambda: INF.as_rational(), ZeroDivisionError,
+                 "infinity has no rational value", id="infinity-rational"),
+    pytest.param(lambda: cusp_parabolic(INF, 0), ValueError,
+                 "width must be positive", id="cusp-width-zero"),
+    pytest.param(lambda: parabolic_product_trace(0, 3), ValueError,
+                 "widths must be positive", id="product-width-zero"),
+    pytest.param(lambda: lr_word_value("LX"), ValueError,
+                 "unknown turn letter 'X'", id="turn-letter"),
+])
+def test_refusal(call, exception, fragment):
+    with pytest.raises(exception, match=fragment):
+        call()
 
 
 def systole_words(g):
