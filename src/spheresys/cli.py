@@ -71,20 +71,35 @@ def to_json(obj) -> str:
 MAX_ENTRY_SIZE = 1000
 
 
-def _oversized(entry) -> bool:
-    text = str(entry)
-    if len(text) > MAX_ENTRY_SIZE:
-        return True
+def _exact(value, what: str, rule: str) -> Q:
+    """A JSON number or numeric string as Fraction reads its text (0.1
+    and "1/10" are 1/10).  Each refusal is a ValueError that starts with
+    ``what``, and says a value that is not finite must be ``rule``."""
+    if isinstance(value, float):         # JSON's NaN, Infinity and -Infinity
+        raise ValueError(f"{what} must be {rule}, not {value}")
+    text = str(value)
     try:
-        return abs(int(text.lower().partition("e")[2] or 0)) > MAX_ENTRY_SIZE
+        exponent = abs(int(text.lower().partition("e")[2] or 0))
     except ValueError:
-        return False             # not a decimal exponent; Fraction decides
+        exponent = 0             # not a decimal exponent; Fraction decides
+    if len(text) > MAX_ENTRY_SIZE or exponent > MAX_ENTRY_SIZE:
+        raise ValueError(f"{what} is longer than {MAX_ENTRY_SIZE} characters "
+                         f"or has a larger exponent")
+    try:
+        if not isinstance(value, bool):  # Fraction would read true as 1
+            return Q(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} has denominator 0") from None
+    except (TypeError, ValueError):      # null, a list, a dict or bad text
+        pass
+    raise ValueError(f"{what} must be a real number, not {value!r}: JSON "
+                     f"numbers and numeric strings are read, booleans are not")
 
 
 def parse_input(text: str):
     """A Triangulation from rotation text, or (generators, diameter|None)
-    from generator JSON, whose numbers are read exactly from their decimal
-    text (0.1 is 1/10); malformed input raises ValueError."""
+    from generator JSON; every entry and the diameter is read by
+    ``_exact``, and malformed input raises ValueError."""
     if not text.lstrip().startswith("{"):
         return Triangulation.from_text(text)
     data = json.loads(text, parse_float=Decimal)
@@ -96,25 +111,14 @@ def parse_input(text: str):
     for lab, quad in quads.items():
         if not isinstance(quad, list) or len(quad) != 4:
             raise ValueError(f"generator {lab!r}: expected four entries")
-        if any(isinstance(entry, bool) for entry in quad):
-            raise ValueError(f"generator {lab!r}: entries are strings "
-                             f"or numbers, not booleans")
-        if any(_oversized(entry) for entry in quad):
-            raise ValueError(
-                f"generator {lab!r}: an entry is longer than "
-                f"{MAX_ENTRY_SIZE} characters or has a larger exponent")
+        entries = [_exact(x, f"generator {lab!r}: an entry", "finite")
+                   for x in quad]
         try:
-            gens[lab] = MoebiusMap(*quad)
-        except ZeroDivisionError:
-            raise ValueError(f"generator {lab!r}: an entry has denominator 0")
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"generator {lab!r}: {exc}")
-    if _oversized(diameter := data.get("diameter")):
-        raise ValueError(f"the diameter is longer than {MAX_ENTRY_SIZE} "
-                         f"characters or has a larger exponent")
-    if isinstance(diameter, Decimal):
-        diameter = Q(diameter)
-    if diameter is not None:
+            gens[lab] = MoebiusMap(*entries)
+        except ValueError as exc:        # the determinant is not 1
+            raise ValueError(f"generator {lab!r}: {exc}") from None
+    if (diameter := data.get("diameter")) is not None:
+        diameter = _exact(diameter, "diameter", "finite and >= 0")
         check_diameter(diameter)
     return gens, diameter
 

@@ -128,13 +128,6 @@ class Development:
     def face_labels(self, f: int) -> Tuple[Frac, ...]:
         return tuple(self.corner_labels[d] for d in self.g.faces[f])
 
-    def side_label_pairs(self, e: int):
-        """The two (origin-label, head-label) pairs of a tree edge."""
-        d1, d2 = self.g.edges[e]
-        g = self.g
-        return ((self.corner_labels[d1], self.corner_labels[g.face_next(d1)]),
-                (self.corner_labels[d2], self.corner_labels[g.face_next(d2)]))
-
 
 def _farey_third(x: Frac, y: Frac, old: Frac) -> Frac:
     """The Farey neighbor of edge (x, y) on the far side from `old`."""
@@ -324,7 +317,8 @@ def check_cusp_parabolics(dev: Development) -> bool:
 
 
 def render_polygon(dev: Development) -> str:
-    """Upper-half-plane SVG of the developed Farey triangles."""
+    """Upper-half-plane SVG of the developed Farey triangles, with the
+    polygon's sides, which are the tree edges' sides, drawn thick."""
     width, height = 800, 400
     finite = [x.as_rational() for x in dev.polygon if x != INF]
     lo, hi = min(finite), max(finite)
@@ -335,10 +329,8 @@ def render_polygon(dev: Development) -> str:
     def sx(x):
         return (float(x) - float(lo) + margin) * scale
 
-    tree_sides = set()
-    for e in dev.side_pairings:
-        for pair in dev.side_label_pairs(e):
-            tree_sides.add(frozenset(pair))
+    poly = dev.polygon                   # its sides close up through infinity
+    sides = set(map(frozenset, zip(poly, poly[-1:] + poly)))
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -368,6 +360,6 @@ def render_polygon(dev: Development) -> str:
             if key in drawn:
                 continue
             drawn.add(key)
-            emit(a, b, key in tree_sides)
+            emit(a, b, key in sides)
     parts.append("</svg>")
     return "\n".join(parts)

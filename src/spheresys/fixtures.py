@@ -281,6 +281,8 @@ GENERATOR_SETS = {
 def generator_set(name: str):
     """(generators, certified search diameter) of a ``GENERATOR_SETS``
     entry: the diameter is the polygon proxy of its development."""
+    if name not in GENERATOR_SETS:
+        raise ValueError(f"unknown generator set name {name!r}")
     gens, dev_name = GENERATOR_SETS[name]
     return gens, polygon_diameter_proxy(develop(*named_development(dev_name)))
 

@@ -37,11 +37,13 @@ CASES = {
     **{f"systole-{name}": ["--json", "systole", f"fixture:{name}",
                            "--trace-bound", "18"]
        for name in ("gamma10", "alpha10")},
-    # a two-generator file, swept without a "diameter", with one and with
-    # a decimal one (0.3) that no binary float holds
+    # a two-generator file, swept without a "diameter", with one, with a
+    # decimal one (0.3) that no binary float holds, and with the string
+    # "3/10", read as an entry is, whose output equals the decimal one's
     **{f"systole-{stem}": ["--json", "systole", str(INPUTS / f"{stem}.json")]
        for stem in ("two-generators", "two-generators-diameter",
-                    "two-generators-decimal-diameter")},
+                    "two-generators-decimal-diameter",
+                    "two-generators-string-diameter")},
     "develop-ten-tree": ["--json", "develop", "fixture:ten",
                          "--tree", TEN_TREE, "--seed-edge", "3-4"],
 }

@@ -397,6 +397,12 @@ class TestGolden:
     def test_json(self, capsys, name):
         self.check(capsys, name)
 
+    def test_string_diameter_as_decimal(self):
+        # "3/10" and 0.3 are one diameter, so the sweeps print alike
+        assert ((GOLDEN / "systole-two-generators-string-diameter.json")
+                .read_bytes() == (GOLDEN / "systole-two-generators-"
+                                  "decimal-diameter.json").read_bytes())
+
 
 class TestNoAssertStatements:
     def test_package_checks_survive_optimize(self):
@@ -496,6 +502,13 @@ class TestBadInput:
         pytest.param(json.dumps({"generators": {"1": ["1/0", 0, 0, 1]}}),
                      "generator '1': an entry has denominator 0",
                      id="zero-denominator"),
+        # every other refusal of a generator names it too
+        *(pytest.param(f'{{"generators": {{"1": [{entry}, 0, 0, 1]}}}}',
+                       "generator '1':", id=f"entry-{name}")
+          for name, entry in (("abc", '"abc"'), ("NaN", "NaN"),
+                              ("Infinity", "Infinity"), ("dict", '{"a": 1}'))),
+        pytest.param(json.dumps({"generators": {"1": [1, 2, 3, 4]}}),
+                     "generator '1':", id="determinant--2"),
     ])
     def test_parse_refusal_names_file(self, capsys, tmp_path, content,
                                       message):
@@ -606,6 +619,10 @@ class TestParseInput:
         # a diameter no binary float holds is read exactly too
         assert cli.parse_input('{"generators": {"1": [1, 0, 0, 1]}, '
                                '"diameter": 0.3}')[1] == Q(3, 10)
+        # a string diameter is read by the rule for a string entry
+        _, diameter = cli.parse_input(json.dumps(
+            {"generators": GENS_14, "diameter": "1/3"}))
+        assert diameter == Q(1, 3) and isinstance(diameter, Q)
         # the size check reads the number's text before any exact value
         start = time.perf_counter()
         with pytest.raises(ValueError, match="longer than"):

@@ -233,7 +233,9 @@ class TestInvariants:
             assert len(dev.side_pairings) == g.n_vertices - 1
             for e, m in dev.side_pairings.items():
                 assert m.a * m.d - m.b * m.c == 1
-                (s0, s1), (t0, t1) = dev.side_label_pairs(e)
+                (s0, s1), (t0, t1) = (
+                    (dev.corner_labels[d], dev.corner_labels[g.face_next(d)])
+                    for d in g.edges[e])
                 assert m(s0) == t1 and m(s1) == t0
 
     def test_cusp_parabolics_certificate(self):
@@ -322,6 +324,21 @@ class TestRender:
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         assert svg.count("<path") > 10
         assert 'stroke-width="3"' in svg
+
+    def test_polygon_sides_are_tree_sides(self):
+        """The sides render_polygon draws thick, consecutive polygon
+        vertices with infinity closing the cycle, are the label pairs of
+        the tree edges' darts, on every 10-vertex class."""
+        rng = random.Random(10)
+        for g in enumerate_triangulations(EnumerationQuery(10)):
+            dev = develop(g, SpanningTree.random_tree(g, rng))
+            poly = dev.polygon
+            tree_sides = {frozenset((dev.corner_labels[d],
+                                     dev.corner_labels[g.face_next(d)]))
+                          for e in dev.tree.edges for d in g.edges[e]}
+            assert set(map(frozenset, zip(poly, poly[-1:] + poly))) \
+                == tree_sides
+            assert len(tree_sides) == len(poly)
 
     def test_tetrahedron_vertical_side(self):
         t = tetrahedron()

@@ -117,6 +117,8 @@ class TestGraphs:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             fixtures.named_development("twelve")
+        with pytest.raises(ValueError, match="'nope'"):
+            fixtures.generator_set("nope")
 
 
 class TestWordMatrix:
