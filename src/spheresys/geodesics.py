@@ -61,12 +61,12 @@ class GeodesicWitness:
 # and the octahedron take about 1.2 s each (Python 3.11, 2-vCPU VM).
 MAX_WALK_TRACE_BOUND = 300
 
-# The most elements a sweep explores.  An element costs its canonical
-# tuple, its seen-set slot, and its list and parent-array entries.  As
-# growth of the peak RSS that is 218 B for GAMMA10 at bound 18, 253 B for
-# the 893,969-element eleven-cusp sweep at bound 30 and 302 B for
-# ALPHA10's rationals, so the cap costs 0.45-0.6 GB (Python 3.11, 64-bit
-# Linux).
+# The most elements a sweep explores.  An element costs its bytes key,
+# its seen-set slot, and its list and parent-array entries, and its
+# canonical tuple while its level is built or expanded.  As growth of
+# the peak RSS that is 146 B for GAMMA10 at bound 18, 157 B for the
+# 893,969-element eleven-cusp sweep at bound 30 and 204 B for ALPHA10's
+# rationals, so the cap costs 0.3-0.4 GB (Python 3.11, 64-bit Linux).
 MAX_SWEEP_STATES = 2_000_000
 
 
@@ -282,39 +282,50 @@ def _prefilter(t: MoebiusMap, cap: float):
     Frobenius norm is tr(G H) = g11 h11 + 2 g12 h12 + g22 h22: three
     multiplications per product once G is formed per element and H per
     move, against eight and four squares for the plain float product.
-    Returns (h11, 2 h12, h22, threshold), or None where the filter does
-    not apply; a product whose float value exceeds the threshold fails
-    the exact test ``_within`` too, and any other product goes on to it.
+    Returns (h11, 2 h12, h22, threshold, accept), or None where the
+    filter does not apply; a product whose float value exceeds the
+    threshold fails the exact test ``_within``, one whose float value is
+    at most accept passes it, and only a product between the two goes
+    on to it.
 
-    The bound.  ``cap`` is the exact cap of ``_within`` rounded up to a
-    float, and every S the filter sees passed ``_within``, so ||S||^2 <=
-    cap exactly; and ||S||^2, ||t||^2 >= 2 since the determinant is 1.
-    Let u = 2^-53.  Entries of S and t are rounded once; each entry of
-    G or H then carries at most four roundings (two inputs, a product, a
-    sum) and each term of the trace form three more (a product and two
-    sums; the doubling is exact), so the computed value differs from
-    tr(G H) by at most (11 u + O(u^2)) (g11 h11 + 2 p q + g22 h22), with
-    p = |ab| + |cd| <= sqrt(g11 g22) and q likewise for H.  By AM-GM
-    that is at most 11.01 u ||S||^2 ||t||^2.  Underflow adds below
-    2^-1074 per operation, negligible against u ||S||^2 ||t||^2 >= 4 u.
-    So a float value above cap + c u cap ||t||^2 (c = 16), rounded to
-    the nearest float, proves the exact value is above cap: the margin
-    of 5 u cap ||t||^2 >= 10 u cap covers the two roundings of the
-    threshold itself.  The threshold is cap (1 + delta_t) with
-    delta_t = c u ||t||^2, computed from the exact entries of t rather
-    than fixed.
+    The bound.  ``cap`` is the exact cap M / K of ``_within`` correctly
+    rounded and then moved one float up, so M / K <= cap <= (1 + 3.01 u)
+    M / K with u = 2^-53; every S the filter sees passed ``_within``, so
+    ||S||^2 <= cap; and ||S||^2, ||t||^2 >= 2 since the determinant is 1.
+    Entries of S and t are rounded once; each entry of G or H then
+    carries at most four roundings (two inputs, a product, a sum) and
+    each term of the trace form three more (a product and two sums; the
+    doubling is exact), so the computed value differs from tr(G H) by at
+    most (11 u + O(u^2)) (g11 h11 + 2 p q + g22 h22), with p = |ab| + |cd|
+    <= sqrt(g11 g22) and q likewise for H.  By AM-GM that is at most
+    11.01 u ||S||^2 ||t||^2 <= 11.01 u cap ||t||^2.  Underflow adds
+    below 2^-1074 per operation, negligible against u ||S||^2 ||t||^2 >=
+    4 u.  Let margin = c u cap ||t||^2 with c = 16, computed from the
+    exact entries of t rather than fixed.
+
+    Reject.  The threshold is cap + margin, rounded twice to the nearest
+    float.  A float value above it proves the exact value is above cap
+    >= M / K: the margin of 5 u cap ||t||^2 >= 10 u cap left over covers
+    the two roundings of the threshold itself.
+
+    Accept.  The accept threshold is cap - margin, exactly, rounded once
+    to the nearest float, so at most cap - margin + u cap.  A float value
+    at most it proves the exact value is at most cap + u cap - (16 -
+    11.01) u cap ||t||^2 <= (1 + u - 9.98 u) cap < (1 - 3.01 u) cap <= M
+    / K, so ``_within`` holds.
 
     The filter applies only while cap ||t||^2 <= 2^1000, so that no
     float it forms can overflow (a generator with entries of 1e400 fails
-    this), and while delta_t <= 2^-10, so that it stays a tight test.
+    this), and while c u ||t||^2 <= 2^-10, so that it stays a tight test.
     """
-    bound = Q(cap) * Q(sum(x * x for x in t.quad), t.den * t.den)
+    exact_cap = Q(cap)
+    bound = exact_cap * Q(sum(x * x for x in t.quad), t.den * t.den)
     margin = _FILTER_C * _U * bound
-    if bound > 2 ** 1000 or margin > Q(cap) / 2 ** 10:
+    if bound > 2 ** 1000 or margin > exact_cap / 2 ** 10:
         return None
     e, f, g, h = (x / t.den for x in t.quad)
     return (e * e + f * f, 2.0 * (e * g + f * h), g * g + h * h,
-            cap + float(margin))
+            cap + float(margin), float(exact_cap - margin))
 
 
 def _spell(word: Tuple) -> str:
@@ -366,19 +377,24 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     explored; a sweep that needs more stops at the cap and is not
     certified.  Each product first meets the float pre-filter of
     ``_prefilter``, which rejects only products the exact test would
-    reject, so the filter changes no explored element, witness or trace.
+    reject and accepts only products it would accept, so the filter
+    changes no explored element, witness, trace or count; the exact test
+    runs only on products between the filter's two thresholds.
 
-    An explored element is kept as its ``canonical_entries`` tuple, in
-    the seen set and in a list in BFS order, with two array entries: its
-    parent's index and its last move's index.  So a BFS level is a range
-    of indices, the moves that may follow an element are looked up by
-    its last move, and a word is rebuilt from the parent chain only
-    where it is printed or compared: for the candidates below the bound
-    and in the two errors.  Maps are built only for the witnesses.  Each
-    product tried is rejected by the filter or the exact test, or
-    explored, or finds the cap full (at most once).  An empty generator
-    set raises ValueError: the trivial group has no class to sweep, so
-    nothing to certify.
+    An explored element is kept as one exact key, the bytes of its
+    ``canonical_entries`` numerators na, nb, nc, nd in hexadecimal (the
+    key is injective: na nd - nb nc = den^2 fixes den > 0), in the seen
+    set and in a list in BFS order, with two array entries: its parent's
+    index and its last move's index.  Its entry tuple is kept only while
+    its level is being built or expanded, and for the candidates below
+    the bound.  So the elements of a level are consecutive indices, the
+    moves that may follow an element are looked up by its last move, and
+    a word is rebuilt from the parent chain only where it is printed or
+    compared: for the candidates and in the two errors.  Maps are built
+    only for the witnesses.  Each product tried is rejected by the
+    filter or the exact test, or explored, or finds the cap full (at
+    most once).  An empty generator set raises ValueError: the trivial
+    group has no class to sweep, so nothing to certify.
 
     An explored element with |trace| < 2 other than 0 or 1 raises
     ValueError: by Niven's theorem it has infinite order, since a
@@ -409,11 +425,13 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
         steps[(lab, -1)] = m.inverse()
     bound_num, bound_den = trace_bound.numerator, trace_bound.denominator
     tokens = list(steps)
-    # (move index, its integer entries, its float pre-filter); a move the
-    # filter does not apply to gets H = 0 and an infinite threshold, so
-    # it never rejects
-    moves = [(k, t.quad, t.den, *(_prefilter(t, cap_float)
-                                  or (0.0, 0.0, 0.0, math.inf)))
+    # each move's integer entries, read only for products past the filter
+    entries = [(t.quad, t.den) for t in steps.values()]
+    # (move index, its float pre-filter); a move the filter does not
+    # apply to gets H = 0 and thresholds inf and -inf, so the filter
+    # neither rejects nor accepts a product of it
+    moves = [(k, *(_prefilter(t, cap_float)
+                   or (0.0, 0.0, 0.0, math.inf, -math.inf)))
              for k, t in enumerate(steps.values())]
     # the moves that may follow move k: all but its inverse; the
     # identity's entry (last move -1) allows every move
@@ -423,11 +441,10 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     from array import array     # about 160 kB to load; only a sweep needs it
 
     state_limit = MAX_SWEEP_STATES  # a local: read once per call
-    identity = (1, 0, 0, 1, 1)
-    # explored element i is states[i]; its word is its parent's word
-    # followed by tokens[last_move[i]]
-    states = [identity]
-    seen = {identity}
+    # explored element i has the key keys[i] (the identity's is b"1 0 0
+    # 1"); its word is its parent's word followed by tokens[last_move[i]]
+    keys = [b"1 0 0 1"]
+    seen = set(keys)
     parent, last_move = array("i", [0]), array("i", [-1])
 
     def word(i: int) -> Tuple:
@@ -438,63 +455,69 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
         return tuple(reversed(letters))
 
     exhausted = True
-    candidates = []         # explored hyperbolics below the bound, by index
+    candidates = []         # (index, entries) of hyperbolics below the bound
     min_above = None        # least |trace| above the bound, as (num, den)
     tried = passed = exact_rejects = 0      # passed: past the float filter
-    start, stop = 0, 1      # the current level is states[start:stop]
+    # the level being expanded, elements start, start + 1, ...
+    level, start = [(1, 0, 0, 1, 1)], 0
 
-    while start < stop and exhausted:
-        for i in range(start, stop):
+    while level and exhausted:
+        built = []          # the next level, in BFS order
+        for i, s in enumerate(level, start):
             follow = moves_after[last_move[i]]
             tried += len(follow)
-            s = states[i]
             quad, den = s[:4], s[4]
             g11, g12, g22 = _gram(quad, den)
-            for k, t_quad, t_den, h11, h12x2, h22, threshold in follow:
-                if g11 * h11 + g12 * h12x2 + g22 * h22 > threshold:
+            for k, h11, h12x2, h22, threshold, accept in follow:
+                norm = g11 * h11 + g12 * h12x2 + g22 * h22
+                if norm > threshold:
                     continue
                 passed += 1
+                t_quad, t_den = entries[k]
                 # test the raw product exactly before the gcd
                 prod, prod_den = mat_mul(quad, t_quad), den * t_den
-                if not _within(prod, prod_den, cap):
+                if norm > accept and not _within(prod, prod_den, cap):
                     exact_rejects += 1
                     continue
-                ns = canonical_entries(*prod, prod_den)
-                if ns in seen:
+                ns = na, nb, nc, nd, nden = canonical_entries(*prod, prod_den)
+                # exact: na nd - nb nc = nden^2 fixes nden > 0
+                key = b"%x %x %x %x" % (na, nb, nc, nd)
+                if key in seen:
                     raise ValueError(
                         f"the generators satisfy a relation, so they are "
                         f"not a free basis: the words "
-                        f"{_spell(word(states.index(ns)))} and "
+                        f"{_spell(word(keys.index(key)))} and "
                         f"{_spell(word(i) + (tokens[k],))} give the same "
                         f"element")
-                if len(states) >= state_limit:
+                if len(keys) >= state_limit:
                     exhausted = False
                     # the moves after this one were never tried
                     tried -= len(follow) - 1 - [m[0] for m in follow].index(k)
                     break
-                seen.add(ns)
-                states.append(ns)
+                seen.add(key)
+                keys.append(key)
                 parent.append(i)
                 last_move.append(k)
-                na, _, _, nd, nden = ns
+                built.append(ns)
                 tr = abs(na + nd)
                 if tr > 2 * nden:
                     if tr * bound_den <= bound_num * nden:
-                        candidates.append(len(states) - 1)
+                        candidates.append((len(keys) - 1, ns))
                     elif (min_above is None
                           or tr * min_above[1] < min_above[0] * nden):
                         min_above = (tr, nden)
                 elif tr < 2 * nden and tr not in (0, nden):
                     raise ValueError(
                         f"the group is not discrete: the word "
-                        f"{_spell(word(len(states) - 1))} has trace "
+                        f"{_spell(word(len(keys) - 1))} has trace "
                         f"{Q(na + nd, nden)}, an elliptic of infinite order")
             if not exhausted:
                 break
-        start, stop = stop, len(states)
+        start += len(level)
+        level = built
 
     # each class's witness is its shortest word, ties broken by spelling
-    words = {word(i): states[i] for i in candidates}
+    words = {word(i): ns for i, ns in candidates}
     classes: Dict[Tuple, Tuple] = {}
     for w in sorted(words, key=lambda w: (len(w), str(w))):
         classes.setdefault(_class_key(w), w)
@@ -510,7 +533,7 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
         trace_bound=trace_bound,
         diameter=float(diam) if certified else None,
         horizon=horizon,
-        states_explored=len(states),
+        states_explored=len(keys),
         min_trace_above_bound=None if min_above is None else Q(*min_above),
         products_tried=tried,
         filter_rejects=tried - passed,

@@ -16,6 +16,7 @@ trace-to-length conversion.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
@@ -113,6 +114,13 @@ def mat_mul(x: Sequence[int], y: Sequence[int]) -> Tuple[int, int, int, int]:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
+def _abridged(x: Q) -> str:
+    """x as str() prints it, with each run of more than 20 digits cut to
+    its first 10 and its length, so that an error stays one short line."""
+    return re.sub(r"\d{21,}", lambda m: f"{m[0][:10]}...({len(m[0])} digits)",
+                  str(x))
+
+
 def canonical_entries(a: int, b: int, c: int, d: int, den: int
                       ) -> Tuple[int, int, int, int, int]:
     """The canonical form (na, nb, nc, nd, den) of (a b; c d) / den.
@@ -127,8 +135,8 @@ def canonical_entries(a: int, b: int, c: int, d: int, den: int
     if g > 1:
         a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
     if a * d - b * c != den * den:
-        raise ValueError(f"matrix ({Q(a, den)}, {Q(b, den)}; {Q(c, den)}, "
-                         f"{Q(d, den)}) has determinant != 1")
+        a, b, c, d = (_abridged(Q(x, den)) for x in (a, b, c, d))
+        raise ValueError(f"matrix ({a}, {b}; {c}, {d}) has determinant != 1")
     # a = 0 forces b != 0, so the first nonzero entry is a or b
     if a < 0 or (a == 0 and b < 0):
         a, b, c, d = -a, -b, -c, -d

@@ -515,6 +515,20 @@ class TestBadInput:
         err = one_line_error(capsys, tmp_path, content, "systole")
         assert err.startswith(f"error: {tmp_path / 'input'}: {message}")
 
+    @pytest.mark.parametrize("quad,digits", [(["1e1000"] * 4, 1001),
+                                             (["1e400", 0, 0, 1], 401)],
+                             ids=["four-1e1000", "one-1e400"])
+    def test_long_entries_abridged(self, capsys, tmp_path, quad, digits):
+        """A refused matrix prints each long entry as its leading digits
+        and a digit count, so the message stays one short line."""
+        err = one_line_error(capsys, tmp_path,
+                             json.dumps({"generators": {"1": quad}}),
+                             "systole")
+        message = err.removeprefix(f"error: {tmp_path / 'input'}: ")
+        assert message.startswith("generator '1': matrix (")
+        assert len(message.rstrip("\n")) <= 200
+        assert f"1000000000...({digits} digits)" in message
+
     def test_undecodable_file_named(self, capsys, tmp_path):
         path = tmp_path / "input"
         path.write_bytes(b"\xff\xfe\x00")

@@ -75,6 +75,17 @@ class TestSpanningTree:
             assert len(tree.edges) == 5
             assert sum(tree.tree_degree) == 10
 
+    @pytest.mark.parametrize("name,seed,edges", [
+        ("octahedron", 5, [2, 6, 7, 10, 11]),
+        ("ten", 1, [0, 5, 10, 11, 13, 17, 20, 21, 23]),
+    ])
+    def test_random_tree_pinned(self, name, seed, edges):
+        """The tree a seed draws is part of the output: seeded runs over
+        random trees (the census of 10-vertex maps) depend on it."""
+        g = fixtures.GRAPHS[name]()
+        tree = SpanningTree.random_tree(g, random.Random(seed))
+        assert sorted(tree.edges) == edges
+
 
 class TestDevelopTetrahedron:
     def test_star_tree_polygon(self):

@@ -396,6 +396,19 @@ class TestMatrixGroup:
             assert not rep.frontier_exhausted
             assert rep.states_explored == cap
 
+    def test_cap_inside_a_level(self, monkeypatch):
+        """A cap of 20,000 stops the ALPHA10 sweep while level 5 (11,197
+        to 29,372 elements) is being built from level 4: every count,
+        the least trace above and the witnesses, pinned."""
+        gens, diameter = fixtures.generator_set("alpha10")
+        monkeypatch.setattr(geodesics, "MAX_SWEEP_STATES", 20000)
+        rep = systole_matrix_group(gens, 18, diameter=diameter)
+        assert (rep.states_explored, rep.products_tried, rep.filter_rejects,
+                rep.exact_rejects, rep.frontier_exhausted) == (
+                    20000, 95513, 75513, 0, False)
+        assert rep.min_trace_above_bound == Q(45399, 2500)
+        assert rep.witnesses == []
+
     def test_sweep_finishing_at_its_cap(self, monkeypatch):
         gens = {2: fixtures.A7[2], 3: fixtures.A7[3]}
         full = systole_matrix_group(gens, 14, diameter=1.0)
@@ -509,31 +522,37 @@ class TestMatrixGroup:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads the peak RSS from /proc/self/status")
     def test_memory_per_explored_element(self):
-        """The GAMMA10 sweep at bound 18 raises the peak RSS of a fresh
-        process by at most 260 bytes per explored element: the element's
-        canonical tuple with its place in the seen set and the BFS list,
-        and two array entries for its parent and last move (about 220 B).
-        Keeping a word tuple per element as well takes it past 310.
+        """The bound-18 sweeps raise the peak RSS of a fresh process by at
+        most 180 (GAMMA10) and 240 (ALPHA10's rationals) bytes per
+        explored element: the element's bytes key with its place in the
+        seen set and the key list, two array entries for its parent and
+        last move, and its entry tuple while its level is built or
+        expanded (about 146 and 204 B).  Keeping every element's tuple
+        for the whole sweep takes them to about 224 and 310.
         The peak is VmHWM, not ru_maxrss, which a child process inherits
         from the test process that forked it."""
-        script = "\n".join([
-            "import pathlib, re",
-            "from spheresys import fixtures, geodesics",
-            "def peak():",
-            "    text = pathlib.Path('/proc/self/status').read_text()",
-            "    return int(re.search(r'VmHWM:\\s*(\\d+) kB', text)[1])",
-            "gens, diameter = fixtures.generator_set('gamma10')",
-            "before = peak()",
-            "rep = geodesics.systole_matrix_group(gens, 18, diameter=diameter)",
-            "print(rep.states_explored, (peak() - before) * 1024)",
-        ])
-        src = os.path.dirname(os.path.dirname(geodesics.__file__))
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=src))
-        states, grown = map(int, proc.stdout.split())
-        assert states == 124766
-        assert grown / states <= 260
+        for name, states, limit in (("gamma10", 124766, 180),
+                                    ("alpha10", 124480, 240)):
+            script = "\n".join([
+                "import pathlib, re",
+                "from spheresys import fixtures, geodesics",
+                "def peak():",
+                "    text = pathlib.Path('/proc/self/status').read_text()",
+                "    return int(re.search(r'VmHWM:\\s*(\\d+) kB', text)[1])",
+                f"gens, diameter = fixtures.generator_set({name!r})",
+                "before = peak()",
+                "rep = geodesics.systole_matrix_group(gens, 18, "
+                "diameter=diameter)",
+                "print(rep.states_explored, (peak() - before) * 1024)",
+            ])
+            src = os.path.dirname(os.path.dirname(geodesics.__file__))
+            proc = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True,
+                                  timeout=120,
+                                  env=dict(os.environ, PYTHONPATH=src))
+            explored, grown = map(int, proc.stdout.split())
+            assert explored == states
+            assert grown / explored <= limit, name
 
     def test_no_cosh_on_certified_path(self):
         """The cap is exact arithmetic: with math.cosh and math.exp
@@ -777,8 +796,31 @@ class TestFloatPrefilter:
         if filt is None:
             return
         g11, g12, g22 = _gram(s.quad, s.den)
-        h11, h12x2, h22, threshold = filt
+        h11, h12x2, h22, threshold, _ = filt
         assert g11 * h11 + g12 * h12x2 + g22 * h22 <= threshold
+
+    @given(st.lists(_integer_gen | _rational_gen, min_size=1, max_size=6),
+           _integer_gen | _rational_gen | _huge_gen, st.integers(0, 2))
+    def test_never_accepts_a_rejected_product(self, factors, t, steps):
+        """A product at or below the accept threshold passes ``_within``.
+        The cap is max(||S||^2, ||S t||^2) rounded to a float, then up to
+        two floats lower (never below ||S||^2), where the exact test is
+        tightest: an accept threshold of the cap itself fails here."""
+        s = functools.reduce(lambda x, y: x * y, factors)
+        needed = max(norm2(s), norm2(s * t))
+        assume(needed < 2 ** 1000)
+        cap = float(needed)
+        for _ in range(steps):
+            cap = math.nextafter(cap, 0)
+        assume(Q(cap) >= norm2(s))
+        filt = _prefilter(t, cap)
+        if filt is None:
+            return
+        g11, g12, g22 = _gram(s.quad, s.den)
+        h11, h12x2, h22, _, accept = filt
+        if g11 * h11 + g12 * h12x2 + g22 * h22 <= accept:
+            prod, den = mat_mul(s.quad, t.quad), s.den * t.den
+            assert geodesics._within(prod, den, Q(cap).as_integer_ratio())
 
 
 class TestWordTrace:

@@ -348,6 +348,20 @@ class TestCanonicalEntries:
         with pytest.raises(ValueError, match="determinant"):
             canonical_entries(*quad, j * den)
 
+    @pytest.mark.parametrize("entries,message", [
+        ((1, 2, 3, 4, 1), "matrix (1, 2; 3, 4) has determinant != 1"),
+        ((1, 2, 3, 4, 5), "matrix (1/5, 2/5; 3/5, 4/5) has determinant != 1"),
+        # 20 digits print in full; 21 and more are abridged
+        ((10 ** 19, 0, 0, 1, 1),
+         "matrix (10000000000000000000, 0; 0, 1) has determinant != 1"),
+        ((10 ** 20, 0, 0, 1, 3), "matrix (1000000000...(21 digits)/3, 0; "
+         "0, 1/3) has determinant != 1"),
+    ])
+    def test_determinant_message(self, entries, message):
+        with pytest.raises(ValueError) as err:
+            canonical_entries(*entries)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("den", [0, -1])
     def test_denominator_positive(self, den):
         with pytest.raises(ValueError, match="not positive"):
