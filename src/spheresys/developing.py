@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .modular import (Frac, INF, MoebiusMap, cusp_parabolic, farey_adjacent,
-                      mat_mul)
+from .modular import Frac, INF, MoebiusMap, cusp_parabolic, mat_mul
 from .triangulation import Triangulation
 
 __all__ = [
@@ -32,6 +31,9 @@ class SpanningTree:
     def __init__(self, g: Triangulation, edges: Sequence[int]):
         self.g = g
         self.edges = frozenset(edges)
+        strays = sorted(self.edges.difference(range(g.n_edges)))
+        if strays:
+            raise ValueError(f"edge id {strays[0]} is not an edge of the triangulation")
         if len(self.edges) != g.n_vertices - 1:
             raise ValueError("a spanning tree needs exactly n-1 edges")
         # n - 1 edges that close no cycle span the n vertices
@@ -129,37 +131,17 @@ class Development:
         return tuple(self.corner_labels[d] for d in self.g.faces[f])
 
 
-def _farey_third(x: Frac, y: Frac, old: Frac) -> Frac:
-    """The Farey neighbor of edge (x, y) on the far side from `old`."""
-    mediant = Frac(x.p + y.p, x.q + y.q)
-    difference = Frac(x.p - y.p, x.q - y.q)
-    candidates = [c for c in (mediant, difference) if c != old]
-    if len(candidates) != 1:
-        raise AssertionError(f"ambiguous development across ({x}, {y})")
-    third = candidates[0]
-    if not (farey_adjacent(third, x) and farey_adjacent(third, y)):
-        raise AssertionError(f"{third} is not a Farey neighbor of {x} and {y}")
-    return third
+def _frame(a: Frac, b: Frac, c: Frac) -> Tuple[int, int, int, int]:
+    """The integer matrix sending infinity, 0 and 1 to a, b and c.
 
-
-def _pairing_from_pairs(src: Tuple[Frac, Frac], dst: Tuple[Frac, Frac]) -> MoebiusMap:
-    """Integer unimodular map sending src[0] -> dst[0], src[1] -> dst[1]."""
-    (x1, y1), (x2, y2) = src, dst
-    a = (x1.p, y1.p, x1.q, y1.q)        # columns are the source fractions
-    b = (x2.p, y2.p, x2.q, y2.q)
-    det_a = a[0] * a[3] - a[1] * a[2]
-    det_b = b[0] * b[3] - b[1] * b[2]
-    if abs(det_a) != 1 or abs(det_b) != 1:
-        raise AssertionError(f"{src} or {dst} is not a Farey edge")
-    if det_a != det_b:
-        b = (-b[0], b[1], -b[2], b[3])
-        det_b = -det_b
-    # m = B * A^{-1} with A = (a0 a1; a2 a3)
-    inv = (det_a * a[3], -det_a * a[1], -det_a * a[2], det_a * a[0])
-    m = MoebiusMap(*mat_mul(b, inv))
-    if m(x1) != x2 or m(y1) != y2:
-        raise AssertionError(f"the pairing does not send {src} to {dst}")
-    return m
+    Its columns are l*a and m*b, with a and b read as vectors (p, q),
+    l = det(c, b) and m = det(a, c); l*a + m*b = det(a, b)*c.  Its
+    determinant is l*m*det(a, b), which is +-1 exactly when (a, b, c) is
+    a Farey triangle, and it sends -1 to the corner across (a, b) from c.
+    """
+    l = c.p * b.q - b.p * c.q
+    m = a.p * c.q - c.p * a.q
+    return (l * a.p, m * b.p, l * a.q, m * b.q)
 
 
 def develop(g: Triangulation, tree: SpanningTree,
@@ -169,8 +151,9 @@ def develop(g: Triangulation, tree: SpanningTree,
     The seed is a pair (terminal tree edge, incident face).  The terminal
     endpoint becomes the cusp at infinity, its tree neighbor the cusp at
     0, and the third vertex of the seed face the cusp at 1; all other
-    labels follow by crossing non-tree edges, each new face being the
-    Farey triangle adjacent across the crossed edge.
+    labels follow by crossing non-tree edges.  The frames of the faces
+    (``_frame``) give the corner across each crossed edge, each face's
+    Farey test and each side pairing.
     """
     g.require_valid()
     if tree.g is not g:
@@ -214,8 +197,7 @@ def develop(g: Triangulation, tree: SpanningTree,
     face_done = [False] * g.n_faces
     face_done[f0] = True
     queue = [d0, p, q]
-    while queue:
-        d = queue.pop(0)
+    for d in queue:                     # breadth first: the queue grows
         e = g.edge_of_dart[d]
         if e in tree:
             continue
@@ -224,8 +206,8 @@ def develop(g: Triangulation, tree: SpanningTree,
         if face_done[f]:
             continue
         x, y = labels[d], labels[g.face_next(d)]
-        old = labels[g.face_next(g.face_next(d))]
-        third = _farey_third(x, y, old)
+        fa, fb, fc, fd = _frame(x, y, labels[g.face_next(g.face_next(d))])
+        third = Frac(fb - fa, fd - fc)          # the frame's image of -1
         pp = g.face_next(dd)
         qq = g.face_next(pp)
         set_label(dd, y)
@@ -239,8 +221,8 @@ def develop(g: Triangulation, tree: SpanningTree,
     # each face must be a Farey triangle
     for cycle in g.faces:
         a, b, c = (labels[d] for d in cycle)
-        if not (farey_adjacent(a, b) and farey_adjacent(b, c)
-                and farey_adjacent(a, c)):
+        fa, fb, fc, fd = _frame(a, b, c)
+        if abs(fa * fd - fb * fc) != 1:
             raise AssertionError(f"face {cycle}: ({a}, {b}, {c}) is not a "
                                  f"Farey triangle")
 
@@ -258,10 +240,20 @@ def develop(g: Triangulation, tree: SpanningTree,
 
     side_pairings: Dict[int, MoebiusMap] = {}
     for e in sorted(tree.edges):
+        # the pairing sends d1's face (x1, y1, c1) onto the face across
+        # (x2, y2) from d2's face (x2, y2, c2); the frame of that face is
+        # the frame of (x2, y2, c2) after z -> -z, and the pairing is it
+        # times the adjugate of the frame of (x1, y1, c1)
         d1, d2 = g.edges[e]
-        src = (labels[d1], labels[g.face_next(d1)])
-        dst = (labels[g.face_next(d2)], labels[d2])
-        side_pairings[e] = _pairing_from_pairs(src, dst)
+        x1, y1 = labels[d1], labels[g.face_next(d1)]
+        x2, y2 = labels[g.face_next(d2)], labels[d2]
+        fa, fb, fc, fd = _frame(x1, y1, labels[g.face_next(g.face_next(d1))])
+        ga, gb, gc, gd = _frame(x2, y2, labels[g.face_next(g.face_next(d2))])
+        m = MoebiusMap(*mat_mul((-ga, gb, -gc, gd), (fd, -fb, -fc, fa)))
+        if m(x1) != x2 or m(y1) != y2:
+            raise AssertionError(f"the pairing does not send ({x1}, {y1}) "
+                                 f"to ({x2}, {y2})")
+        side_pairings[e] = m
 
     cusp_generators = {w: cusp_parabolic(first_label[w], g.degree[w])
                        for w in range(g.n_vertices)}

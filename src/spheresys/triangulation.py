@@ -392,12 +392,16 @@ def neighbor_darts(neighbors: Sequence[Sequence[int]]):
     sigma = [0] * len(origin)
     alpha = [0] * len(origin)
     base = 0
-    for v, nbrs in enumerate(neighbors):
-        k = len(nbrs)
-        for t, w in enumerate(nbrs):
-            sigma[base + t] = base + (t + 1) % k
-            alpha[base + t] = index[(w, v)]
-        base += k
+    try:
+        for v, nbrs in enumerate(neighbors):
+            k = len(nbrs)
+            for t, w in enumerate(nbrs):
+                sigma[base + t] = base + (t + 1) % k
+                alpha[base + t] = index[(w, v)]
+            base += k
+    except KeyError as missing:
+        w, v = missing.args[0]
+        raise ValueError(f"vertex {v} lists {w}, but {w} does not list {v}") from None
     return sigma, alpha, origin, index
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -50,6 +51,13 @@ class TestSpanningTree:
         t = tetrahedron()
         with pytest.raises(ValueError):
             SpanningTree(t, [0, 1])
+
+    @pytest.mark.parametrize("edges,bad", [([-1, 0, 1], -1), ([0, 1, 99], 99)],
+                             ids=["negative", "past-the-end"])
+    def test_edge_id_out_of_range_rejected(self, edges, bad):
+        # -1 would otherwise index the last edge, and 99 no edge at all
+        with pytest.raises(ValueError, match=f"edge id {bad} is not an edge"):
+            SpanningTree(tetrahedron(), edges)
 
     def test_non_spanning_rejected(self):
         o = octahedron()
@@ -285,6 +293,29 @@ class TestInvariants:
         one, two = (cli.to_json(dict(vars(develop(g, tree, seed=seed)),
                                      g=None, tree=None)) for _ in range(2))
         assert one == two
+
+    def test_developments_digest(self):
+        # corner labels, side pairings and cusp generators of every class
+        # with 4..9 vertices, on three seeded random trees each, from
+        # both faces of the first terminal edge: 438 developments
+        digest = hashlib.sha256()
+        for n in range(4, 10):
+            rng = random.Random(n)
+            for g in enumerate_triangulations(EnumerationQuery(n)):
+                for _ in range(3):
+                    tree = SpanningTree.random_tree(g, rng)
+                    e0 = tree.terminal_edges()[0]
+                    for f0 in sorted(g.face_of_dart[d] for d in g.edges[e0]):
+                        dev = develop(g, tree, seed=(e0, f0))
+                        digest.update(repr((
+                            [str(x) for x in dev.corner_labels],
+                            [(e, m.quad, m.den)
+                             for e, m in sorted(dev.side_pairings.items())],
+                            [(w, m.quad, m.den)
+                             for w, m in sorted(dev.cusp_generators.items())],
+                        )).encode())
+        assert digest.hexdigest() == (
+            "d8b4ca1263be738d20f8adadeae989be65349e04d7ee87ebc8a56f43198b92e4")
 
     def test_sweep_small_triangulations(self):
         rng = random.Random(171)

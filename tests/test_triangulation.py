@@ -163,6 +163,14 @@ class TestDegenerateExamples:
         with pytest.raises(ValueError):
             Triangulation.from_simple_rotations([[1, 1], [0, 0]])
 
+    @pytest.mark.parametrize("lists,pair", [
+        ([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2, 5]], "vertex 3 lists 5"),
+        ([[1, 2, 3], [0, 2], [0, 1, 3], [0, 1, 2]], "vertex 3 lists 1"),
+    ], ids=["no-such-vertex", "asymmetric"])
+    def test_neighbour_lists_that_do_not_match_rejected(self, lists, pair):
+        with pytest.raises(ValueError, match=pair + ", but"):
+            Triangulation.from_simple_rotations(lists)
+
     def test_vertex_with_two_rotation_cycles_rejected(self):
         # one vertex label on two sigma cycles would read back from its
         # text as one cycle, a different map
