@@ -25,8 +25,8 @@ from typing import Dict, Iterator, List, Tuple
 
 from . import geodesics
 from .geodesics import ResourceLimitError
-from .triangulation import (Triangulation, bipyramid_with_duplicates,
-                            canonical_traversal, example_loop,
+from .triangulation import (Triangulation, _least_code,
+                            bipyramid_with_duplicates, example_loop,
                             neighbor_darts, tetrahedron)
 
 __all__ = [
@@ -85,7 +85,8 @@ def _ranked_split(rot, degrees, v, i, j):
     None as soon as a contractible edge ranks strictly lower than the
     new edge.  Otherwise returns (changed, ties): the split's changed
     lists (see _split_lists) and the child's other contractible edges of
-    equal rank as (a, b) pairs.
+    equal rank as (a, b) pairs.  Equal rank means equal end degrees, so
+    a has the lesser degree of the new edge's ends and b the greater.
     """
     nbrs = rot[v]
     k = len(nbrs)
@@ -118,13 +119,83 @@ def _ranked_split(rot, degrees, v, i, j):
     return changed, ties
 
 
-def _edge_code(child, darts, edges) -> bytes:
+def _parent_darts(rot):
+    """((sigma, sigma_inv, alpha, origin), offset) of a class, for
+    _split_darts: ``neighbor_darts`` numbers the darts, vertex w's
+    darts run from offset[w], and offset[-1] counts the darts.
+    """
+    sigma, alpha, origin = neighbor_darts(rot)
+    sigma_inv = sorted(range(len(sigma)), key=sigma.__getitem__)
+    offset = [0]
+    for nbrs in rot:
+        offset.append(offset[-1] + len(nbrs))
+    return (sigma, sigma_inv, alpha, origin), offset
+
+
+def _split_darts(darts, offset, v, i, j):
+    """The child's dart arrays for splitting v between positions i < j.
+
+    ``darts`` and ``offset`` are the parent's (see _parent_darts).
+    Returns relinked copies of the four lists: the map of the child that
+    ``_split_lists`` gives, with other dart numbers, which the edge code
+    does not read (it reads only sigma and alpha).
+
+    With k = deg v, d_t = offset[v] + t the dart from v to nbrs[t],
+    a = nbrs[i], b = nbrs[j] and v2 the new vertex, six darts are
+    appended, paired by alpha in this order: e1 = v -> v2, e1' = v2 -> v,
+    e2 = v2 -> a, e2' = a -> v2, e3 = v2 -> b and e3' = b -> v2.  The darts
+    d_{j+1}, ..., d_{i-1} of the complementary arc move to v2.  Sigma
+    changes only here:
+
+    - at v: d_j -> e1 -> d_i;
+    - at v2: e3 -> d_{j+1} -> ... -> d_{i-1} -> e2 -> e1' -> e3, or
+      e3 -> e2 when the arc is empty (i = 0 and j = k - 1);
+    - at a: (a -> v) -> e2' -> the old sigma of (a -> v);
+    - at b: the old sigma inverse of (b -> v) -> e3' -> (b -> v).
+    """
+    sigma, sigma_inv, alpha, origin = darts
+    e1, e1r, e2, e2r, e3, e3r = range(len(sigma), len(sigma) + 6)
+    v2 = len(offset) - 1
+    base = offset[v]
+    k = offset[v + 1] - base
+    d_i, d_j = base + i, base + j
+    at_a, at_b = alpha[d_i], alpha[d_j]  # a -> v and b -> v
+    after_a, before_b = sigma[at_a], sigma_inv[at_b]
+    if i == 0 and j == k - 1:
+        first, last = e2, e3
+    else:
+        first, last = base + (j + 1) % k, base + (i - 1) % k
+    sigma = sigma + [d_i, e3, e1r, after_a, first, at_b]
+    sigma_inv = sigma_inv + [d_j, e2, last, at_a, e1r, before_b]
+    alpha = alpha + [e1r, e1, e2r, e2, e3r, e3]
+    origin = origin + [v, v2, v2, origin[at_a], v2, origin[at_b]]
+    sigma[d_j] = sigma_inv[d_i] = e1
+    sigma[last] = e2  # e3's own entry when the arc is empty
+    sigma_inv[first] = e3  # likewise e2's
+    sigma[at_a] = sigma_inv[after_a] = e2r
+    sigma[before_b] = sigma_inv[at_b] = e3r
+    origin[base + j + 1:base + k] = [v2] * (k - j - 1)
+    origin[base:base + i] = [v2] * i
+    return sigma, sigma_inv, alpha, origin
+
+
+def _dart(darts, d, b):
+    """The dart to b from the origin of dart d, found by walking sigma."""
+    sigma, _, alpha, origin = darts
+    while origin[alpha[d]] != b:
+        d = sigma[d]
+    return d
+
+
+def _edge_code(darts, edges) -> bytes:
     """Least traversal code rooted at a dart of one of the given edges.
 
-    ``darts`` is ``neighbor_darts(child)``.  The roots are the edges'
-    darts leaving a lower-degree end, read with sigma and with its
-    inverse, so the code is the same for edges that an isomorphism or a
-    reflection maps onto each other.
+    ``darts`` is a child's (sigma, sigma_inv, alpha, origin) (see
+    _split_darts), and each edge is (d, deg_a, deg_b): its dart d from a
+    to b and the degrees of its ends.  The roots are the edges' darts
+    leaving a lower-degree end, read with sigma and with its inverse, so
+    the code is the same for edges that an isomorphism or a reflection
+    maps onto each other.
 
     The code is bytes, one per traversal label.  A simple triangulation
     with n vertices has 3n - 6 edges (Euler: n - e + 2e/3 = 2), so
@@ -134,14 +205,14 @@ def _edge_code(child, darts, edges) -> bytes:
     ``canonical_traversal`` do, so codes order and tie as those tuples
     would.  A label past 255 makes bytes() raise ValueError.
     """
-    sigma, alpha, _, index = darts
+    sigma, sigma_inv, alpha, _ = darts
     roots = []
-    for a, b in edges:
-        if len(child[a]) <= len(child[b]):
-            roots.append(index[a, b])
-        if len(child[b]) <= len(child[a]):
-            roots.append(index[b, a])
-    return bytes(canonical_traversal(sigma, alpha, roots))
+    for d, deg_a, deg_b in edges:
+        if deg_a <= deg_b:
+            roots.append(d)
+        if deg_b <= deg_a:
+            roots.append(alpha[d])
+    return bytes(_least_code(sigma, sigma_inv, alpha, roots))
 
 
 _COUNT_KEYS = ("children", "rejected_by_rank", "edge_codes",
@@ -154,10 +225,10 @@ _CLASS_CACHE: Dict[int, Tuple[Dict[bytes, List[bytes]], Dict[str, int]]] = {}
 # A level is generated on one worker per available CPU when its parent
 # level has at least this many classes.  Medians of 5 builds on a 2-CPU
 # host (Python 3.11), in this process -> on two forked workers, over two
-# runs: level 9 (14 parents) 21-30 -> 39-50 ms, level 10 (50 parents)
-# 64-90 -> 90-117 ms, level 11 (233 parents) 276-278 -> 195-218 ms,
-# level 12 (1,249 parents) 1.68-1.97 -> 0.98-1.03 s.  Starting the pool
-# costs more than level 10 saves, so levels up to 10 stay in process.
+# runs: level 9 (14 parents) 11 -> 17-21 ms, level 10 (50 parents)
+# 36-53 -> 38-51 ms, level 11 (233 parents) 164-175 -> 99-120 ms,
+# level 12 (1,249 parents) 0.85-0.90 -> 0.50-0.56 s.  Starting the pool
+# costs about what level 10 saves, so levels up to 10 stay in process.
 PARALLEL_MIN_PARENTS = 200
 # Contiguous slices per worker, so that the last slice to finish leaves
 # the other workers idle only briefly (4 and 8 timed the same).
@@ -183,6 +254,8 @@ def _children(size: int, part: slice):
     kept = []
     for rot in list(_CLASS_CACHE[size][0].values())[part]:
         degrees = [len(r) for r in rot]
+        parent, offset = _parent_darts(rot)
+        e1 = offset[size]  # a child's dart from v to v2 (see _split_darts)
         codes = set()
         for v in range(size):
             k = degrees[v]
@@ -203,16 +276,25 @@ def _children(size: int, part: slice):
                         continue
                     counts["edge_codes"] += 1
                     changed, ties = ranked
-                    child = [changed.get(a, r) for a, r in enumerate(rot)]
-                    child.append(changed[size])  # the new vertex
-                    darts = neighbor_darts(child)
-                    code = _edge_code(child, darts, [(v, size)])
-                    if ties and _edge_code(child, darts, ties) < code:
-                        continue
+                    darts = _split_darts(parent, offset, v, i, j)
+                    ends = (j - i + 2, k - j + i + 2)  # deg v, deg v2
+                    code = _edge_code(darts, [(e1, *ends)])
+                    if ties:
+                        # a tie (a, b) has the new edge's end degrees, the
+                        # lesser at a (see _ranked_split); the walk to b
+                        # starts at a dart of a: v keeps d_i, v2 has e1',
+                        # and every other vertex keeps its darts
+                        start = {v: offset[v] + i, size: e1 + 1}
+                        tied = [(_dart(darts, start.get(a, offset[a]), b),
+                                 *sorted(ends)) for a, b in ties]
+                        if _edge_code(darts, tied) < code:
+                            continue
                     if code in codes:
                         counts["sibling_duplicates"] += 1
                         continue
                     codes.add(code)
+                    child = [changed.get(a, r) for a, r in enumerate(rot)]
+                    child.append(changed[size])  # the new vertex
                     kept.append((code, child))
     return kept, counts
 
@@ -338,7 +420,8 @@ def _classes(n: int) -> Tuple[Dict[bytes, List[bytes]], Dict[str, int]]:
     """
     if 4 not in _CLASS_CACHE:
         k4 = [bytes(r) for r in tetrahedron().simple_neighbor_lists()]
-        _CLASS_CACHE[4] = ({_edge_code(k4, neighbor_darts(k4), [(0, 1)]): k4},
+        code = _edge_code(_parent_darts(k4)[0], [(0, 3, 3)])  # any edge
+        _CLASS_CACHE[4] = ({code: k4},
                            dict.fromkeys(_COUNT_KEYS, 0) | {"classes": 1})
     built = max(s for s in _CLASS_CACHE if s <= n)
     for size in range(built, n):

@@ -90,7 +90,7 @@ class Triangulation:
     @classmethod
     def from_simple_rotations(cls, neighbors: Sequence[Sequence[int]]) -> "Triangulation":
         """Build from per-vertex cyclic neighbour lists (simple graphs only)."""
-        return cls(*neighbor_darts(neighbors)[:3])
+        return cls(*neighbor_darts(neighbors))
 
     @classmethod
     def from_oriented_faces(cls, faces: Sequence[Tuple[int, int, int]]) -> "Triangulation":
@@ -375,11 +375,11 @@ class Triangulation:
 
 
 def neighbor_darts(neighbors: Sequence[Sequence[int]]):
-    """(sigma, alpha, origin, index) of a simple map given by cyclic
-    neighbour lists.
+    """(sigma, alpha, origin) of a simple map given by cyclic neighbour
+    lists.
 
     Darts are numbered vertex by vertex, each vertex's darts in the order
-    of its list; ``index`` maps (v, w) to the dart from v to w.
+    of its list.
     """
     index = {}
     origin = []
@@ -402,7 +402,7 @@ def neighbor_darts(neighbors: Sequence[Sequence[int]]):
     except KeyError as missing:
         w, v = missing.args[0]
         raise ValueError(f"vertex {v} lists {w}, but {w} does not list {v}") from None
-    return sigma, alpha, origin, index
+    return sigma, alpha, origin
 
 
 def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
@@ -414,12 +414,18 @@ def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
     reaches every dart, so a map with more than one component raises
     ValueError, and so does an empty list of roots.
     """
-    if not roots:
-        raise ValueError("no root dart was given for the traversal")
     n = len(sigma)
     sigma_inv = [0] * n
     for d in range(n):
         sigma_inv[sigma[d]] = d
+    return tuple(_least_code(sigma, sigma_inv, alpha, roots))
+
+
+def _least_code(sigma, sigma_inv, alpha, roots):
+    """``canonical_traversal``'s code as a list, given sigma's inverse."""
+    if not roots:
+        raise ValueError("no root dart was given for the traversal")
+    n = len(sigma)
     best = reached = None
     for rot, root in product((sigma, sigma_inv), roots):
         code, order = _root_code(rot, alpha, root)
@@ -428,7 +434,7 @@ def canonical_traversal(sigma: Sequence[int], alpha: Sequence[int],
     if reached != n:
         raise ValueError("map is not connected: the traversal reaches "
                          f"{reached} of {n} darts")
-    return tuple(best)
+    return best
 
 
 def _root_code(sigma, alpha, root):
@@ -442,13 +448,20 @@ def _root_code(sigma, alpha, root):
     label[root] = 0
     order = [root]
     code = []
+    append = code.append
     for d in order:  # order grows while it is read
-        for nxt in (sigma[d], alpha[d]):
-            lab = label[nxt]
-            if lab < 0:
-                lab = label[nxt] = len(order)
-                order.append(nxt)
-            code.append(lab)
+        nxt = sigma[d]
+        lab = label[nxt]
+        if lab < 0:
+            lab = label[nxt] = len(order)
+            order.append(nxt)
+        append(lab)
+        nxt = alpha[d]
+        lab = label[nxt]
+        if lab < 0:
+            lab = label[nxt] = len(order)
+            order.append(nxt)
+        append(lab)
     return code, order
 
 

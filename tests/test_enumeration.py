@@ -123,26 +123,30 @@ def naive_enumerate_count(n: int) -> int:
     return len(reps)
 
 
-def split_closure_codes(n_max):
-    """Codes per level from canonicalising every vertex-split child.
+def split_closure(n_max):
+    """Classes per level, {n: {code: neighbour lists}}, from
+    canonicalising every vertex-split child.
 
     The reference keeps the first child per canonical code, so it needs
     no argument about which splits to skip.
     """
-    level = {tetrahedron().canonical_code(): tetrahedron().simple_neighbor_lists()}
-    codes = {4: set(level)}
+    levels = {4: {tetrahedron().canonical_code():
+                  tetrahedron().simple_neighbor_lists()}}
     for n in range(5, n_max + 1):
-        nxt = {}
-        for rot in level.values():
+        nxt = levels[n] = {}
+        for rot in levels[n - 1].values():
             for v, nbrs in enumerate(rot):
                 for i in range(len(nbrs)):
                     for j in range(i + 1, len(nbrs)):
                         child = split_vertex(rot, v, i, j)
                         code = Triangulation.from_simple_rotations(child).canonical_code()
                         nxt.setdefault(code, child)
-        level = nxt
-        codes[n] = set(level)
-    return codes
+    return levels
+
+
+def split_closure_codes(n_max):
+    """Codes per level of ``split_closure``."""
+    return {n: set(level) for n, level in split_closure(n_max).items()}
 
 
 class TestCounts:
@@ -221,6 +225,32 @@ class TestLevels:
                                     == split_vertex(rot, v, i, j))
                             assert all(changed[a] != rot[a] for a in changed if a < n)
 
+    def test_split_darts_give_the_whole_child(self):
+        # the relinked arrays build a map whose rotation at each vertex
+        # is split_vertex's row, up to its starting point; the parents
+        # come from the reference, so a broken relinking cannot stall
+        # the generator first
+        for n, level in split_closure(8).items():
+            for rot in level.values():
+                parent, offset = enumeration._parent_darts(rot)
+                kept = [list(a) for a in parent]
+                for v, nbrs in enumerate(rot):
+                    for i in range(len(nbrs)):
+                        for j in range(i + 1, len(nbrs)):
+                            sigma, sigma_inv, alpha, origin = (
+                                enumeration._split_darts(parent, offset, v, i, j))
+                            t = Triangulation(sigma, alpha, origin)
+                            assert all(sigma_inv[s] == d for d, s in enumerate(sigma))
+                            e1 = offset[n]  # the new edge's root from v
+                            assert (origin[e1], t.head(e1)) == (v, n)
+                            want = split_vertex(rot, v, i, j)
+                            assert len(t.vertex_darts) == len(want)
+                            for darts, row in zip(t.vertex_darts, want):
+                                heads = [t.head(d) for d in darts]
+                                s = heads.index(row[0])
+                                assert tuple(heads[s:] + heads[:s]) == row
+                assert [list(a) for a in parent] == kept
+
     def test_levels_digest(self):
         # every class of levels 4..11 by value, in insertion order, with
         # the level's counts and neighbor_lists' order: a change to how
@@ -235,6 +265,19 @@ class TestLevels:
                                 counts, rows)).encode())
         assert digest.hexdigest() == (
             "80d4e8c82b5bfcb33ef84aae16eb82a6d9fceb673a17bd4d50713660ede0afc9")
+
+    def test_level_12_digest(self):
+        # test_levels_digest's format for the largest level
+        digest = hashlib.sha256()
+        for n in range(12, 13):
+            level, counts = enumeration._classes(n)
+            rows = [[tuple(r) for r in rot]
+                    for rot in enumeration.neighbor_lists(EnumerationQuery(n))]
+            digest.update(repr(([(tuple(code), [tuple(r) for r in rot])
+                                 for code, rot in level.items()],
+                                counts, rows)).encode())
+        assert digest.hexdigest() == (
+            "515189ea0065d646a10f4cde39ab4771dc4f0bf10005401a42bf9f8799f6f7cb")
 
     def test_class_from_two_parents_raises(self, monkeypatch):
         # with a rank test that accepts every split the degrees allow,
