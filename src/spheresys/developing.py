@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .modular import Frac, INF, MoebiusMap, cusp_parabolic, mat_mul
+from .modular import Frac, INF, MoebiusMap, cusp_parabolic, maps_to, mat_mul
 from .triangulation import Triangulation
 
 __all__ = [
@@ -249,11 +249,11 @@ def develop(g: Triangulation, tree: SpanningTree,
         x2, y2 = labels[g.face_next(d2)], labels[d2]
         fa, fb, fc, fd = _frame(x1, y1, labels[g.face_next(g.face_next(d1))])
         ga, gb, gc, gd = _frame(x2, y2, labels[g.face_next(g.face_next(d2))])
-        m = MoebiusMap(*mat_mul((-ga, gb, -gc, gd), (fd, -fb, -fc, fa)))
-        if m(x1) != x2 or m(y1) != y2:
+        m = mat_mul((-ga, gb, -gc, gd), (fd, -fb, -fc, fa))
+        if not (maps_to(m, x1, x2) and maps_to(m, y1, y2)):
             raise AssertionError(f"the pairing does not send ({x1}, {y1}) "
                                  f"to ({x2}, {y2})")
-        side_pairings[e] = m
+        side_pairings[e] = MoebiusMap(*m)
 
     cusp_generators = {w: cusp_parabolic(first_label[w], g.degree[w])
                        for w in range(g.n_vertices)}
@@ -279,31 +279,36 @@ def check_cusp_parabolics(dev: Development) -> bool:
     Walking the rotation from that corner composes the side pairings met
     at tree edges, read from ``dev.side_pairings`` as ``generators``
     returns them and inverted at an edge's second dart; the composite
-    must equal the cusp generator up to inversion.
+    must equal the cusp generator up to inversion.  The composite is
+    kept as an integer matrix over a running denominator, each pairing
+    must send the label of its corner to the next one (``maps_to``),
+    and the composite becomes a map only for the final comparison.
     """
     g, labels = dev.g, dev.corner_labels
     for w in range(g.n_vertices):
         cusp = dev.cusp_generators[w]
         rot = g.vertex_darts[w]
         start = next((i for i, d in enumerate(rot)
-                      if cusp(labels[d]) == labels[d]), None)
+                      if maps_to(cusp.quad, labels[d], labels[d])), None)
         if (start is None
                 or cusp != cusp_parabolic(labels[rot[start]], g.degree[w])):
             return False
-        gamma = None
+        gamma, den = (1, 0, 0, 1), 1
         for d in rot[start:] + rot[:start]:
             nxt = g.sigma[d]
             e = g.edge_of_dart[d]
             if e in dev.tree:
                 m = dev.side_pairings[e]
-                if d == g.edges[e][1]:
-                    m = m.inverse()
-                if m(labels[d]) != labels[nxt]:
+                quad = ((m.nd, -m.nb, -m.nc, m.na) if d == g.edges[e][1]
+                        else m.quad)
+                if not maps_to(quad, labels[d], labels[nxt]):
                     return False
-                gamma = m if gamma is None else m * gamma
+                gamma, den = mat_mul(quad, gamma), m.den * den
             elif labels[nxt] != labels[d]:
                 return False
-        if gamma not in (cusp, cusp.inverse()):
+        # a vertex with no tree edge leaves gamma the identity, which is
+        # no cusp generator
+        if MoebiusMap(*gamma, den) not in (cusp, cusp.inverse()):
             return False
     return True
 

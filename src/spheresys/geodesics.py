@@ -22,8 +22,8 @@ from itertools import accumulate, count
 from numbers import Real
 from typing import Dict, List, Optional, Tuple
 
-from .modular import (INF, TURNS, MoebiusMap, canonical_entries, mat_mul,
-                      trace_to_length)
+from .modular import (INF, TURNS, MoebiusMap, canonical_entries,
+                      lr_word_value, mat_mul, trace_to_length)
 from .triangulation import Triangulation
 
 __all__ = [
@@ -55,10 +55,14 @@ class GeodesicWitness:
 # -- combinatorial engine ------------------------------------------------
 
 # The dual walk's word tree depends only on the trace bound: 26,311
-# words at bound 100, 294,519 at 300 and 893,085 at 500, on any map.
-# The walk visits exactly this tree, carrying a few start darts per
-# word, so this cap on the bound caps the work: at 300 the icosahedron
-# and the octahedron take about 1.2 s each (Python 3.11, 2-vCPU VM).
+# words at bound 100, 294,519 at 300 and 893,085 at 500 (the empty word
+# included), on any map.  Each walk visits exactly the tree at its
+# bound, carrying a few start darts per word, so this cap on the bound
+# caps the work.  The walks share one ``_WordTree``, built once per
+# process for the largest bound walked so far: it keeps 0.24 MB and
+# takes 2 ms at bound 28, and keeps 54 MB and takes 0.5 s at 300.  At
+# 300 the icosahedron and the octahedron then take about 0.5 s each,
+# 0.8 s with the build (Python 3.11, 2-vCPU VM).
 MAX_WALK_TRACE_BOUND = 300
 
 # The most elements a sweep explores.  An element costs its bytes key,
@@ -84,6 +88,57 @@ def _cyclic_key(seq: Tuple, rev: Tuple) -> Tuple:
                for i, x in enumerate(s) if x == low)
 
 
+class _WordTree:
+    """The dual walk's L/R word tree at one trace bound, map-free.
+
+    Node 0 is the empty word.  ``kids[node]`` lists the node's children
+    in the order the search meets them, L before R, each as (trace,
+    depth, letter, child): the trace of the child's turn product, the
+    child's length, its last letter and its index.  ``parent`` and
+    ``letter`` give each node's parent and last letter, from which a
+    word is spelled.  A child is kept unless its trace is above the
+    bound, or it is a pure word (trace 2) with depth above bound - 2.
+    No matrices are kept: they exist only on the stack while the tree
+    is built.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.kids: List[Tuple] = [()]
+        self.parent = [0]
+        self.letter = [""]
+        stack = [((1, 0, 0, 1), 0, 0)]      # (matrix, node, depth)
+        while stack:
+            m, node, depth = stack.pop()
+            depth += 1                      # the children's depth
+            kids = []
+            for letter in "LR":
+                nm = mat_mul(m, TURNS[letter])
+                tr = nm[0] + nm[3]
+                # a trace above the bound never drops back down, and a
+                # pure word past bound - 2 letters closes nothing below it
+                if tr > bound or tr == 2 and depth > bound - 2:
+                    continue
+                child = len(self.parent)
+                self.kids.append(())
+                self.parent.append(node)
+                self.letter.append(letter)
+                kids.append((tr, depth, letter, child))
+                stack.append((nm, child, depth))
+            self.kids[node] = tuple(kids)
+
+    def word(self, node: int) -> str:
+        letters = []
+        while node:
+            letters.append(self.letter[node])
+            node = self.parent[node]
+        return "".join(reversed(letters))
+
+
+# The one word tree every walk reads, for the largest bound walked so far.
+_shared_tree: Optional[_WordTree] = None
+
+
 def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
                                       ) -> List[GeodesicWitness]:
     """All non-peripheral dual-walk classes with |trace| <= trace_bound.
@@ -104,6 +159,19 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
     raises the trace by at least 1.  No word passes 2 * (trace_bound - 2)
     letters.
 
+    The word tree does not depend on the map, so every walk reads one
+    shared ``_WordTree``, built at the largest bound walked so far in
+    the process.  A walk at bound b reads the tree at a bound B >= b
+    and skips a child by the two rules above at b: its trace is above b,
+    or it is a pure word longer than b - 2 letters.  Each rule is
+    stricter at b than at B, so every word of the tree at b is in the
+    tree at B, and skipping a child drops exactly its subtree at b: the
+    walk pops the words of the tree at b, and no others, in the same
+    order as a search built at b.  The tree holds no matrices: a
+    closure spells its word from the parent links, and its witness
+    matrix is ``lr_word_value`` of the word, formed only when its class
+    is new.
+
     A class's key (``_cyclic_key`` of its darts and their reversed
     twins) starts with the least dart the closed walk crosses or whose
     twin it crosses, and its witness is the first word in search order
@@ -120,6 +188,7 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
     the rest, so the witnesses do not depend on the bound.  A bound above
     ``MAX_WALK_TRACE_BOUND`` raises ResourceLimitError before the search.
     """
+    global _shared_tree
     g.require_valid()
     if trace_bound < 3:
         raise ValueError("trace bound must be at least 3")
@@ -127,6 +196,10 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
         raise ResourceLimitError(
             f"trace bound {trace_bound} is above the dual walk's limit of "
             f"{MAX_WALK_TRACE_BOUND}")
+    if _shared_tree is None or _shared_tree.bound < trace_bound:
+        _shared_tree = _WordTree(trace_bound)
+    tree = _shared_tree
+    kids = tree.kids
 
     sigma, alpha = g.sigma, g.alpha
     n_darts = g.n_darts
@@ -137,35 +210,31 @@ def enumerate_geodesics_combinatorial(g: Triangulation, trace_bound: int
              "R": [sigma[alpha[sigma[d]]] for d in range(n_darts)]}
 
     found: Dict[Tuple, GeodesicWitness] = {}
-    # iterative DFS: (matrix, word, live (start dart, dart reached) pairs)
-    stack = [((1, 0, 0, 1), "", [(d0, d0) for d0 in range(n_darts)
-                                 if alpha[d0] > d0])]
+    # iterative DFS: (tree node, live (start dart, dart reached) pairs)
+    stack = [(0, [(d0, d0) for d0 in range(n_darts) if alpha[d0] > d0])]
     while stack:
-        m, word, live = stack.pop()
-        for letter in "LR":
-            nm = mat_mul(m, TURNS[letter])
-            tr = nm[0] + nm[3]
-            # a trace above the bound never drops back down, and a pure
-            # word past trace_bound - 2 letters closes nothing below it
-            if tr > trace_bound or tr == 2 and len(word) >= trace_bound - 2:
+        node, live = stack.pop()
+        for tr, depth, letter, child in kids[node]:
+            # the tree's two rules, at this walk's bound
+            if tr > trace_bound or tr == 2 and depth > trace_bound - 2:
                 continue
-            nword = word + letter
             perm = perms[letter]
             nlive = [(d0, x) for d0, d in live
                      if (x := perm[d]) >= d0 and alpha[x] >= d0]
             for d0, d in nlive:
                 if d != d0 or tr == 2:
                     continue
+                word = tree.word(child)
                 darts = tuple(accumulate(
-                    nword, lambda x, turn: perms[turn][x], initial=d0))[1:]
+                    word, lambda x, turn: perms[turn][x], initial=d0))[1:]
                 key = _cyclic_key(darts, tuple(alpha[x] for x in reversed(darts)))
                 if key[0] != d0:
-                    raise AssertionError(f"{nword} from {d0}: key {key}")
+                    raise AssertionError(f"{word} from {d0}: key {key}")
                 if key not in found:
-                    mat = MoebiusMap(*nm)
+                    mat = lr_word_value(word)
                     found[key] = GeodesicWitness(
-                        tuple(nword), mat, mat.trace, trace_to_length(tr))
-            stack.append((nm, nword, nlive))
+                        tuple(word), mat, mat.trace, trace_to_length(tr))
+            stack.append((child, nlive))
 
     return sorted(found.values(),
                   key=lambda w: (abs(w.trace), len(w.word), w.word))

@@ -28,6 +28,7 @@ __all__ = [
     "MoebiusMap",
     "canonical_entries",
     "mat_mul",
+    "maps_to",
     "TURNS",
     "IDENTITY",
     "L",
@@ -112,6 +113,18 @@ def mat_mul(x: Sequence[int], y: Sequence[int]) -> Tuple[int, int, int, int]:
     a, b, c, d = x
     e, f, g, h = y
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def maps_to(quad: Sequence[int], x: Frac, y: Frac) -> bool:
+    """Whether the invertible matrix quad = (a, b, c, d) sends x to y.
+
+    Projectively, the image of x = p/q is (ap + bq)/(cp + dq), a nonzero
+    vector since the matrix is invertible, and it is y = r/s exactly
+    when the cross products agree: (ap + bq) s = (cp + dq) r.  This is
+    ``MoebiusMap.__call__(x) == y`` without forming the image.
+    """
+    a, b, c, d = quad
+    return (a * x.p + b * x.q) * y.q == (c * x.p + d * x.q) * y.p
 
 
 def _abridged(x: Q) -> str:
@@ -291,7 +304,7 @@ def cusp_parabolic(cusp: Frac, width: int) -> MoebiusMap:
     p, q = cusp.p, cusp.q
     result = MoebiusMap(1 - width * p * q, width * p * p,
                         -width * q * q, 1 + width * p * q)
-    if not result.is_parabolic or result(cusp) != cusp:
+    if not result.is_parabolic or not maps_to(result.quad, cusp, cusp):
         raise AssertionError(f"the width-{width} map at {cusp} is not a "
                              f"parabolic fixing it")
     return result

@@ -57,6 +57,7 @@ class Triangulation:
         self.origin = tuple(origin)
         self._check_structure()
         self._build_derived()
+        self._diagnostics: Optional[List[str]] = None    # require_valid's verdict
 
     # -- construction -------------------------------------------------
 
@@ -240,10 +241,15 @@ class Triangulation:
         )
 
     def require_valid(self) -> None:
-        """Raise ValueError naming the diagnostics unless ``validate`` is ok."""
-        report = self.validate()
-        if not report.ok:
-            raise ValueError("invalid triangulation: " + "; ".join(report.diagnostics))
+        """Raise ValueError naming the diagnostics unless ``validate`` is ok.
+
+        A map is not changed after construction, so the first call's
+        verdict is kept and later calls do not validate again.
+        """
+        if self._diagnostics is None:
+            self._diagnostics = self.validate().diagnostics
+        if self._diagnostics:
+            raise ValueError("invalid triangulation: " + "; ".join(self._diagnostics))
 
     # -- densities ------------------------------------------------------
 

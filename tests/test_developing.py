@@ -276,6 +276,17 @@ class TestInvariants:
                                 "inverse": m.inverse()}[tamper]
         assert not check_cusp_parabolics(dev)
 
+    @pytest.mark.parametrize("e", TEN_COMPACT_TREE_EDGES)
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_certificate_covers_corner_labels(self, e, side):
+        """Changing the label of one corner at a tree edge fails the check."""
+        g, tree, seed = fixtures.named_development("ten-compact")
+        dev = develop(g, tree, seed=seed)
+        d = g.edges[e][side]
+        assert dev.corner_labels[d] != Frac(-1)
+        dev.corner_labels[d] = Frac(-1)
+        assert not check_cusp_parabolics(dev)
+
     @pytest.mark.parametrize("tamper", ["square", "inverse", "L7"])
     @pytest.mark.parametrize("w", range(fixtures.ten_cusp_graph().n_vertices))
     def test_certificate_covers_cusp_table(self, w, tamper):

@@ -333,6 +333,24 @@ class TestLiveStarts:
                     for w in enumerate_geodesics_combinatorial(g, bound)] == \
                 [(w.word, w.trace, w.matrix) for w in all_darts_walk(g, bound)]
 
+    def test_one_tree_across_bounds(self, monkeypatch):
+        """Walks at bounds 100, 22, 10, 30 and 14 in one process all read
+        the tree built at 100, and each gives the all-darts walk's
+        witnesses at its own bound."""
+        monkeypatch.setattr(geodesics, "_shared_tree", None)
+        maps = [tetrahedron(), three_vertex_map(), example_loop(),
+                bipyramid_with_duplicates(2)]
+        for bound in (100, 22, 10, 30, 14):
+            for g in maps:
+                assert [(w.word, w.trace, w.matrix) for w in
+                        enumerate_geodesics_combinatorial(g, bound)] == \
+                    [(w.word, w.trace, w.matrix)
+                     for w in all_darts_walk(g, bound)]
+        tree = geodesics._shared_tree
+        assert tree.bound == 100
+        # the empty word and 26,310 others, as MAX_WALK_TRACE_BOUND states
+        assert len(tree.kids) == len(tree.parent) == 26311
+
 
 class TestMatrixGroup:
     def test_arithmetic_eleven_classes(self, gamma11_search):

@@ -17,6 +17,7 @@ from spheresys.modular import (
     cusp_parabolic,
     farey_adjacent,
     lr_word_value,
+    maps_to,
     parabolic_product_trace,
     schmutz_bound,
     trace_to_length,
@@ -322,6 +323,16 @@ class TestMoebiusMapAgainstFractions:
         want = INF if den == 0 else Frac((num / den).numerator,
                                          (num / den).denominator)
         assert MoebiusMap(*x)(Frac(p, q)) == want
+
+    @given(_unimodular(), st.integers(-40, 40), st.integers(0, 40),
+           st.integers(-40, 40), st.integers(0, 40))
+    def test_maps_to(self, x, p, q, r, s):
+        """``maps_to`` on the integer quad agrees with m(z) == y, for y
+        an extended rational (infinity included) and for y = m(z)."""
+        assume((p, q) != (0, 0) and (r, s) != (0, 0))
+        m, z, y = MoebiusMap(*x), Frac(p, q), Frac(r, s)
+        assert maps_to(m.quad, z, y) == (m(z) == y)
+        assert maps_to(m.quad, z, m(z))
 
     @given(_unimodular())
     def test_equality_under_negation(self, x):
