@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .modular import Frac, INF, MoebiusMap, cusp_parabolic, maps_to, mat_mul
+from .modular import (Frac, INF, MoebiusMap, canonical_entries,
+                      cusp_parabolic, maps_to, mat_mul)
 from .triangulation import Triangulation
 
 __all__ = [
@@ -275,14 +276,16 @@ def check_cusp_parabolics(dev: Development) -> bool:
     """Verify the exported cusp generators against the side pairings.
 
     At each vertex w, ``dev.cusp_generators[w]`` must be the parabolic of
-    width d (the vertex degree) fixing the label of one of w's corners.
-    Walking the rotation from that corner composes the side pairings met
-    at tree edges, read from ``dev.side_pairings`` as ``generators``
-    returns them and inverted at an edge's second dart; the composite
-    must equal the cusp generator up to inversion.  The composite is
-    kept as an integer matrix over a running denominator, each pairing
-    must send the label of its corner to the next one (``maps_to``),
-    and the composite becomes a map only for the final comparison.
+    width d (the vertex degree) fixing the label p/q of one of w's
+    corners: its canonical entries must be the closed form (1 - dpq,
+    dp^2, -dq^2, 1 + dpq) of ``cusp_parabolic``, over denominator 1, up
+    to sign.  Walking the rotation from that corner composes the side
+    pairings met at tree edges, read from ``dev.side_pairings`` as
+    ``generators`` returns them and inverted at an edge's second dart;
+    the composite's canonical entries must be the cusp generator's or
+    its inverse's.  The composite is kept as an integer matrix over a
+    running denominator, and each pairing must send the label of its
+    corner to the next one (``maps_to``), so no map is built.
     """
     g, labels = dev.g, dev.corner_labels
     for w in range(g.n_vertices):
@@ -290,8 +293,12 @@ def check_cusp_parabolics(dev: Development) -> bool:
         rot = g.vertex_darts[w]
         start = next((i for i, d in enumerate(rot)
                       if maps_to(cusp.quad, labels[d], labels[d])), None)
-        if (start is None
-                or cusp != cusp_parabolic(labels[rot[start]], g.degree[w])):
+        if start is None or cusp.den != 1:
+            return False
+        p, q, width = labels[rot[start]].p, labels[rot[start]].q, g.degree[w]
+        closed = (1 - width * p * q, width * p * p, -width * q * q,
+                  1 + width * p * q)
+        if cusp.quad not in (closed, tuple(-x for x in closed)):
             return False
         gamma, den = (1, 0, 0, 1), 1
         for d in rot[start:] + rot[:start]:
@@ -308,7 +315,9 @@ def check_cusp_parabolics(dev: Development) -> bool:
                 return False
         # a vertex with no tree edge leaves gamma the identity, which is
         # no cusp generator
-        if MoebiusMap(*gamma, den) not in (cusp, cusp.inverse()):
+        if canonical_entries(*gamma, den) not in (
+                (*cusp.quad, 1), canonical_entries(
+                    cusp.nd, -cusp.nb, -cusp.nc, cusp.na, 1)):
             return False
     return True
 

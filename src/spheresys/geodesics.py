@@ -280,8 +280,9 @@ class MatrixSearchReport:
     states_explored: int
     frontier_exhausted: bool
     min_trace_above_bound: Optional[Q]
-    products_tried: int     # element-move products the sweep formed
-    filter_rejects: int     # of those, rejected by the float pre-filter
+    products_tried: int     # element-move pairs the sweep considered
+    filter_rejects: int     # of those, rejected by the float pre-filter,
+                            # or ruled out by the direction table
     exact_rejects: int      # rejected by the exact test ``_within``
     witnesses: List[GeodesicWitness]
 
@@ -332,7 +333,7 @@ def _gram(quad, den) -> Tuple[float, float, float]:
 
     Each entry of S is rounded once from its exact value (int / int
     true division rounds correctly), so no float error is carried from
-    one element to the next.
+    one element to the next.  The sweep's loop forms it inline.
     """
     a, b, c, d = quad
     a, b, c, d = a / den, b / den, c / den, d / den
@@ -397,6 +398,111 @@ def _prefilter(t: MoebiusMap, cap: float):
             cap + float(margin), float(exact_cap - margin))
 
 
+def _direction_table(steps: List[MoebiusMap], moves: List[Tuple],
+                     moves_after: List[List[Tuple]], cap: float):
+    """The moves each swept element's direction allows: (outer, scale,
+    rows).  An element with Gram entries g11, g12, g22 (``_gram``),
+    reached by move last, tests the moves of ``moves_after[last]`` if
+    g11 + g22 < outer, and else those of rows[last][j], j = int((atan2(
+    g12, (g11 - g22) / 2) + pi) * scale).  Each list is a sublist of
+    ``moves_after[last]``, in its order, that drops only moves whose
+    float pre-filter (``_prefilter``) rejects every element of its
+    bucket.  ``steps`` are the moves' maps, in the order of ``moves``.
+
+    The geometry.  A determinant-one S gives the point p_S = (X, Y, Z) =
+    ((g11 + g22)/2, (g11 - g22)/2, g12) on the hyperboloid X^2 - Y^2 -
+    Z^2 = 1, at distance r from (1, 0, 0), X = cosh r and 2 X = ||S||^2.
+    A move t with H = t t^T gives q_t = (A, U, V) = ((h11 + h22)/2,
+    -(h11 - h22)/2, -h12), with A = ||t||^2 / 2 and rho = sqrt(A^2 -
+    1) = sqrt(U^2 + V^2).  The filter's value g11 h11 + 2 g12 h12 + g22
+    h22, which is ||S t||^2, is 2 <p_S, q_t> = 2 (A X - rho sinh r cos(
+    theta - phi)), theta and phi the angles of (Y, Z) and (U, V).  An
+    explored S passed ``_within``, so X <= c1 = cap / 2.
+
+    The buckets.  The outer shell is g11 + g22 >= outer = max(4, cap /
+    16).  g11 and g22 carry relative errors of at most 4.01 u (u =
+    2^-53) and g12 an error of at most 4.01 u (|ab| + |cd|) <= 4.01 u X
+    (``_prefilter``), so the computed sum one of at most 5.01 u: in the
+    shell X >= c0 = (outer / 2)(1 - 2^-30), so sinh r >= 0.86 X.  The
+    computed Y is off by at most 5.01 u X and Z by 4.01 u X, so (Y, Z)
+    by 6.5 u X <= 7.6 u sinh r and theta by below 2^-49; the roundings
+    of atan2, of phi, of the index and of the sector's ends and gap are
+    a few ulps of 2 pi.  So the sector of index j, widened by 2^-30 on
+    each side, holds the exact theta of every element the loop puts in
+    it, and the computed angle ``gap`` from phi to that arc is at most
+    the angle |theta - phi| (mod 2 pi) of every element in the bucket.
+
+    The bound.  So over the bucket, with B = rho cos(gap), ||S t||^2 >=
+    2 f(X) for f(X) = A X - B sqrt(X^2 - 1), X in [c0, c1].  If B <= 0,
+    f increases and its least value there is f(c0).  If B > 0, f is
+    convex, least at X* = A / m with the value m = sqrt(A^2 - B^2) =
+    hypot(1, rho sin(gap)); its least value on [c0, c1] is f(c0) if X*
+    < c0, f(c1) if X* > c1, and m otherwise.  m is at most f anywhere,
+    so it is used unless X* is outside [c0, c1] by a relative 2^-30,
+    which its rounding (8 u) cannot fake.  A, rho and phi are rounded
+    from t's exact entries, and sqrt(X^2 - 1) is formed as sqrt(X - 1)
+    sqrt(X + 1): no cosh or exp enters, and nothing overflows, since
+    the filter applies only while cap ||t||^2 <= 2^1000.
+
+    The float errors.  Forming the bound lb (A, rho, cos and sin
+    rounded, then products and a difference of terms at most A c1)
+    costs at most 13 u A c1, and the filter's float value is within
+    11.01 u cap ||t||^2 of ||S t||^2 (``_prefilter``); with A c1 = cap
+    ||t||^2 / 4 that is below 18 u cap ||t||^2 in all.  A move is
+    dropped only when 2 lb > threshold + 2^-40 cap ||t||^2, a slack of
+    8192 u cap ||t||^2 that covers it and the rounding of the test.
+    Then the filter's float value for every element of the bucket is
+    above the threshold: the filter would reject t there, so dropping
+    it changes no count.  A move the filter does not apply to (its
+    threshold is inf) is in every bucket.
+    """
+    # 32 sectors and the shell from cap / 16.  At bound 18, 92% of
+    # GAMMA10's and ALPHA10's explored elements lie in it and test 3.5 of
+    # their 17 moves, 4.6 per element in all; 16 or 64 sectors give 5.3
+    # or 4.3, a shell from cap / 8 or cap / 64 gives 4.7 or 6.8.  Each
+    # table takes about 1 ms to build (Python 3.11, 2-vCPU VM).
+    sectors = 32
+    outer = max(4.0, cap / 16)
+    scale = sectors / (2 * math.pi)
+    c0, c1 = outer / 2 * (1 - 2 ** -30), cap / 2
+    # (c, sqrt(c^2 - 1)) at the two ends of the shell
+    ends = [(c, math.sqrt(c - 1) * math.sqrt(c + 1)) for c in (c0, c1)]
+    keep = [set() for _ in range(sectors)]
+    for (k, _, _, _, threshold, _), t in zip(moves, steps):
+        if threshold == math.inf:
+            for kept in keep:
+                kept.add(k)
+            continue
+        e, f, g, h = t.quad
+        den2 = t.den * t.den
+        h11, h12, h22 = e * e + f * f, e * g + f * h, g * g + h * h
+        a = Q(h11 + h22, 2 * den2)
+        big_a, rho = float(a), math.sqrt(float(a * a - 1))
+        phi = math.atan2(-h12 / den2, (h22 - h11) / (2 * den2))
+        limit = threshold + 2 ** -40 * cap * 2 * big_a
+        for j, kept in enumerate(keep):
+            # the sector's arc, widened by 2^-30 each side, and its angle
+            # from phi
+            lo, width = j / scale - math.pi - 2 ** -30, 1 / scale + 2 ** -29
+            gap = (phi - lo) % (2 * math.pi)
+            gap = 0.0 if gap <= width else min(gap - width, 2 * math.pi - gap)
+            b = rho * math.cos(gap)
+            least = math.hypot(1.0, rho * math.sin(gap))
+            x = big_a / least
+            if b <= 0 or x * (1 + 2 ** -30) < c0:
+                lb = big_a * ends[0][0] - b * ends[0][1]
+            elif x * (1 - 2 ** -30) > c1:
+                lb = big_a * ends[1][0] - b * ends[1][1]
+            else:
+                lb = least
+            if not 2 * lb > limit:
+                kept.add(k)
+    # index j = sectors is theta = pi, the start of sector 0
+    rows = [[[m for m in after if m[0] in kept] for kept in keep + keep[:1]]
+            for after in moves_after]
+    return outer, scale, rows
+
+
 def _spell(word: Tuple) -> str:
     return " ".join(f"{lab}^{exp}" for lab, exp in word) or "the empty word"
 
@@ -450,6 +556,18 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     changes no explored element, witness, trace or count; the exact test
     runs only on products between the filter's two thresholds.
 
+    An element far from the origin meets only the moves its direction
+    allows.  ``_direction_table``, built once per call with no cosh or
+    exp, cuts the outer shell of elements (||S||^2 at least cap / 16)
+    into angle sectors by the direction of S^T S, and lists for each
+    sector and last move, in move order and without the last move's
+    inverse, the moves whose float filter could pass for some element
+    of the sector: it proves that the others' float values exceed their
+    reject thresholds.  So a move the table leaves out is one the filter
+    would reject, and it is counted as a filter reject; the counts, the
+    explored elements and the witnesses are the full filter's, and at
+    the cap the moves never tried are counted in the full move list.
+
     An explored element is kept as one exact key, the bytes of its
     ``canonical_entries`` numerators na, nb, nc, nd in hexadecimal (the
     key is injective: na nd - nb nc = den^2 fixes den > 0), in the seen
@@ -460,10 +578,11 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     moves that may follow an element are looked up by its last move, and
     a word is rebuilt from the parent chain only where it is printed or
     compared: for the candidates and in the two errors.  Maps are built
-    only for the witnesses.  Each product tried is rejected by the
-    filter or the exact test, or explored, or finds the cap full (at
-    most once).  An empty generator set raises ValueError: the trivial
-    group has no class to sweep, so nothing to certify.
+    only for the witnesses.  Each element-move pair considered is
+    rejected by the filter (the table's omissions included) or the
+    exact test, or explored, or finds the cap full (at most once).  An
+    empty generator set raises ValueError: the trivial group has no
+    class to sweep, so nothing to certify.
 
     An explored element with |trace| < 2 other than 0 or 1 raises
     ValueError: by Niven's theorem it has infinite order, since a
@@ -506,6 +625,8 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     # identity's entry (last move -1) allows every move
     moves_after = [[m for m in moves if tokens[m[0]] != (lab, -exp)]
                    for lab, exp in tokens] + [moves]
+    outer, scale, rows = _direction_table(list(steps.values()), moves,
+                                          moves_after, cap_float)
 
     from array import array     # about 160 kB to load; only a sweep needs it
 
@@ -533,18 +654,30 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     while level and exhausted:
         built = []          # the next level, in BFS order
         for i, s in enumerate(level, start):
-            follow = moves_after[last_move[i]]
+            last = last_move[i]
+            follow = moves_after[last]
             tried += len(follow)
-            quad, den = s[:4], s[4]
-            g11, g12, g22 = _gram(quad, den)
+            a, b, c, d, den = s
+            # _gram here and mat_mul below, inline: calling them took
+            # certify-n10 from 1.35 to 1.71 s (medians of 4 pairs)
+            fa, fb, fc, fd = a / den, b / den, c / den, d / den
+            g11, g12, g22 = (fa * fa + fc * fc, fa * fb + fc * fd,
+                             fb * fb + fd * fd)
+            if g11 + g22 >= outer:
+                # the moves this direction allows; the rest the filter
+                # would reject, and they count as its rejects
+                follow = rows[last][int((math.atan2(g12, (g11 - g22) / 2)
+                                         + math.pi) * scale)]
             for k, h11, h12x2, h22, threshold, accept in follow:
                 norm = g11 * h11 + g12 * h12x2 + g22 * h22
                 if norm > threshold:
                     continue
                 passed += 1
-                t_quad, t_den = entries[k]
+                (e, f, g, h), t_den = entries[k]
                 # test the raw product exactly before the gcd
-                prod, prod_den = mat_mul(quad, t_quad), den * t_den
+                prod = (a * e + b * g, a * f + b * h, c * e + d * g,
+                        c * f + d * h)
+                prod_den = den * t_den
                 if norm > accept and not _within(prod, prod_den, cap):
                     exact_rejects += 1
                     continue
@@ -561,7 +694,8 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
                 if len(keys) >= state_limit:
                     exhausted = False
                     # the moves after this one were never tried
-                    tried -= len(follow) - 1 - [m[0] for m in follow].index(k)
+                    after = moves_after[last]
+                    tried -= len(after) - 1 - [m[0] for m in after].index(k)
                     break
                 seen.add(key)
                 keys.append(key)

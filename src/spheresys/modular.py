@@ -6,7 +6,8 @@ considered projectively (M and -M are the same map).  ``MoebiusMap`` is
 the one exact matrix type: it stores four integers over a common
 positive denominator in a canonical form, so products, inverses,
 powers and comparisons are integer arithmetic.  ``mat_mul`` is the one
-2x2 product formula and ``canonical_entries`` the one canonical form,
+2x2 product formula (the matrix-group search's expansion loop writes
+it out inline) and ``canonical_entries`` the one canonical form,
 shared by ``MoebiusMap`` and the matrix-group search, which keeps each
 element as those five integers and builds no map for it.  All group
 arithmetic is exact; floating point enters only in the final

@@ -12,14 +12,15 @@ from itertools import accumulate, permutations
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spheresys import cli, fixtures
 from spheresys.developing import SpanningTree, develop, generators
 from spheresys import geodesics
 from spheresys.enumeration import EnumerationQuery, enumerate_triangulations
 from spheresys.geodesics import (GeodesicWitness, ResourceLimitError,
-                                 _cyclic_key, _gram, _prefilter,
+                                 _cyclic_key, _direction_table, _gram,
+                                 _prefilter,
                                  enumerate_geodesics_combinatorial,
                                  polygon_diameter_proxy,
                                  systole_combinatorial,
@@ -839,6 +840,50 @@ class TestFloatPrefilter:
         if g11 * h11 + g12 * h12x2 + g22 * h22 <= accept:
             prod, den = mat_mul(s.quad, t.quad), s.den * t.den
             assert geodesics._within(prod, den, Q(cap).as_integer_ratio())
+
+
+    @settings(max_examples=300)
+    @given(st.lists(_integer_gen | _rational_gen, min_size=1, max_size=6),
+           _integer_gen | _rational_gen | _huge_gen)
+    # a bucket whose least value of ||S t||^2 lies inside the shell
+    @example([MoebiusMap(1, 1, 1, 2)], MoebiusMap(4, -3, -1, 1))
+    def test_table_drops_only_rejected_moves(self, factors, t):
+        """A move the direction table leaves out for S is one the float
+        filter rejects.  Each partial product S of the factors is tested,
+        at a cap just above the largest ||S||^2 and ||S t||^2: the filter
+        passes S t where ||S t||^2 is that largest, so S's bucket must
+        list t there, and the other S lie inside the shell."""
+        prefixes = list(accumulate(factors, lambda x, y: x * y))
+        needed = max(max(norm2(s), norm2(s * t)) for s in prefixes)
+        assume(needed < 2 ** 1000)
+        cap = float(needed)
+        if Q(cap) < needed:
+            cap = math.nextafter(cap, math.inf)
+        filt = _prefilter(t, cap) or (0.0, 0.0, 0.0, math.inf, -math.inf)
+        moves = [(0, *filt)]
+        outer, scale, rows = _direction_table([t], moves, [moves], cap)
+        h11, h12x2, h22, threshold, _ = filt
+        for s in prefixes:
+            g11, g12, g22 = _gram(s.quad, s.den)
+            if g11 + g22 < outer:
+                continue        # S tests every move
+            # the expansion loop's bucket of S
+            bucket = rows[0][int((math.atan2(g12, (g11 - g22) / 2)
+                                  + math.pi) * scale)]
+            if not bucket:
+                assert g11 * h11 + g12 * h12x2 + g22 * h22 > threshold
+
+    def test_table_lists_few_moves_far_out(self):
+        """On GAMMA10 at bound 18 an outer bucket lists fewer than half
+        of the 18 moves on average, so the table saves filter tests."""
+        gens, diameter = fixtures.generator_set("gamma10")
+        cap = math.nextafter(
+            Q(*geodesics._sweep_cap(Q(18), Q(diameter))), math.inf)
+        steps = [m for g in gens.values() for m in (g, g.inverse())]
+        moves = [(k, *_prefilter(t, cap)) for k, t in enumerate(steps)]
+        _, _, rows = _direction_table(steps, moves, [moves], cap)
+        sizes = [len(bucket) for bucket in rows[0]]
+        assert sum(sizes) < len(sizes) * len(moves) / 2
 
 
 class TestWordTrace:
