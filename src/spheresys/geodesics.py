@@ -22,8 +22,8 @@ from itertools import accumulate, count
 from numbers import Real
 from typing import Dict, List, Optional, Tuple
 
-from .modular import (INF, TURNS, MoebiusMap, canonical_entries,
-                      lr_word_value, mat_mul, trace_to_length)
+from .modular import (IDENTITY, INF, TURNS, MoebiusMap, lr_word_value,
+                      mat_mul, trace_to_length)
 from .triangulation import Triangulation
 
 __all__ = [
@@ -65,12 +65,13 @@ class GeodesicWitness:
 # 0.8 s with the build (Python 3.11, 2-vCPU VM).
 MAX_WALK_TRACE_BOUND = 300
 
-# The most elements a sweep explores.  An element costs its bytes key,
-# its seen-set slot, and its list and parent-array entries, and its
-# canonical tuple while its level is built or expanded.  As growth of
-# the peak RSS that is 146 B for GAMMA10 at bound 18, 157 B for the
-# 893,969-element eleven-cusp sweep at bound 30 and 204 B for ALPHA10's
-# rationals, so the cap costs 0.3-0.4 GB (Python 3.11, 64-bit Linux).
+# The most elements a sweep explores.  An element costs its hash (an int
+# in the seen set, and an entry of the key array), its two parent-array
+# entries, and its canonical tuple while its level is built or
+# expanded.  As growth of the peak RSS that is about 155 B for GAMMA10
+# at bound 18, 143 B for the 1,041,706-element GAMMA11 sweep at bound 30
+# and 179 B for ALPHA10's rationals, so the cap costs 0.29-0.36 GB
+# (Python 3.11, 64-bit Linux).
 MAX_SWEEP_STATES = 2_000_000
 
 
@@ -504,7 +505,7 @@ def _direction_table(steps: List[MoebiusMap], moves: List[Tuple],
 
 
 def _spell(word: Tuple) -> str:
-    return " ".join(f"{lab}^{exp}" for lab, exp in word) or "the empty word"
+    return " ".join(f"{lab}^{exp}" for lab, exp in word)
 
 
 def _class_key(word: Tuple) -> Tuple:
@@ -568,17 +569,24 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     explored elements and the witnesses are the full filter's, and at
     the cap the moves never tried are counted in the full move list.
 
-    An explored element is kept as one exact key, the bytes of its
-    ``canonical_entries`` numerators na, nb, nc, nd in hexadecimal (the
-    key is injective: na nd - nb nc = den^2 fixes den > 0), in the seen
-    set and in a list in BFS order, with two array entries: its parent's
-    index and its last move's index.  Its entry tuple is kept only while
-    its level is being built or expanded, and for the candidates below
-    the bound.  So the elements of a level are consecutive indices, the
-    moves that may follow an element are looked up by its last move, and
-    a word is rebuilt from the parent chain only where it is printed or
-    compared: for the candidates and in the two errors.  Maps are built
-    only for the witnesses.  Each element-move pair considered is
+    A product is put in canonical form by ``canonical_entries_unchecked``
+    written out inline, as the product of two canonical forms passes the
+    checks of ``canonical_entries`` by construction.  An explored element
+    is kept as the hash of its five entries, in the seen set and in an
+    array in BFS order, with two array entries: its parent's index and
+    its last move's index.  Distinct entries can share a hash (hash(-1)
+    == hash(-2), so L^-1 and L^-2 do), so a hit scans the hash array and
+    rebuilds each earlier element with that hash from its word, one map
+    product per letter; only equal entries are a relation.  A hit thus
+    costs time but changes nothing explored, and as int hashes are not
+    salted by PYTHONHASHSEED, the same hits come on every run.  Its
+    entry tuple is kept only while its level is being built or expanded,
+    and for the candidates below the bound.  So the elements of a level
+    are consecutive indices, the moves that may follow an element are
+    looked up by its last move, and a word is rebuilt from the parent
+    chain only where it is printed or compared: for the candidates, on
+    a hit and in the two errors.  Maps are built only for the witnesses
+    and on a hit.  Each element-move pair considered is
     rejected by the filter (the table's omissions included) or the
     exact test, or explored, or finds the cap full (at most once).  An
     empty generator set raises ValueError: the trivial group has no
@@ -631,9 +639,11 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     from array import array     # about 160 kB to load; only a sweep needs it
 
     state_limit = MAX_SWEEP_STATES  # a local: read once per call
-    # explored element i has the key keys[i] (the identity's is b"1 0 0
-    # 1"); its word is its parent's word followed by tokens[last_move[i]]
-    keys = [b"1 0 0 1"]
+    gcd = math.gcd
+    # explored element i has the key keys[i], the hash of its canonical
+    # entries; its word is its parent's word followed by
+    # tokens[last_move[i]]
+    keys = array("q", [hash((1, 0, 0, 1, 1))])
     seen = set(keys)
     parent, last_move = array("i", [0]), array("i", [-1])
 
@@ -673,24 +683,45 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
                 if norm > threshold:
                     continue
                 passed += 1
-                (e, f, g, h), t_den = entries[k]
+                (e, f, g, h), nden = entries[k]
+                na, nb, nc, nd = (a * e + b * g, a * f + b * h,
+                                  c * e + d * g, c * f + d * h)
+                nden *= den
                 # test the raw product exactly before the gcd
-                prod = (a * e + b * g, a * f + b * h, c * e + d * g,
-                        c * f + d * h)
-                prod_den = den * t_den
-                if norm > accept and not _within(prod, prod_den, cap):
+                if norm > accept and not _within((na, nb, nc, nd), nden,
+                                                 cap):
                     exact_rejects += 1
                     continue
-                ns = na, nb, nc, nd, nden = canonical_entries(*prod, prod_den)
-                # exact: na nd - nb nc = nden^2 fixes nden > 0
-                key = b"%x %x %x %x" % (na, nb, nc, nd)
+                # canonical_entries_unchecked, inline: calling it took
+                # the GAMMA10 and ALPHA10 sweeps from 0.69 to 0.72 s
+                # (medians of 6 processes, best of 5 sweeps each)
+                r = gcd(nden, na, nb, nc, nd)
+                if r > 1:
+                    na, nb, nc, nd, nden = (na // r, nb // r, nc // r,
+                                            nd // r, nden // r)
+                if na < 0 or (na == 0 and nb < 0):
+                    na, nb, nc, nd = -na, -nb, -nc, -nd
+                ns = na, nb, nc, nd, nden
+                key = hash(ns)
                 if key in seen:
-                    raise ValueError(
-                        f"the generators satisfy a relation, so they are "
-                        f"not a free basis: the words "
-                        f"{_spell(word(keys.index(key)))} and "
-                        f"{_spell(word(i) + (tokens[k],))} give the same "
-                        f"element")
+                    # a hit proves nothing until the entries agree
+                    m = MoebiusMap(*ns)
+                    j = next((j for j, x in enumerate(keys) if x == key
+                              and m == math.prod(map(steps.get, word(j)),
+                                                 start=IDENTITY)), None)
+                    # j = 0 (the identity) only for an identity generator:
+                    # a reduced word of length >= 2 giving the identity
+                    # has a prefix equal to its last letter's inverse, an
+                    # element of the same norm explored at level 1, so a
+                    # relation was refused at level 1 or at that prefix
+                    if j is not None:
+                        this = _spell(word(i) + (tokens[k],))
+                        raise ValueError(
+                            "the generators satisfy a relation, so they are "
+                            "not a free basis: " + (
+                                f"the word {this} gives the identity" if j == 0
+                                else f"the words {_spell(word(j))} and {this} "
+                                "give the same element"))
                 if len(keys) >= state_limit:
                     exhausted = False
                     # the moves after this one were never tried

@@ -6,10 +6,11 @@ considered projectively (M and -M are the same map).  ``MoebiusMap`` is
 the one exact matrix type: it stores four integers over a common
 positive denominator in a canonical form, so products, inverses,
 powers and comparisons are integer arithmetic.  ``mat_mul`` is the one
-2x2 product formula (the matrix-group search's expansion loop writes
-it out inline) and ``canonical_entries`` the one canonical form,
-shared by ``MoebiusMap`` and the matrix-group search, which keeps each
-element as those five integers and builds no map for it.  All group
+2x2 product formula and ``canonical_entries`` the one canonical form,
+with a checked entry for every caller and an unchecked one,
+``canonical_entries_unchecked``, for the products of the matrix-group
+search, which pass the checks by construction; its expansion loop
+writes both out inline and builds no map for an element.  All group
 arithmetic is exact; floating point enters only in the final
 trace-to-length conversion.
 """
@@ -28,6 +29,7 @@ __all__ = [
     "INF",
     "MoebiusMap",
     "canonical_entries",
+    "canonical_entries_unchecked",
     "mat_mul",
     "maps_to",
     "TURNS",
@@ -135,6 +137,25 @@ def _abridged(x: Q) -> str:
                   str(x))
 
 
+def canonical_entries_unchecked(a: int, b: int, c: int, d: int, den: int
+                                ) -> Tuple[int, int, int, int, int]:
+    """``canonical_entries`` without its checks, for entries that pass
+    them by construction, such as the raw product of two canonical forms:
+    its denominator den' den'' is positive, its determinant is den'^2
+    den''^2, and dividing by g divides both sides by g^2.  den comes
+    first because ``math.gcd`` skips the rest once the running gcd is 1,
+    at once for integer entries: about 100 ns against 500 ns on 100-bit
+    entries (Python 3.11).
+    """
+    g = gcd(den, a, b, c, d)
+    if g > 1:
+        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    # a = 0 forces b != 0, so the first nonzero entry is a or b
+    if a < 0 or (a == 0 and b < 0):
+        a, b, c, d = -a, -b, -c, -d
+    return a, b, c, d, den
+
+
 def canonical_entries(a: int, b: int, c: int, d: int, den: int
                       ) -> Tuple[int, int, int, int, int]:
     """The canonical form (na, nb, nc, nd, den) of (a b; c d) / den.
@@ -145,16 +166,12 @@ def canonical_entries(a: int, b: int, c: int, d: int, den: int
     """
     if den <= 0:
         raise ValueError(f"denominator {den} is not positive")
-    g = gcd(a, b, c, d, den)
-    if g > 1:
-        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
-    if a * d - b * c != den * den:
+    form = na, nb, nc, nd, nden = canonical_entries_unchecked(a, b, c, d, den)
+    if na * nd - nb * nc != nden * nden:
+        # Q(x, den) is in lowest terms, so the form's gcd changes nothing
         a, b, c, d = (_abridged(Q(x, den)) for x in (a, b, c, d))
         raise ValueError(f"matrix ({a}, {b}; {c}, {d}) has determinant != 1")
-    # a = 0 forces b != 0, so the first nonzero entry is a or b
-    if a < 0 or (a == 0 and b < 0):
-        a, b, c, d = -a, -b, -c, -d
-    return a, b, c, d, den
+    return form
 
 
 # Turn matrices of the dual walk, by letter.

@@ -515,6 +515,14 @@ class TestBadInput:
         err = one_line_error(capsys, tmp_path, content, "systole")
         assert err.startswith(f"error: {tmp_path / 'input'}: {message}")
 
+    def test_identity_generator(self, capsys, tmp_path):
+        err = one_line_error(
+            capsys, tmp_path,
+            json.dumps({"generators": {"1": [1, 0, 0, 1]}}), "systole")
+        assert err == ("error: the generators satisfy a relation, so they "
+                       "are not a free basis: the word 1^1 gives the "
+                       "identity\n")
+
     @pytest.mark.parametrize("quad,digits", [(["1e1000"] * 4, 1001),
                                              (["1e400", 0, 0, 1], 401)],
                              ids=["four-1e1000", "one-1e400"])

@@ -26,12 +26,14 @@ from spheresys.geodesics import (GeodesicWitness, ResourceLimitError,
                                  systole_combinatorial,
                                  systole_matrix_group)
 from spheresys.modular import (IDENTITY, TURNS, L, R, MoebiusMap,
-                               NotHyperbolicError, lr_word_value, mat_mul,
-                               schmutz_bound, trace_to_length)
+                               NotHyperbolicError, canonical_entries,
+                               lr_word_value, mat_mul, schmutz_bound,
+                               trace_to_length)
 from spheresys.triangulation import (Triangulation, bipyramid_with_duplicates,
                                      example_loop, icosahedron, octahedron,
                                      tetrahedron)
 from test_enumeration import flip
+from test_modular import _unimodular
 from test_triangulation import example_duplicate_edges, stellated_loop
 
 
@@ -476,6 +478,76 @@ class TestMatrixGroup:
             systole_matrix_group(gens, bound, diameter=diameter)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("gens,word", [({1: IDENTITY}, "1^1"),
+                                           ({1: L, 2: IDENTITY}, "2^1")])
+    def test_identity_generator_refused(self, gens, word):
+        """Only an identity generator reaches the identity, so the
+        refusal names its one word."""
+        with pytest.raises(ValueError) as err:
+            systole_matrix_group(gens, 18, diameter=1.0)
+        assert str(err.value) == (
+            f"the generators satisfy a relation, so they are not a free "
+            f"basis: the word {word} gives the identity")
+
+    @pytest.mark.parametrize("gens,bound,cap", [
+        ({2: fixtures.A7[2], 3: fixtures.A7[3]}, 14,
+         geodesics.MAX_SWEEP_STATES),
+        ({2: fixtures.A7[2], 3: fixtures.A7[3]}, 14, 20),
+        ({1: fixtures.A7[2], 2: fixtures.A7[2]}, 14,
+         geodesics.MAX_SWEEP_STATES),
+        ({1: MoebiusMap(4, 0, 0, Q(1, 4)),
+          2: MoebiusMap(Q(3, 80), Q(-1, 20), Q(64, 5), Q(48, 5))}, 18,
+         geodesics.MAX_SWEEP_STATES),
+    ], ids=["a7-pair", "a7-pair-capped", "repeated-generator",
+            "infinite-order"])
+    def test_hash_collisions_change_nothing(self, gens, bound, cap):
+        """With a hash of three values, nearly every element's key is
+        already in the seen set: each hit is settled on the entries, so
+        the sweep gives the same report (all 39 states of the A7 pair, or
+        20 at a cap), or the same refusal."""
+        def sweep():
+            with mock.patch.object(geodesics, "MAX_SWEEP_STATES", cap):
+                try:
+                    return systole_matrix_group(gens, bound, diameter=1.0)
+                except ValueError as exc:
+                    return str(exc)
+
+        plain = sweep()
+        with mock.patch.object(geodesics, "hash", lambda t: t[0] % 3,
+                               create=True):
+            assert sweep() == plain
+
+    @given(_unimodular(), _unimodular())
+    def test_keys_hash_the_canonical_form(self, x, y):
+        """The expansion loop's inline copy of
+        ``canonical_entries_unchecked``: the sweep hashes each element's
+        entries in canonical form, and level 2 holds the canonical forms
+        of the products of the steps, in move order."""
+        gens = {1: MoebiusMap(*x), 2: MoebiusMap(*y)}
+        steps = [m for g in gens.values() for m in (g, g.inverse())]
+        pairs = [(s, t) for i, s in enumerate(steps)
+                 for j, t in enumerate(steps) if j != i ^ 1]
+        # a cap of at least 2 cosh(2 diameter), above every element of
+        # levels 1 and 2
+        needed = max(map(norm2, steps + [s * t for s, t in pairs]))
+        diameter = math.acosh(float(needed) / 2) / 2 + 1
+        hashed = []
+        refused = False
+        with mock.patch.object(geodesics, "hash",
+                               lambda t: hashed.append(t) or hash(t),
+                               create=True), \
+                mock.patch.object(geodesics, "MAX_SWEEP_STATES", 17):
+            try:
+                systole_matrix_group(gens, 3, diameter=diameter)
+            except ValueError:
+                refused = True
+        assert all(canonical_entries(*t) == t for t in hashed)
+        if not refused:
+            # the identity, level 1, then level 2
+            assert hashed[5:17] == [
+                canonical_entries(*mat_mul(s.quad, t.quad), s.den * t.den)
+                for s, t in pairs]
+
     @pytest.mark.parametrize("diameter", [math.nan, math.inf, -5, "abc",
                                           True])
     def test_diameter_must_be_finite_nonnegative(self, diameter):
@@ -542,16 +614,16 @@ class TestMatrixGroup:
                         reason="reads the peak RSS from /proc/self/status")
     def test_memory_per_explored_element(self):
         """The bound-18 sweeps raise the peak RSS of a fresh process by at
-        most 180 (GAMMA10) and 240 (ALPHA10's rationals) bytes per
-        explored element: the element's bytes key with its place in the
-        seen set and the key list, two array entries for its parent and
-        last move, and its entry tuple while its level is built or
-        expanded (about 146 and 204 B).  Keeping every element's tuple
-        for the whole sweep takes them to about 224 and 310.
+        most 180 (GAMMA10) and 210 (ALPHA10's rationals) bytes per
+        explored element: the hash of its entries in the seen set and the
+        key array, two array entries for its parent and last move, and
+        its entry tuple while its level is built or expanded (about 155
+        and 179 B).  Keeping every element's tuple for the whole sweep
+        takes them to about 285 and 374.
         The peak is VmHWM, not ru_maxrss, which a child process inherits
         from the test process that forked it."""
         for name, states, limit in (("gamma10", 124766, 180),
-                                    ("alpha10", 124480, 240)):
+                                    ("alpha10", 124480, 210)):
             script = "\n".join([
                 "import pathlib, re",
                 "from spheresys import fixtures, geodesics",
@@ -751,6 +823,8 @@ class TestFloatPrefilter:
     @given(_generator_sets(), st.sampled_from([3, Q(7, 2), 5, 8, 12]),
            st.floats(0.0, 1.5), st.sampled_from([100, 400]),
            st.sampled_from([0, 1, 3]))
+    # L^-1 = (1, -1, 0, 1, 1) and L^-2 hash alike, as hash(-1) == hash(-2)
+    @example({1: L}, 3, 0.0, 100, 0)
     def test_sweep_matches_exact_reference(self, gens, bound, diameter,
                                            max_states, short):
         seen = reference_sweep(gens, bound, diameter, max_states)[0]

@@ -13,11 +13,13 @@ from spheresys.modular import (
     MoebiusMap,
     L,
     canonical_entries,
+    canonical_entries_unchecked,
     NotHyperbolicError,
     cusp_parabolic,
     farey_adjacent,
     lr_word_value,
     maps_to,
+    mat_mul,
     parabolic_product_trace,
     schmutz_bound,
     trace_to_length,
@@ -358,6 +360,19 @@ class TestCanonicalEntries:
         # the determinant is den^2 / j^2, not den^2
         with pytest.raises(ValueError, match="determinant"):
             canonical_entries(*quad, j * den)
+
+    @given(_unimodular(), _unimodular())
+    def test_unchecked_on_products(self, x, y):
+        """On the raw product of two canonical forms the unchecked step
+        is ``canonical_entries``, whose checks it passes by construction;
+        with the denominator doubled, only the checked form refuses it."""
+        m, n = MoebiusMap(*x), MoebiusMap(*y)
+        raw = (*mat_mul(m.quad, n.quad), m.den * n.den)
+        assert canonical_entries_unchecked(*raw) == canonical_entries(*raw)
+        doubled = (*raw[:4], 2 * raw[4])
+        canonical_entries_unchecked(*doubled)
+        with pytest.raises(ValueError, match="determinant"):
+            canonical_entries(*doubled)
 
     @pytest.mark.parametrize("entries,message", [
         ((1, 2, 3, 4, 1), "matrix (1, 2; 3, 4) has determinant != 1"),
