@@ -141,7 +141,8 @@ def load_input(spec: str, check: bool = True):
         raise ValueError(f"unknown fixture {name!r}; "
                          f"choices: {', '.join(names)}")
     try:
-        with open(spec) as fh:
+        # utf-8-sig also reads a file that starts with a byte-order mark
+        with open(spec, encoding="utf-8-sig") as fh:
             loaded = parse_input(fh.read())
         if check and isinstance(loaded, Triangulation):
             loaded.require_valid()
@@ -512,7 +513,10 @@ def build_parser():
                        help="systole of a triangulation or generator set")
     p.add_argument("input",
                    help="triangulation file, generator JSON, or fixture:NAME")
-    p.add_argument("--trace-bound", type=int)
+    p.add_argument("--trace-bound", type=int,
+                   help="largest |trace| searched (default: 18 for a "
+                   "generator set; for a triangulation, the proved "
+                   "a-priori start, Triangulation.a_priori_trace_bound)")
     p.set_defaults(fn=cmd_systole)
 
     p = sub.add_parser("enumerate", help="stream triangulation classes")

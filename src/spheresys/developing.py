@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .modular import (Frac, INF, MoebiusMap, canonical_entries,
-                      cusp_parabolic, maps_to, mat_mul)
+from .modular import (Frac, INF, MoebiusMap, cusp_parabolic, maps_to,
+                      mat_mul)
 from .triangulation import Triangulation
 
 __all__ = [
@@ -281,11 +281,11 @@ def check_cusp_parabolics(dev: Development) -> bool:
     dp^2, -dq^2, 1 + dpq) of ``cusp_parabolic``, over denominator 1, up
     to sign.  Walking the rotation from that corner composes the side
     pairings met at tree edges, read from ``dev.side_pairings`` as
-    ``generators`` returns them and inverted at an edge's second dart;
-    the composite's canonical entries must be the cusp generator's or
-    its inverse's.  The composite is kept as an integer matrix over a
-    running denominator, and each pairing must send the label of its
-    corner to the next one (``maps_to``), so no map is built.
+    ``generators`` returns them and inverted at an edge's second dart.
+    The composite is kept as integers over a running denominator den,
+    and each pairing must send the label of its corner to the next one
+    (``maps_to``), so no map is built; it must be +-den times the cusp
+    generator's integers or their adjugate (the generator's inverse).
     """
     g, labels = dev.g, dev.corner_labels
     for w in range(g.n_vertices):
@@ -315,9 +315,9 @@ def check_cusp_parabolics(dev: Development) -> bool:
                 return False
         # a vertex with no tree edge leaves gamma the identity, which is
         # no cusp generator
-        if canonical_entries(*gamma, den) not in (
-                (*cusp.quad, 1), canonical_entries(
-                    cusp.nd, -cusp.nb, -cusp.nc, cusp.na, 1)):
+        a, b, c, d = (den * x for x in cusp.quad)
+        if gamma not in ((a, b, c, d), (-a, -b, -c, -d),
+                         (d, -b, -c, a), (-d, b, c, -a)):
             return False
     return True
 

@@ -569,9 +569,10 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
     explored elements and the witnesses are the full filter's, and at
     the cap the moves never tried are counted in the full move list.
 
-    A product is put in canonical form by ``canonical_entries_unchecked``
-    written out inline, as the product of two canonical forms passes the
-    checks of ``canonical_entries`` by construction.  An explored element
+    A product is put in ``MoebiusMap``'s canonical form, written out
+    inline without its checks: the product of two canonical forms has
+    a positive denominator den and determinant den^2, and dividing by
+    a common factor g divides both sides by g^2.  An explored element
     is kept as the hash of its five entries, in the seen set and in an
     array in BFS order, with two array entries: its parent's index and
     its last move's index.  Distinct entries can share a hash (hash(-1)
@@ -692,8 +693,8 @@ def systole_matrix_group(gens: Dict[object, MoebiusMap], trace_bound,
                                                  cap):
                     exact_rejects += 1
                     continue
-                # canonical_entries_unchecked, inline: calling it took
-                # the GAMMA10 and ALPHA10 sweeps from 0.69 to 0.72 s
+                # MoebiusMap's canonical form, inline and unchecked: a call
+                # took the GAMMA10 and ALPHA10 sweeps from 0.69 to 0.72 s
                 # (medians of 6 processes, best of 5 sweeps each)
                 r = gcd(nden, na, nb, nc, nd)
                 if r > 1:

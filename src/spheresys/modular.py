@@ -6,13 +6,10 @@ considered projectively (M and -M are the same map).  ``MoebiusMap`` is
 the one exact matrix type: it stores four integers over a common
 positive denominator in a canonical form, so products, inverses,
 powers and comparisons are integer arithmetic.  ``mat_mul`` is the one
-2x2 product formula and ``canonical_entries`` the one canonical form,
-with a checked entry for every caller and an unchecked one,
-``canonical_entries_unchecked``, for the products of the matrix-group
-search, which pass the checks by construction; its expansion loop
-writes both out inline and builds no map for an element.  All group
-arithmetic is exact; floating point enters only in the final
-trace-to-length conversion.
+2x2 product formula and ``MoebiusMap``'s constructor the one canonical
+form; the matrix-group search's expansion loop writes both out inline
+and builds no map for an element.  All group arithmetic is exact;
+floating point enters only in the final trace-to-length conversion.
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ __all__ = [
     "Frac",
     "INF",
     "MoebiusMap",
-    "canonical_entries",
-    "canonical_entries_unchecked",
     "mat_mul",
     "maps_to",
     "TURNS",
@@ -137,43 +132,6 @@ def _abridged(x: Q) -> str:
                   str(x))
 
 
-def canonical_entries_unchecked(a: int, b: int, c: int, d: int, den: int
-                                ) -> Tuple[int, int, int, int, int]:
-    """``canonical_entries`` without its checks, for entries that pass
-    them by construction, such as the raw product of two canonical forms:
-    its denominator den' den'' is positive, its determinant is den'^2
-    den''^2, and dividing by g divides both sides by g^2.  den comes
-    first because ``math.gcd`` skips the rest once the running gcd is 1,
-    at once for integer entries: about 100 ns against 500 ns on 100-bit
-    entries (Python 3.11).
-    """
-    g = gcd(den, a, b, c, d)
-    if g > 1:
-        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
-    # a = 0 forces b != 0, so the first nonzero entry is a or b
-    if a < 0 or (a == 0 and b < 0):
-        a, b, c, d = -a, -b, -c, -d
-    return a, b, c, d, den
-
-
-def canonical_entries(a: int, b: int, c: int, d: int, den: int
-                      ) -> Tuple[int, int, int, int, int]:
-    """The canonical form (na, nb, nc, nd, den) of (a b; c d) / den.
-
-    den > 0, gcd(na, nb, nc, nd, den) = 1, the first nonzero numerator
-    is positive and na*nd - nb*nc = den^2.  The arguments are ints;
-    ValueError if den is not positive or the determinant is not 1.
-    """
-    if den <= 0:
-        raise ValueError(f"denominator {den} is not positive")
-    form = na, nb, nc, nd, nden = canonical_entries_unchecked(a, b, c, d, den)
-    if na * nd - nb * nc != nden * nden:
-        # Q(x, den) is in lowest terms, so the form's gcd changes nothing
-        a, b, c, d = (_abridged(Q(x, den)) for x in (a, b, c, d))
-        raise ValueError(f"matrix ({a}, {b}; {c}, {d}) has determinant != 1")
-    return form
-
-
 # Turn matrices of the dual walk, by letter.
 TURNS = {"L": (1, 1, 0, 1), "R": (1, 0, 1, 1)}
 
@@ -182,11 +140,14 @@ TURNS = {"L": (1, 1, 0, 1), "R": (1, 0, 1, 1)}
 class MoebiusMap:
     """A determinant-one 2x2 matrix over exact rationals, up to sign.
 
-    Stored as the five integers of ``canonical_entries``: the entries
-    are na/den, nb/den, nc/den and nd/den.  The representative is thus
+    Stored as five integers in the one canonical form of an exact
+    matrix: the entries are na/den, nb/den, nc/den and nd/den, with
+    den > 0, gcd(na, nb, nc, nd, den) = 1, the first nonzero numerator
+    positive and na*nd - nb*nc = den^2.  The representative is thus
     canonical, and equality and hashing are projective.  The constructor
-    also takes rational entries (with den left at 1) and brings them to
-    this form.
+    brings integer numerators over den to this form, and also takes
+    rational entries (with den left at 1); ValueError if den is not
+    positive or the determinant is not 1.
     """
 
     na: int
@@ -203,8 +164,23 @@ class MoebiusMap:
                              c.denominator, d.denominator)
             a, b, c, d = (int(x * scale) for x in (a, b, c, d))
             den *= scale
+        if den <= 0:
+            raise ValueError(f"denominator {den} is not positive")
+        # den first: math.gcd skips the rest once the running gcd is 1,
+        # at once for integer entries: about 100 ns against 500 ns on
+        # 100-bit entries (Python 3.11)
+        g = gcd(den, a, b, c, d)
+        if g > 1:
+            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+        if a * d - b * c != den * den:
+            # Q(x, den) is in lowest terms, so the gcd changes nothing
+            a, b, c, d = (_abridged(Q(x, den)) for x in (a, b, c, d))
+            raise ValueError(f"matrix ({a}, {b}; {c}, {d}) has "
+                             f"determinant != 1")
+        # a = 0 forces b != 0, so the first nonzero entry is a or b
+        if a < 0 or (a == 0 and b < 0):
+            a, b, c, d = -a, -b, -c, -d
         # one call per field: a loop over the slots costs more per map
-        a, b, c, d, den = canonical_entries(a, b, c, d, den)
         object.__setattr__(self, "na", a)
         object.__setattr__(self, "nb", b)
         object.__setattr__(self, "nc", c)

@@ -397,6 +397,16 @@ class TestGolden:
     def test_json(self, capsys, name):
         self.check(capsys, name)
 
+    def test_byte_order_mark(self, capsys, tmp_path):
+        """A file that starts with a UTF-8 byte-order mark, as some
+        editors save it, reads as the same file without one."""
+        *argv, original = GOLDEN_CASES["systole-two-generators"]
+        path = tmp_path / "two-generators.json"
+        path.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(original).read_bytes())
+        code, out = run(capsys, *argv, str(path))
+        assert code == 0
+        assert out == (GOLDEN / "systole-two-generators.json").read_text()
+
     def test_string_diameter_as_decimal(self):
         # "3/10" and 0.3 are one diameter, so the sweeps print alike
         assert ((GOLDEN / "systole-two-generators-string-diameter.json")

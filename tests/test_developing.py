@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction as Q
 
 import pytest
 
@@ -11,7 +12,8 @@ from spheresys.developing import (
     render_polygon,
 )
 from spheresys.enumeration import EnumerationQuery, enumerate_triangulations
-from spheresys.modular import Frac, INF, L, MoebiusMap, cusp_parabolic
+from spheresys.modular import (Frac, INF, L, MoebiusMap, cusp_parabolic,
+                               maps_to)
 from spheresys.triangulation import (
     Triangulation,
     bipyramid_with_duplicates,
@@ -274,6 +276,26 @@ class TestInvariants:
         m = dev.side_pairings[e]
         dev.side_pairings[e] = {"times-L2": m * (L ** 2),
                                 "inverse": m.inverse()}[tamper]
+        assert not check_cusp_parabolics(dev)
+
+    @pytest.mark.parametrize("e", TEN_COMPACT_TREE_EDGES)
+    def test_certificate_detects_rational_tampering(self, e):
+        """A side pairing followed by a rational hyperbolic H fixing the
+        ends of its image side still maps its corner labels, but has a
+        denominator above 1 and fails the check."""
+        g, tree, seed = fixtures.named_development("ten-compact")
+        dev = develop(g, tree, seed=seed)
+        d1, d2 = g.edges[e]
+        x1, y1 = dev.corner_labels[d1], dev.corner_labels[g.face_next(d1)]
+        x2, y2 = dev.corner_labels[g.face_next(d2)], dev.corner_labels[d2]
+        # x2-y2 is a Farey edge, so one order u, v of its ends, as
+        # columns, is in SL2(Z): it sends infinity to u and 0 to v
+        u, v = (x2, y2) if x2.p * y2.q - y2.p * x2.q == 1 else (y2, x2)
+        frame = MoebiusMap(u.p, v.p, u.q, v.q)
+        h = frame * MoebiusMap(2, 0, 0, Q(1, 2)) * frame.inverse()
+        m = dev.side_pairings[e] = h * dev.side_pairings[e]
+        assert m.den > 1
+        assert maps_to(m.quad, x1, x2) and maps_to(m.quad, y1, y2)
         assert not check_cusp_parabolics(dev)
 
     @pytest.mark.parametrize("e", TEN_COMPACT_TREE_EDGES)

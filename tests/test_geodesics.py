@@ -26,9 +26,8 @@ from spheresys.geodesics import (GeodesicWitness, ResourceLimitError,
                                  systole_combinatorial,
                                  systole_matrix_group)
 from spheresys.modular import (IDENTITY, TURNS, L, R, MoebiusMap,
-                               NotHyperbolicError, canonical_entries,
-                               lr_word_value, mat_mul, schmutz_bound,
-                               trace_to_length)
+                               NotHyperbolicError, lr_word_value, mat_mul,
+                               schmutz_bound, trace_to_length)
 from spheresys.triangulation import (Triangulation, bipyramid_with_duplicates,
                                      example_loop, icosahedron, octahedron,
                                      tetrahedron)
@@ -519,10 +518,10 @@ class TestMatrixGroup:
 
     @given(_unimodular(), _unimodular())
     def test_keys_hash_the_canonical_form(self, x, y):
-        """The expansion loop's inline copy of
-        ``canonical_entries_unchecked``: the sweep hashes each element's
-        entries in canonical form, and level 2 holds the canonical forms
-        of the products of the steps, in move order."""
+        """The expansion loop's inline copy of ``MoebiusMap``'s canonical
+        form: the sweep hashes each element's entries in canonical form,
+        and level 2 holds the canonical forms of the products of the
+        steps, in move order."""
         gens = {1: MoebiusMap(*x), 2: MoebiusMap(*y)}
         steps = [m for g in gens.values() for m in (g, g.inverse())]
         pairs = [(s, t) for i, s in enumerate(steps)
@@ -541,12 +540,11 @@ class TestMatrixGroup:
                 systole_matrix_group(gens, 3, diameter=diameter)
             except ValueError:
                 refused = True
-        assert all(canonical_entries(*t) == t for t in hashed)
+        assert all(dataclasses.astuple(MoebiusMap(*t)) == t for t in hashed)
         if not refused:
             # the identity, level 1, then level 2
-            assert hashed[5:17] == [
-                canonical_entries(*mat_mul(s.quad, t.quad), s.den * t.den)
-                for s, t in pairs]
+            assert hashed[5:17] == [dataclasses.astuple(s * t)
+                                    for s, t in pairs]
 
     @pytest.mark.parametrize("diameter", [math.nan, math.inf, -5, "abc",
                                           True])

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction as Q
 
 import pytest
@@ -12,8 +13,6 @@ from spheresys.modular import (
     IDENTITY,
     MoebiusMap,
     L,
-    canonical_entries,
-    canonical_entries_unchecked,
     NotHyperbolicError,
     cusp_parabolic,
     farey_adjacent,
@@ -346,33 +345,24 @@ class TestMoebiusMapAgainstFractions:
 
 
 class TestCanonicalEntries:
-    """The one canonical form, shared by MoebiusMap and the matrix sweep."""
+    """The one canonical form, MoebiusMap's, which the matrix sweep
+    writes out inline."""
 
     @given(_unimodular(), st.integers(1, 10 ** 6), st.integers(2, 9))
     def test_scaling_and_sign(self, x, k, j):
         den = math.lcm(*(e.denominator for e in x))
         quad = [int(e * den) for e in x]
-        form = canonical_entries(*quad, den)
-        assert canonical_entries(*(k * e for e in quad), k * den) == form
-        assert canonical_entries(*(-e for e in quad), den) == form
-        m = MoebiusMap(*x)
-        assert form == (m.na, m.nb, m.nc, m.nd, m.den)
+        form = astuple(MoebiusMap(*quad, den))
+        assert astuple(MoebiusMap(*(k * e for e in quad), k * den)) == form
+        assert astuple(MoebiusMap(*(-e for e in quad), den)) == form
+        assert astuple(MoebiusMap(*x)) == form
+        assert tuple(Q(e, form[4]) for e in form[:4]) in (
+            tuple(x), tuple(-e for e in x))
+        assert math.gcd(*form) == 1 and form[4] > 0
+        assert form[0] > 0 or (form[0] == 0 and form[1] > 0)
         # the determinant is den^2 / j^2, not den^2
         with pytest.raises(ValueError, match="determinant"):
-            canonical_entries(*quad, j * den)
-
-    @given(_unimodular(), _unimodular())
-    def test_unchecked_on_products(self, x, y):
-        """On the raw product of two canonical forms the unchecked step
-        is ``canonical_entries``, whose checks it passes by construction;
-        with the denominator doubled, only the checked form refuses it."""
-        m, n = MoebiusMap(*x), MoebiusMap(*y)
-        raw = (*mat_mul(m.quad, n.quad), m.den * n.den)
-        assert canonical_entries_unchecked(*raw) == canonical_entries(*raw)
-        doubled = (*raw[:4], 2 * raw[4])
-        canonical_entries_unchecked(*doubled)
-        with pytest.raises(ValueError, match="determinant"):
-            canonical_entries(*doubled)
+            MoebiusMap(*quad, j * den)
 
     @pytest.mark.parametrize("entries,message", [
         ((1, 2, 3, 4, 1), "matrix (1, 2; 3, 4) has determinant != 1"),
@@ -382,13 +372,15 @@ class TestCanonicalEntries:
          "matrix (10000000000000000000, 0; 0, 1) has determinant != 1"),
         ((10 ** 20, 0, 0, 1, 3), "matrix (1000000000...(21 digits)/3, 0; "
          "0, 1/3) has determinant != 1"),
+        # the entries as given, before the sign rule
+        ((-2, 1, 3, 4, 1), "matrix (-2, 1; 3, 4) has determinant != 1"),
     ])
     def test_determinant_message(self, entries, message):
         with pytest.raises(ValueError) as err:
-            canonical_entries(*entries)
+            MoebiusMap(*entries)
         assert str(err.value) == message
 
     @pytest.mark.parametrize("den", [0, -1])
     def test_denominator_positive(self, den):
         with pytest.raises(ValueError, match="not positive"):
-            canonical_entries(1, 0, 0, 1, den)
+            MoebiusMap(1, 0, 0, 1, den)
